@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .controller import BacksteppingKernel
+from .controller import BacksteppingKernel, transform_scalar
 from .heat import Grid, integrate_profile, integration_weights
 from .loop import AverageRecord, StaticMap, TrajectoryRecord
 
@@ -43,10 +43,8 @@ class TargetState:
 def to_target(kernel: BacksteppingKernel, vartheta: float, u_profile: np.ndarray,
               grid: Grid, rule: str = "auto") -> TargetState:
     """Forward transformation (vartheta, u) -> (Z, w = u - gamma*Z)."""
-    x = grid.nodes()
-    Z = vartheta + integrate_profile(kernel.g(x) * u_profile, grid.dx, rule)
-    w = u_profile - kernel.gamma(x) * Z
-    return TargetState(Z=Z, w=w)
+    Z = transform_scalar(kernel, vartheta, u_profile, grid, rule)
+    return TargetState(Z=Z, w=u_profile - kernel.gamma(grid.nodes()) * Z)
 
 
 def from_target(kernel: BacksteppingKernel, target: TargetState, grid: Grid,

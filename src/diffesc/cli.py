@@ -15,9 +15,7 @@ import configparser
 import hashlib
 import json
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from importlib import resources
 from pathlib import Path
 
@@ -30,6 +28,7 @@ from .heat import Grid, SolverConfig
 from .loop import (
     ScenarioConfig,
     StaticMap,
+    require_unit_diffusion,
     run_average_system,
     run_esc,
     run_standard_esc,
@@ -143,19 +142,10 @@ class RunPlan:
         )
 
     def validate(self) -> None:
-        self.map.validate()
-        self.dither.validate()
-        self.solver.validate()
-        if self.duration <= 0:
-            raise ConfigError("scenario duration must be > 0")
+        self.scenario_config().validate()
         if self.kind == "esc":
-            if abs(self.diffusion - 1.0) > 1e-12:
-                raise ConfigError(
-                    f"esc scenarios require actuator diffusion 1, got {self.diffusion}; "
-                    "the probing-signal design is only valid there"
-                )
-            check_gain(self.gains.K_bar, self.grid.L)
-        if self.kind == "average" and not self.allow_unstable:
+            require_unit_diffusion(self.diffusion)
+        if self.kind == "esc" or (self.kind == "average" and not self.allow_unstable):
             check_gain(self.gains.K_bar, self.grid.L)
 
 
@@ -341,45 +331,35 @@ def cmd_sweep(args) -> int:
         print("error: no sweep values given", file=sys.stderr)
         return EXIT_USAGE
 
+    labels = [f"{v:g}" for v in values]
+    if len(set(labels)) < len(labels):
+        print(f"error: sweep values must differ when printed with %g, got {','.join(labels)}",
+              file=sys.stderr)
+        return EXIT_USAGE
+
     out_root = Path(args.out)
     out_root.mkdir(parents=True, exist_ok=True)
-
-    def one(value: float):
-        parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
-        parser.read(path)
-        _sweep_apply(parser, args.param, value)
-        plan = RunPlan(parser)
-        plan.validate()
-        sub = out_root / f"{args.param}_{value:g}"
-        if plan.kind != "esc":
-            raise ConfigError("sweeps need an esc scenario config")
-        sub.mkdir(parents=True, exist_ok=True)
-        cfg = plan.scenario_config()
-        rec = run_esc(cfg)
-        save_trajectory_csv(rec, sub / "trajectory.csv")
-        _write_manifest(sub, "esc", str(path))
-        return plan.map, rec
-
-    env_threads = os.environ.get("ESC_THREADS")
-    if env_threads:
-        try:
-            max_workers = max(1, int(env_threads))
-        except ValueError:
-            print(f"error: ESC_THREADS must be an integer, got {env_threads!r}", file=sys.stderr)
-            return EXIT_USAGE
-    else:
-        max_workers = min(4, len(values))
     results, failures = {}, {}
-    with ThreadPoolExecutor(max_workers=max_workers) as pool:
-        futures = {pool.submit(one, v): v for v in values}
-        for fut, v in futures.items():
-            try:
-                results[v] = fut.result()
-            except Exception as exc:
-                failures[v] = f"{type(exc).__name__}: {exc}"
+    for v in values:
+        try:
+            parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
+            parser.read(path)
+            _sweep_apply(parser, args.param, v)
+            plan = RunPlan(parser)
+            plan.validate()
+            if plan.kind != "esc":
+                raise ConfigError("sweeps need an esc scenario config")
+            sub = out_root / f"{args.param}_{v:g}"
+            sub.mkdir(parents=True, exist_ok=True)
+            rec = run_esc(plan.scenario_config())
+            save_trajectory_csv(rec, sub / "trajectory.csv")
+            _write_manifest(sub, "esc", str(path))
+            results[v] = plan.map, rec
+        except Exception as exc:
+            failures[v] = f"{type(exc).__name__}: {exc}"
 
     lines = {"sweep_parameter": args.param,
-             "values_requested": ",".join(f"{v:g}" for v in values),
+             "values_requested": ",".join(labels),
              "values_completed": ",".join(f"{v:g}" for v in sorted(results)),
              "values_failed": ",".join(f"{v:g}" for v in sorted(failures)) or "none"}
     for v in sorted(failures):

@@ -116,7 +116,6 @@ class BacksteppingKernel:
     K_bar: float
     A_cl: float
     lam: float      # -A_cl, positive for admissible gains
-    norm: float     # the (real) normalization, 2*cos(sqrt(lam)*L) for A_cl < 0
 
     def g(self, x):
         """Spatial weight (L^2 - x^2)/2; zero at the driven end."""
@@ -154,21 +153,11 @@ def make_kernel(K_bar: float, L: float, check: bool = True, kappa_max: int = 100
                 RuntimeWarning,
             )
     A_cl = K_bar * L
-    if A_cl < 0.0:
-        lam = -A_cl
-        denom = math.cos(math.sqrt(lam) * L)
-        if abs(denom) < 1e-9:
-            raise ForbiddenGainError(
-                f"kernel normalization vanishes for compensator gain {K_bar:.6g}"
-            )
-        norm = 2.0 * denom
-    elif A_cl > 0.0:
-        lam = -A_cl
-        norm = 2.0 * math.cosh(math.sqrt(A_cl) * L)
-    else:
-        lam = 0.0
-        norm = 2.0
-    return BacksteppingKernel(L=L, K_bar=K_bar, A_cl=A_cl, lam=lam, norm=norm)
+    if A_cl < 0.0 and abs(math.cos(math.sqrt(-A_cl) * L)) < 1e-9:
+        raise ForbiddenGainError(
+            f"kernel normalization vanishes for compensator gain {K_bar:.6g}"
+        )
+    return BacksteppingKernel(L=L, K_bar=K_bar, A_cl=A_cl, lam=-A_cl)
 
 
 def transform_scalar(kernel: BacksteppingKernel, vartheta: float, u_profile: np.ndarray,

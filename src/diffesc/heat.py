@@ -2,9 +2,11 @@
 
 The field obeys  d/dt alpha = eps * d2/dx2 alpha  on [0, L] with an
 insulated left end (zero flux at x=0, second-order mirror ghost node) and a
-driven right end (Dirichlet value at x=L).  Implicit schemes solve one
-tridiagonal system per step; operators are cached per (grid, dt, scheme)
-so a long fixed-step run pays the setup cost once.
+driven right end (Dirichlet value at x=L).  All three schemes are one
+theta-method (explicit Euler theta=0, Crank-Nicolson 1/2, implicit Euler 1):
+each step solves one symmetric tridiagonal system whose factors, like the
+validation and the explicit stability bound, are computed once per
+(grid, dt, scheme, diffusion).
 """
 from __future__ import annotations
 
@@ -13,7 +15,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
-from scipy.linalg import solve_banded
+from scipy.linalg.lapack import dpttrf, dpttrs
 
 __all__ = [
     "SCHEMES",
@@ -30,7 +32,9 @@ __all__ = [
     "convergence_order",
 ]
 
-SCHEMES = ("crank_nicolson", "implicit_euler", "explicit_euler")
+# implicit weight theta of each scheme's theta-method step
+THETAS = {"crank_nicolson": 0.5, "implicit_euler": 1.0, "explicit_euler": 0.0}
+SCHEMES = tuple(THETAS)
 
 
 @dataclass(frozen=True)
@@ -95,70 +99,62 @@ def make_field(grid: Grid, initial=None, diffusion: float = 1.0, t: float = 0.0)
 
 
 @lru_cache(maxsize=64)
-def _implicit_bands(m: int, r: float) -> np.ndarray:
-    """Banded matrix (ab form) of I - r*Lap on the m non-Dirichlet nodes.
+def _stepper(m: int, dx: float, dt: float, scheme: str, eps: float):
+    """Validated, factored theta-method step on the m non-Dirichlet nodes.
 
-    Row 0 is the insulated end (mirror ghost: off-diagonal doubled); the last
-    row couples to the Dirichlet node through the right-hand side instead.
+    With r = eps*dt/dx^2 the step reads (I - theta*r*Lap) v+ =
+    (I + (1-theta)*r*Lap) v + boundary terms, where row 0 of Lap is the
+    insulated end (mirror ghost: off-diagonal doubled).  Halving row 0 on
+    both sides makes both operators symmetric tridiagonal, and the left one
+    positive definite, so it is factored once with ``dpttrf``.
+
+    Returns ``(diag, lo, hi, factors)``: the diagonal of the halved
+    explicit-side operator, its off-diagonal (1-theta)*r, the implicit
+    weight theta*r, and the LDL^T factors.  All arrays are read-only.
     """
-    ab = np.zeros((3, m))
-    ab[0, 1:] = -r          # superdiagonal
-    ab[1, :] = 1.0 + 2.0 * r
-    ab[2, :-1] = -r         # subdiagonal
-    ab[0, 1] = -2.0 * r     # mirror ghost at x=0
-    return ab
-
-
-def _explicit_laplacian(v: np.ndarray, boundary_old: float, dx: float) -> np.ndarray:
-    lap = np.empty_like(v)
-    lap[0] = 2.0 * (v[1] - v[0])
-    lap[1:-1] = v[:-2] - 2.0 * v[1:-1] + v[2:]
-    lap[-1] = v[-2] - 2.0 * v[-1] + boundary_old
-    return lap / (dx * dx)
+    SolverConfig(dt, scheme).validate()
+    theta = THETAS[scheme]
+    if theta == 0.0 and dt > dx * dx / (2.0 * eps):
+        raise ValueError(
+            f"explicit step unstable: dt={dt:.3g} exceeds dx^2/(2*eps)={dx*dx/(2*eps):.3g}"
+        )
+    r = eps * dt / (dx * dx)
+    lo, hi = (1.0 - theta) * r, theta * r
+    diag = np.full(m, 1.0 - 2.0 * lo)
+    lhs_diag = np.full(m, 1.0 + 2.0 * hi)
+    diag[0] *= 0.5
+    lhs_diag[0] *= 0.5
+    factors = dpttrf(lhs_diag, np.full(m - 1, -hi))[:2]
+    for arr in (diag, *factors):
+        arr.flags.writeable = False
+    return diag, lo, hi, factors
 
 
 def step(field: ActuatorField, boundary_theta: float, config: SolverConfig) -> ActuatorField:
-    """Advance the field by one time step, applying the new boundary value.
+    """Advance the field by one theta-method step, applying the new boundary value.
 
-    The Dirichlet value enters at the new time level; Crank-Nicolson also
-    keeps the previously applied value on the explicit side, preserving its
-    second-order accuracy.  The field is updated in place and returned.
+    The Dirichlet value enters with weight (1-theta)*r at the old time level
+    and theta*r at the new one, which keeps Crank-Nicolson second-order
+    accurate.  The field is updated in place and returned.
     """
-    config.validate()
     if not math.isfinite(boundary_theta):
         raise ValueError(f"boundary value is not finite: {boundary_theta}")
     alpha = field.alpha
-    if not np.all(np.isfinite(alpha)):
+    if not np.isfinite(alpha).all():
         bad = int(np.flatnonzero(~np.isfinite(alpha))[0])
         raise FloatingPointError(f"non-finite state at node {bad} (t={field.t:.6g})")
 
-    dx = field.grid.dx
-    eps = field.diffusion
-    dt = config.dt
-    r = eps * dt / (dx * dx)
     v = alpha[:-1]
-    theta_old = alpha[-1]
-
-    if config.scheme == "explicit_euler":
-        if dt > dx * dx / (2.0 * eps):
-            raise ValueError(
-                f"explicit step unstable: dt={dt:.3g} exceeds dx^2/(2*eps)={dx*dx/(2*eps):.3g}"
-            )
-        v += dt * eps * _explicit_laplacian(v, theta_old, dx)
-    elif config.scheme == "implicit_euler":
-        rhs = v.copy()
-        rhs[-1] += r * boundary_theta
-        v[:] = solve_banded((1, 1), _implicit_bands(v.size, r), rhs, check_finite=False)
-    else:  # crank_nicolson
-        half = 0.5 * r
-        rhs = np.empty_like(v)
-        rhs[0] = (1.0 - r) * v[0] + r * v[1]
-        rhs[1:-1] = v[1:-1] + half * (v[:-2] - 2.0 * v[1:-1] + v[2:])
-        rhs[-1] = (1.0 - r) * v[-1] + half * (v[-2] + theta_old + boundary_theta)
-        v[:] = solve_banded((1, 1), _implicit_bands(v.size, half), rhs, check_finite=False)
+    diag, lo, hi, factors = _stepper(v.size, field.grid.dx, config.dt, config.scheme,
+                                     field.diffusion)
+    rhs = diag * v
+    rhs[:-1] += lo * v[1:]
+    rhs[1:] += lo * v[:-1]
+    rhs[-1] += lo * alpha[-1] + hi * boundary_theta
+    v[:] = dpttrs(*factors, rhs, overwrite_b=1)[0]
 
     alpha[-1] = boundary_theta
-    field.t += dt
+    field.t += config.dt
     return field
 
 

@@ -36,6 +36,7 @@ __all__ = [
     "AverageRecord",
     "SimulationDiverged",
     "evaluate_map",
+    "require_unit_diffusion",
     "run_esc",
     "run_average_system",
     "run_standard_esc",
@@ -66,6 +67,11 @@ class StaticMap:
     def validate(self) -> None:
         if not (self.H < 0.0 and math.isfinite(self.H)):
             raise ValueError(f"map curvature must be negative (maximum sought), got {self.H}")
+        if not (math.isfinite(self.y_star) and math.isfinite(self.theta_star)):
+            raise ValueError(
+                f"map optimum must be finite, got y_star={self.y_star}, "
+                f"theta_star={self.theta_star}"
+            )
 
 
 def evaluate_map(m: StaticMap, Theta: float):
@@ -100,7 +106,7 @@ class ScenarioConfig:
         self.map.validate()
         self.dither.validate()
         self.solver.validate()
-        if self.T_final <= 0.0:
+        if not (self.T_final > 0.0 and math.isfinite(self.T_final)):
             raise ValueError(f"run duration must be > 0, got {self.T_final}")
         if self.record_every < 1:
             raise ValueError("record_every must be >= 1")
@@ -110,8 +116,18 @@ class ScenarioConfig:
             raise ValueError(
                 f"grid length {self.grid.L} and dither length {self.dither.L} disagree"
             )
-        if self.washout_corner <= 0.0 or self.hessian_corner <= 0.0:
-            raise ValueError("estimator corner frequencies must be > 0")
+        for corner in (self.washout_corner, self.hessian_corner, self.gains.c):
+            if not (corner > 0.0 and math.isfinite(corner)):
+                raise ValueError(f"filter corner frequencies must be > 0, got {corner}")
+
+
+def require_unit_diffusion(diffusion: float) -> None:
+    """ESC runs need diffusion 1: the dither design constants are only valid there."""
+    if abs(diffusion - 1.0) > 1e-12:
+        raise ValueError(
+            f"ESC scenarios require diffusion coefficient 1 (got {diffusion}); "
+            "the dither design constants are only valid there"
+        )
 
 
 @dataclass
@@ -154,17 +170,6 @@ class AverageRecord:
     K_bar: float
 
 
-def _as_initial(initial, grid: Grid) -> np.ndarray:
-    if initial is None:
-        return np.zeros(grid.n)
-    if callable(initial):
-        return np.asarray(initial(grid.nodes()), dtype=float) * np.ones(grid.n)
-    arr = np.array(initial, dtype=float)
-    if arr.shape != (grid.n,):
-        raise ValueError(f"initial profile has shape {arr.shape}, expected ({grid.n},)")
-    return arr
-
-
 def run_esc(config: ScenarioConfig) -> TrajectoryRecord:
     """Run the full extremum-seeking loop with the diffusion actuator.
 
@@ -173,11 +178,7 @@ def run_esc(config: ScenarioConfig) -> TrajectoryRecord:
     a function of signals at time t only.
     """
     config.validate()
-    if abs(config.diffusion - 1.0) > 1e-12:
-        raise ValueError(
-            f"ESC scenarios require diffusion coefficient 1 (got {config.diffusion}); "
-            "the dither design constants are only valid there"
-        )
+    require_unit_diffusion(config.diffusion)
     if config.dither.a == 0.0:
         warnings.warn(
             "dither amplitude is zero: the loop cannot estimate gradients without "
@@ -195,8 +196,7 @@ def run_esc(config: ScenarioConfig) -> TrajectoryRecord:
     S_all = dither_signal(design, t_all)
     asin_all = dith.a * np.sin(dith.omega * t_all)
 
-    fld = make_field(config.grid, initial=_as_initial(config.initial_alpha, config.grid),
-                     diffusion=config.diffusion)
+    fld = make_field(config.grid, initial=config.initial_alpha, diffusion=config.diffusion)
     washout_g = FirstOrderFilter(HIGH_PASS, config.washout_corner, dt)
     washout_h = FirstOrderFilter(HIGH_PASS, config.washout_corner, dt)
     smoother = FirstOrderFilter(LOW_PASS, config.hessian_corner, dt)
@@ -272,7 +272,7 @@ def run_average_system(
     dt = config.solver.dt
     n_steps = round(config.T_final / dt)
 
-    fld = make_field(grid, initial=_as_initial(initial_u, grid), diffusion=config.diffusion)
+    fld = make_field(grid, initial=initial_u, diffusion=config.diffusion)
     vartheta = float(initial_vartheta)
     x = grid.nodes()
     g_x = kernel.g(x)
@@ -326,6 +326,8 @@ def run_standard_esc(
         raise ValueError(f"adaptation gain must be >= 0, got {K}")
     if dt <= 0.0 or T <= 0.0:
         raise ValueError("dt and T must be > 0")
+    if record_every < 1:
+        raise ValueError("record_every must be >= 1")
     n_steps = round(T / dt)
     theta_hat = float(initial_theta_hat)
     rows = []

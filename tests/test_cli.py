@@ -128,6 +128,21 @@ class TestRun:
         assert (out / ".failed").is_file()
         assert "unstable" in (out / ".failed").read_text()
 
+    @pytest.mark.parametrize("old, new", [
+        ("corner = 10.0", "corner = -1"),
+        ("duration = 2.0", "duration = nan"),
+        ("y_star = 5.0", "y_star = nan"),
+        ("record_every = 10", "record_every = 0"),
+        ("corner = 10.0", "corner = 10.0\nwashout_corner = -1"),
+    ])
+    def test_invalid_value_is_usage_error_before_run(self, tmp_path, capsys, old, new):
+        cfg = write_cfg(tmp_path)
+        cfg.write_text(cfg.read_text().replace(old, new, 1))
+        out = tmp_path / "o"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == EXIT_USAGE
+        assert "error:" in capsys.readouterr().err
+        assert not (out / ".failed").exists()
+
     def test_average_run_artifacts(self, tmp_path):
         assert main(["run", "--config", "average_system", "--out", str(tmp_path / "avg")]) == EXIT_OK
         report = (tmp_path / "avg" / "report.txt").read_text()
@@ -173,6 +188,15 @@ class TestSweep:
         assert "values_completed: 0.2" in report
         assert "values_failed: " in report and "none" not in report.split("values_failed:")[1].splitlines()[0]
         assert (out / "K_0.2" / "trajectory.csv").is_file()
+
+    def test_values_printing_alike_rejected_before_any_run(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path)
+        out = tmp_path / "dup"
+        rc = main(["sweep", "--config", str(cfg), "--param", "a",
+                   "--values", "0.1,0.1000001", "--out", str(out)])
+        assert rc == EXIT_USAGE
+        assert "%g" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_amplitude_sweep_aggregates(self, tmp_path):
         cfg = write_cfg(tmp_path, duration=4.0)

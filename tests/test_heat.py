@@ -9,9 +9,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+from scipy.linalg import solve_banded
 
 from diffesc.dither import DitherParams, design_dither, dither_field
 from diffesc.heat import (
+    SCHEMES,
     Grid,
     SolverConfig,
     convergence_order,
@@ -21,6 +26,7 @@ from diffesc.heat import (
     spatial_integral,
     step,
 )
+from diffesc.heat import _stepper
 
 
 @pytest.fixture(scope="module")
@@ -214,3 +220,109 @@ def test_diffusion_coefficient_scales_dynamics():
         out[eps] = float(np.max(np.abs(fld.alpha)))
     # slowest mode decays like exp(-eps (pi/2)^2 t); ratio of logs ~ ratio of eps
     assert math.log(out[0.5]) / math.log(out[2.0]) == pytest.approx(0.25, rel=0.05)
+
+
+def banded_step(alpha, boundary_theta, dx, dt, scheme, eps):
+    """Reference stepper: one branch per scheme, one banded solve per step."""
+    r = eps * dt / (dx * dx)
+    v = alpha[:-1]
+    theta_old = alpha[-1]
+    if scheme == "explicit_euler":
+        lap = np.empty_like(v)
+        lap[0] = 2.0 * (v[1] - v[0])
+        lap[1:-1] = v[:-2] - 2.0 * v[1:-1] + v[2:]
+        lap[-1] = v[-2] - 2.0 * v[-1] + theta_old
+        v += r * lap
+    else:
+        w = 0.5 * r if scheme == "crank_nicolson" else r
+        ab = np.zeros((3, v.size))
+        ab[0, 1:] = -w
+        ab[1, :] = 1.0 + 2.0 * w
+        ab[2, :-1] = -w
+        ab[0, 1] = -2.0 * w
+        if scheme == "crank_nicolson":
+            rhs = np.empty_like(v)
+            rhs[0] = (1.0 - r) * v[0] + r * v[1]
+            rhs[1:-1] = v[1:-1] + w * (v[:-2] - 2.0 * v[1:-1] + v[2:])
+            rhs[-1] = (1.0 - r) * v[-1] + w * (v[-2] + theta_old + boundary_theta)
+        else:
+            rhs = v.copy()
+            rhs[-1] += r * boundary_theta
+        v[:] = solve_banded((1, 1), ab, rhs)
+    alpha[-1] = boundary_theta
+
+
+@st.composite
+def stepping_cases(draw):
+    n = draw(st.integers(3, 300))
+    scheme = draw(st.sampled_from(SCHEMES))
+    eps = draw(st.floats(0.1, 2.0))
+    dx = 1.0 / (n - 1)
+    if scheme == "explicit_euler":
+        dt = draw(st.floats(0.01, 1.0)) * dx * dx / (2.0 * eps)
+    else:
+        dt = draw(st.floats(1e-5, 1e-2))
+    unit = st.floats(-1.0, 1.0)
+    initial = draw(arrays(np.float64, n, elements=unit))
+    boundary = draw(st.lists(unit, min_size=1, max_size=40))
+    return n, scheme, eps, dt, initial, boundary
+
+
+@settings(max_examples=80, deadline=None)
+@given(stepping_cases())
+def test_step_matches_banded_reference(case):
+    n, scheme, eps, dt, initial, boundary = case
+    grid = Grid(1.0, n)
+    fld = make_field(grid, initial=initial, diffusion=eps)
+    ref = initial.copy()
+    cfg = SolverConfig(dt=dt, scheme=scheme)
+    for b in boundary:
+        step(fld, b, cfg)
+        banded_step(ref, b, grid.dx, dt, scheme, eps)
+        assert np.max(np.abs(fld.alpha - ref)) <= 1e-12
+
+
+def test_crank_nicolson_long_run_matches_banded_reference(reference_field):
+    grid = Grid(1.0, 101)
+    cfg = SolverConfig(dt=1e-3)
+    fld = make_field(grid, initial=lambda x: reference_field(x, 0.0))
+    ref = fld.alpha.copy()
+    for k in range(10_000):
+        b = float(reference_field(1.0, (k + 1) * cfg.dt))
+        step(fld, b, cfg)
+        banded_step(ref, b, grid.dx, cfg.dt, cfg.scheme, 1.0)
+    assert np.max(np.abs(fld.alpha - ref)) <= 1e-12
+    assert np.max(np.abs(fld.alpha - reference_field(grid.nodes(), 10.0))) < 1e-4
+
+
+def test_step_factors_built_once_and_read_only():
+    grid = Grid(1.0, 21)
+    cfg = SolverConfig(dt=1.2345e-3)
+    misses = _stepper.cache_info().misses
+    march(make_field(grid), lambda t: math.sin(t), cfg, 50)
+    assert _stepper.cache_info().misses == misses + 1
+    diag, _, _, factors = _stepper(grid.n - 1, grid.dx, cfg.dt, cfg.scheme, 1.0)
+    for arr in (diag, *factors):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 1.0
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.integers(3, 120),
+    scheme=st.sampled_from(["crank_nicolson", "implicit_euler"]),
+    dt=st.floats(1e-5, 1e-1),
+    eps=st.floats(0.1, 2.0),
+    data=st.data(),
+)
+def test_l2_norm_nonincreasing_with_zero_boundary(n, scheme, dt, eps, data):
+    initial = data.draw(arrays(np.float64, n, elements=st.floats(-1.0, 1.0)))
+    initial[-1] = 0.0
+    fld = make_field(Grid(1.0, n), initial=initial, diffusion=eps)
+    cfg = SolverConfig(dt=dt, scheme=scheme)
+    prev = field_norm_l2(fld)
+    for _ in range(30):
+        step(fld, 0.0, cfg)
+        cur = field_norm_l2(fld)
+        assert cur <= prev * (1.0 + 1e-12) + 1e-15
+        prev = cur

@@ -223,6 +223,10 @@ class TestStandardEsc:
         with pytest.raises(ValueError):
             run_standard_esc(MAP, DITHER, K=0.2, T=-1.0)
 
+    def test_zero_record_every_is_value_error(self):
+        with pytest.raises(ValueError, match="record_every"):
+            run_standard_esc(MAP, DITHER, K=0.2, T=1.0, record_every=0)
+
 
 class TestScenarioValidation:
     def test_bad_record_every(self):
@@ -236,3 +240,16 @@ class TestScenarioValidation:
     def test_bad_corners(self):
         with pytest.raises(ValueError):
             scenario(T=1.0, washout_corner=0.0).validate()
+
+    @pytest.mark.parametrize("kw", [
+        dict(T=math.nan),
+        dict(T=math.inf),
+        dict(map=StaticMap(math.nan, 2.0, -2.0)),
+        dict(map=StaticMap(5.0, math.inf, -2.0)),
+        dict(gains=GainConfig(K=0.2, K_bar=-0.4, c=0.0)),
+        dict(gains=GainConfig(K=0.2, K_bar=-0.4, c=math.nan)),
+        dict(hessian_corner=math.inf),
+    ])
+    def test_non_finite_or_nonpositive_values_rejected(self, kw):
+        with pytest.raises(ValueError):
+            scenario(**kw).validate()
