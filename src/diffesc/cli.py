@@ -3,19 +3,25 @@ parameters.
 
 Configs are INI-style text (see the bundled files under ``configs/``); the
 ``--config`` argument accepts either a filesystem path or a bundled name.
-Every run writes its outputs plus a ``manifest.json`` with SHA-256
-checksums; the simulations are fixed-step and seed-free, so re-running the
-same config reproduces identical checksums.  A run directory that failed
-mid-write carries a ``.failed`` marker.
+A config is parsed once into a ``RunPlan`` holding one ``ScenarioConfig``;
+each sweep member is that config with the swept field replaced.  A run and
+every sweep member go through ``_execute_run``, which owns the run
+directory: its ``manifest.json`` lists exactly the files that run wrote,
+with SHA-256 checksums, and other files in the directory are left alone
+and unlisted.  The simulations are fixed-step and seed-free, so re-running
+the same config reproduces identical checksums.  A run that fails mid-run
+leaves a ``.failed`` marker; a later run into the same directory removes it.
 """
 from __future__ import annotations
 
 import argparse
 import configparser
+import copy
 import hashlib
 import json
 import math
 import sys
+from dataclasses import replace
 from importlib import resources
 from pathlib import Path
 
@@ -85,128 +91,102 @@ def _get(parser, section, key, cast, default=None, required=False):
 
 
 class RunPlan:
-    """Parsed scenario: kind plus everything needed to execute it."""
+    """Parsed scenario: its kind, one ScenarioConfig, and the averaged-run options."""
 
     def __init__(self, parser: configparser.ConfigParser):
         self.kind = _get(parser, "scenario", "kind", str, required=True)
         if self.kind not in ("esc", "average", "standard"):
             raise ConfigError(f"unknown scenario kind {self.kind!r}")
-        self.duration = _get(parser, "scenario", "duration", float, required=True)
-        self.record_every = _get(parser, "scenario", "record_every", int, default=10)
-        self.snapshot_every = _get(parser, "scenario", "snapshot_every", int, default=0)
-
-        self.map = StaticMap(
+        map_ = StaticMap(
             y_star=_get(parser, "map", "y_star", float, required=True),
             theta_star=_get(parser, "map", "theta_star", float, required=True),
             H=_get(parser, "map", "curvature", float, required=True),
         )
         length = _get(parser, "actuator", "length", float, required=True)
-        self.dither = DitherParams(
-            a=_get(parser, "dither", "amplitude", float, required=True),
-            omega=_get(parser, "dither", "frequency", float, required=True),
-            L=length,
+        K = _get(parser, "gains", "K", float, required=True)
+        self.config = ScenarioConfig(
+            map=map_,
+            dither=DitherParams(a=_get(parser, "dither", "amplitude", float, required=True),
+                                omega=_get(parser, "dither", "frequency", float, required=True),
+                                L=length),
+            gains=GainConfig(K=K, K_bar=_get(parser, "average", "K_bar", float, default=K * map_.H),
+                             c=_get(parser, "gains", "corner", float, default=10.0)),
+            solver=SolverConfig(dt=_get(parser, "actuator", "dt", float, required=True),
+                                scheme=_get(parser, "actuator", "scheme", str,
+                                            default="crank_nicolson")),
+            grid=Grid(L=length, n=_get(parser, "actuator", "nodes", int, default=101)),
+            T_final=_get(parser, "scenario", "duration", float, required=True),
+            initial_theta_hat=_get(parser, "actuator", "initial_theta_hat", float, default=0.0),
+            record_every=_get(parser, "scenario", "record_every", int, default=10),
+            snapshot_every=_get(parser, "scenario", "snapshot_every", int, default=0),
+            washout_corner=_get(parser, "gains", "washout_corner", float, default=1.0),
+            hessian_corner=_get(parser, "gains", "hessian_corner", float, default=1.0),
+            diffusion=_get(parser, "actuator", "diffusion", float, default=1.0),
         )
-        self.K = _get(parser, "gains", "K", float, required=True)
-        corner = _get(parser, "gains", "corner", float, default=10.0)
-        k_bar_default = self.K * self.map.H
-        self.K_bar = _get(parser, "average", "K_bar", float, default=k_bar_default)
-        self.gains = GainConfig(K=self.K, K_bar=self.K_bar, c=corner)
-        self.washout_corner = _get(parser, "gains", "washout_corner", float, default=1.0)
-        self.hessian_corner = _get(parser, "gains", "hessian_corner", float, default=1.0)
-
-        self.dt = _get(parser, "actuator", "dt", float, required=True)
-        self.nodes = _get(parser, "actuator", "nodes", int, default=101)
-        self.scheme = _get(parser, "actuator", "scheme", str, default="crank_nicolson")
-        self.diffusion = _get(parser, "actuator", "diffusion", float, default=1.0)
-        self.initial_theta_hat = _get(parser, "actuator", "initial_theta_hat", float, default=0.0)
-        self.grid = Grid(L=length, n=self.nodes)
-        self.solver = SolverConfig(dt=self.dt, scheme=self.scheme)
-
         self.initial_vartheta = _get(parser, "average", "initial_vartheta", float, default=1.0)
         self.allow_unstable = _get(parser, "average", "allow_unstable", bool, default=False)
 
-    def scenario_config(self) -> ScenarioConfig:
-        return ScenarioConfig(
-            map=self.map,
-            dither=self.dither,
-            gains=self.gains,
-            solver=self.solver,
-            grid=self.grid,
-            T_final=self.duration,
-            initial_theta_hat=self.initial_theta_hat,
-            record_every=self.record_every,
-            snapshot_every=self.snapshot_every,
-            washout_corner=self.washout_corner,
-            hessian_corner=self.hessian_corner,
-            diffusion=self.diffusion,
-        )
-
     def validate(self) -> None:
-        self.scenario_config().validate()
+        cfg = self.config
+        cfg.validate()
         if self.kind == "esc":
-            require_unit_diffusion(self.diffusion)
+            require_unit_diffusion(cfg.diffusion)
         if self.kind == "esc" or (self.kind == "average" and not self.allow_unstable):
-            check_gain(self.gains.K_bar, self.grid.L)
+            check_gain(cfg.gains.K_bar, cfg.grid.L)
 
 
-def _sha256(path: Path) -> str:
-    h = hashlib.sha256()
-    h.update(path.read_bytes())
-    return h.hexdigest()
-
-
-def _write_manifest(out_dir: Path, scenario: str, config_path: str) -> None:
-    files = sorted(p for p in out_dir.iterdir() if p.is_file() and p.name != "manifest.json")
-    manifest = {
-        "scenario": scenario,
-        "config": str(config_path),
-        "out_dir": str(out_dir),
-        "determinism": "fixed-step, seed-free simulation; identical config "
-                       "reproduces identical checksums",
-        "files": [{"name": p.name, "sha256": _sha256(p)} for p in files],
-    }
-    (out_dir / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
-
-
-def _execute_run(plan: RunPlan, out_dir: Path, config_path: str) -> None:
+def _execute_run(out_dir: Path, scenario: str, config_path: str, write):
+    """Call ``write(out)``, which takes each output path from ``out(name)`` and
+    returns its record, then write a manifest of exactly those files.  Other
+    files are left alone; a failure leaves ``.failed`` and re-raises."""
     out_dir.mkdir(parents=True, exist_ok=True)
+    for stale in (".failed", "manifest.json"):
+        (out_dir / stale).unlink(missing_ok=True)
+    names = []
+
+    def out(name: str) -> Path:
+        names.append(name)
+        return out_dir / name
+
     try:
-        if plan.kind == "esc":
-            _run_esc_outputs(plan, out_dir)
-        elif plan.kind == "average":
-            _run_average_outputs(plan, out_dir)
-        else:
-            _run_standard_outputs(plan, out_dir)
-        _write_manifest(out_dir, plan.kind, config_path)
+        record = write(out)
+        files = [{"name": n, "sha256": hashlib.sha256((out_dir / n).read_bytes()).hexdigest()}
+                 for n in sorted(names)]
+        manifest = {"scenario": scenario, "config": config_path, "out_dir": str(out_dir),
+                    "determinism": "fixed-step, seed-free simulation; identical config "
+                                   "reproduces identical checksums",
+                    "files": files}
+        text = json.dumps(manifest, indent=2, sort_keys=True) + "\n"
+        (out_dir / "manifest.json").write_text(text)
     except Exception as exc:
         (out_dir / ".failed").write_text(f"{type(exc).__name__}: {exc}\n")
         raise
+    return record
 
 
-def _run_esc_outputs(plan: RunPlan, out: Path) -> None:
-    cfg = plan.scenario_config()
+def _run_esc_outputs(plan: RunPlan, out):
+    cfg = plan.config
     rec = run_esc(cfg)
-    save_trajectory_csv(rec, out / "trajectory.csv")
-    m = plan.map
-    svgplot.line_chart(out / "output.svg", "Map output", "t [s]", "y",
+    save_trajectory_csv(rec, out("trajectory.csv"))
+    m, dith = cfg.map, cfg.dither
+    svgplot.line_chart(out("output.svg"), "Map output", "t [s]", "y",
                        [("y(t)", rec.t, rec.y),
                         ("optimum", rec.t, np.full_like(rec.t, m.y_star))])
-    svgplot.line_chart(out / "control.svg", "Control signal", "t [s]", "U",
+    svgplot.line_chart(out("control.svg"), "Control signal", "t [s]", "U",
                        [("U(t)", rec.t, rec.U)])
-    svgplot.line_chart(out / "input.svg", "Actuator boundary and map input", "t [s]", "value",
+    svgplot.line_chart(out("input.svg"), "Actuator boundary and map input", "t [s]", "value",
                        [("boundary command", rec.t, rec.theta),
                         ("map input", rec.t, rec.Theta),
                         ("optimizer", rec.t, np.full_like(rec.t, m.theta_star))])
-    design = design_dither(plan.dither)
-    one_period = np.linspace(0.0, plan.dither.period, 201)
-    svgplot.line_chart(out / "dither.svg", "Boundary dither vs. target perturbation",
+    design = design_dither(dith)
+    one_period = np.linspace(0.0, dith.period, 201)
+    svgplot.line_chart(out("dither.svg"), "Boundary dither vs. target perturbation",
                        "t [s]", "value",
                        [("boundary dither", one_period, dither_signal(design, one_period)),
-                        ("target a*sin", one_period,
-                         plan.dither.a * np.sin(plan.dither.omega * one_period))])
+                        ("target a*sin", one_period, dith.a * np.sin(dith.omega * one_period))])
     if rec.field_history is not None:
-        save_field_csv(rec.field_history, out / "field.csv")
-        svgplot.heatmap(out / "field.svg", "Actuator field", "t [s]", "x",
+        save_field_csv(rec.field_history, out("field.csv"))
+        svgplot.heatmap(out("field.svg"), "Actuator field", "t [s]", "x",
                         rec.field_history.t, rec.field_history.x, rec.field_history.alpha)
     y_res, th_res = analysis.late_time_residuals(rec, m)
     report = {
@@ -218,49 +198,56 @@ def _run_esc_outputs(plan: RunPlan, out: Path) -> None:
         "designed_amplitude": design.amplitude,
         "designed_phase_rad": design.phase,
     }
-    (out / "report.txt").write_text(analysis.format_report(report))
+    out("report.txt").write_text(analysis.format_report(report))
+    return rec
 
 
-def _run_average_outputs(plan: RunPlan, out: Path) -> None:
-    cfg = plan.scenario_config()
-    rec = run_average_system(cfg, initial_vartheta=plan.initial_vartheta,
+def _run_average_outputs(plan: RunPlan, out):
+    rec = run_average_system(plan.config, initial_vartheta=plan.initial_vartheta,
                              check_admissible=not plan.allow_unstable)
-    save_average_csv(rec, out / "average.csv")
-    svgplot.line_chart(out / "norm.svg", "Composite squared norm", "t [s]", "Omega",
+    save_average_csv(rec, out("average.csv"))
+    svgplot.line_chart(out("norm.svg"), "Composite squared norm", "t [s]", "Omega",
                        [("Omega(t)", rec.t, rec.Omega)], y_log=True)
-    svgplot.line_chart(out / "error.svg", "Averaged tracking error", "t [s]", "vartheta",
+    svgplot.line_chart(out("error.svg"), "Averaged tracking error", "t [s]", "vartheta",
                        [("vartheta(t)", rec.t, rec.vartheta)])
     fit = analysis.fit_decay(rec.t, rec.Omega, window=0.5)
     if not fit.degenerate:
-        analysis.save_fit_residuals_csv(rec.t, rec.Omega, fit, out / "fit_residuals.csv")
+        analysis.save_fit_residuals_csv(rec.t, rec.Omega, fit, out("fit_residuals.csv"))
     report = {
         "scenario": "average",
-        "compensator_gain": plan.gains.K_bar,
+        "compensator_gain": plan.config.gains.K_bar,
         "fitted_decay_rate": fit.nu_hat,
         "fitted_prefactor": fit.eta_hat,
         "fit_r_squared": fit.r_squared,
         "fit_degenerate": fit.degenerate,
     }
-    (out / "report.txt").write_text(analysis.format_report(report))
+    out("report.txt").write_text(analysis.format_report(report))
+    return rec
 
 
-def _run_standard_outputs(plan: RunPlan, out: Path) -> None:
-    rec = run_standard_esc(plan.map, plan.dither, K=plan.K, T=plan.duration,
-                           dt=plan.dt, record_every=plan.record_every)
-    save_trajectory_csv(rec, out / "trajectory.csv")
-    svgplot.line_chart(out / "output.svg", "Map output (no actuator dynamics)", "t [s]", "y",
+def _run_standard_outputs(plan: RunPlan, out):
+    cfg = plan.config
+    rec = run_standard_esc(cfg.map, cfg.dither, K=cfg.gains.K, T=cfg.T_final,
+                           dt=cfg.solver.dt, record_every=cfg.record_every)
+    save_trajectory_csv(rec, out("trajectory.csv"))
+    svgplot.line_chart(out("output.svg"), "Map output (no actuator dynamics)", "t [s]", "y",
                        [("y(t)", rec.t, rec.y),
-                        ("optimum", rec.t, np.full_like(rec.t, plan.map.y_star))])
-    svgplot.line_chart(out / "input.svg", "Map input", "t [s]", "Theta",
+                        ("optimum", rec.t, np.full_like(rec.t, cfg.map.y_star))])
+    svgplot.line_chart(out("input.svg"), "Map input", "t [s]", "Theta",
                        [("Theta(t)", rec.t, rec.Theta),
-                        ("optimizer", rec.t, np.full_like(rec.t, plan.map.theta_star))])
-    y_res, th_res = analysis.late_time_residuals(rec, plan.map)
+                        ("optimizer", rec.t, np.full_like(rec.t, cfg.map.theta_star))])
+    y_res, th_res = analysis.late_time_residuals(rec, cfg.map)
     report = {
         "scenario": "standard",
         "late_time_mean_abs_output_error": y_res,
         "late_time_mean_abs_input_error": th_res,
     }
-    (out / "report.txt").write_text(analysis.format_report(report))
+    out("report.txt").write_text(analysis.format_report(report))
+    return rec
+
+
+_OUTPUTS = {"esc": _run_esc_outputs, "average": _run_average_outputs,
+            "standard": _run_standard_outputs}
 
 
 def cmd_run(args) -> int:
@@ -273,7 +260,7 @@ def cmd_run(args) -> int:
         return EXIT_USAGE
     out_dir = Path(args.out)
     try:
-        _execute_run(plan, out_dir, str(path))
+        _execute_run(out_dir, plan.kind, str(path), lambda out: _OUTPUTS[plan.kind](plan, out))
     except Exception as exc:
         print(f"error: run failed: {exc}", file=sys.stderr)
         return EXIT_FAILURE
@@ -305,24 +292,35 @@ def cmd_design_dither(args) -> int:
     return EXIT_OK
 
 
-def _sweep_apply(plan_parser: configparser.ConfigParser, param: str, value: float) -> None:
-    if param == "a":
-        plan_parser.set("dither", "amplitude", repr(value))
-    elif param == "omega":
-        plan_parser.set("dither", "frequency", repr(value))
+def _sweep_member(plan: RunPlan, param: str, value: float) -> RunPlan:
+    """The validated plan with one swept value; K also sets K_bar = K*H."""
+    cfg = plan.config
+    if param == "K":
+        changed = {"gains": replace(cfg.gains, K=value, K_bar=value * cfg.map.H)}
     else:
-        plan_parser.set("gains", "K", repr(value))
-        if plan_parser.has_section("average") and plan_parser.has_option("average", "K_bar"):
-            plan_parser.remove_option("average", "K_bar")
+        changed = {"dither": replace(cfg.dither, **{param: value})}
+    member = copy.copy(plan)
+    member.config = replace(cfg, **changed)
+    member.validate()
+    return member
+
+
+def _write_trajectory(plan: RunPlan, out):
+    rec = run_esc(plan.config)
+    save_trajectory_csv(rec, out("trajectory.csv"))
+    return rec
 
 
 def cmd_sweep(args) -> int:
     try:
         path = _resolve_config(args.config)
-        base = _parse_ini(path)
+        plan = RunPlan(_parse_ini(path))
         values = [float(v) for v in args.values.split(",") if v.strip()]
     except (ConfigError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    if plan.kind != "esc":
+        print(f"error: sweeps need an esc config, got kind {plan.kind!r}", file=sys.stderr)
         return EXIT_USAGE
     if args.param not in SWEEP_PARAMS:
         print(f"error: sweep parameter must be one of {SWEEP_PARAMS}", file=sys.stderr)
@@ -340,21 +338,11 @@ def cmd_sweep(args) -> int:
     out_root = Path(args.out)
     out_root.mkdir(parents=True, exist_ok=True)
     results, failures = {}, {}
-    for v in values:
+    for v, label in zip(values, labels):
         try:
-            parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
-            parser.read(path)
-            _sweep_apply(parser, args.param, v)
-            plan = RunPlan(parser)
-            plan.validate()
-            if plan.kind != "esc":
-                raise ConfigError("sweeps need an esc scenario config")
-            sub = out_root / f"{args.param}_{v:g}"
-            sub.mkdir(parents=True, exist_ok=True)
-            rec = run_esc(plan.scenario_config())
-            save_trajectory_csv(rec, sub / "trajectory.csv")
-            _write_manifest(sub, "esc", str(path))
-            results[v] = plan.map, rec
+            member = _sweep_member(plan, args.param, v)
+            results[v] = _execute_run(out_root / f"{args.param}_{label}", "esc", str(path),
+                                      lambda out: _write_trajectory(member, out))
         except Exception as exc:
             failures[v] = f"{type(exc).__name__}: {exc}"
 
@@ -365,9 +353,9 @@ def cmd_sweep(args) -> int:
     for v in sorted(failures):
         lines[f"failure_{v:g}"] = failures[v]
 
+    map_ = plan.config.map
     if args.param == "a" and results:
-        map_ = next(iter(results.values()))[0]
-        fit = analysis.residual_scaling([(v, rec) for v, (_, rec) in results.items()], map_)
+        fit = analysis.residual_scaling(list(results.items()), map_)
         lines.update({
             "output_residual_exponent": fit.y_exponent,
             "input_residual_exponent": fit.theta_exponent,
@@ -380,7 +368,7 @@ def cmd_sweep(args) -> int:
         for amp, yr, tr in zip(fit.amplitudes, fit.y_residuals, fit.theta_residuals):
             lines[f"residuals_a_{amp:g}"] = f"y={yr:.6g} theta={tr:.6g}"
     elif results:
-        for v, (map_, rec) in sorted(results.items()):
+        for v, rec in sorted(results.items()):
             yr, tr = analysis.late_time_residuals(rec, map_)
             lines[f"residuals_{args.param}_{v:g}"] = f"y={yr:.6g} theta={tr:.6g}"
     if len(results) < 3 and args.param == "a":

@@ -158,26 +158,28 @@ def step(field: ActuatorField, boundary_theta: float, config: SolverConfig) -> A
     return field
 
 
+@lru_cache(maxsize=64)
 def integration_weights(n: int, dx: float, rule: str = "auto") -> np.ndarray:
     """Quadrature weights over the grid: composite trapezoid or Simpson.
 
     ``auto`` picks Simpson when the node count is odd (even panel count),
-    trapezoid otherwise.
+    trapezoid otherwise.  Built once per (n, dx, rule); the array is read-only.
     """
     if rule == "auto":
         rule = "simpson" if n % 2 == 1 else "trapezoid"
     if rule == "trapezoid":
         w = np.full(n, dx)
         w[0] = w[-1] = 0.5 * dx
-        return w
-    if rule == "simpson":
+    elif rule == "simpson":
         if n % 2 == 0:
             raise ValueError("Simpson weights need an odd number of nodes")
         w = np.full(n, 2.0 * dx / 3.0)
         w[1::2] = 4.0 * dx / 3.0
         w[0] = w[-1] = dx / 3.0
-        return w
-    raise ValueError(f"unknown quadrature rule {rule!r}")
+    else:
+        raise ValueError(f"unknown quadrature rule {rule!r}")
+    w.flags.writeable = False
+    return w
 
 
 def integrate_profile(values: np.ndarray, dx: float, rule: str = "auto") -> float:

@@ -25,7 +25,8 @@ from .controller import (
     realtime_control,
 )
 from .dither import DitherParams, design_dither, dither_signal, gradient_demod, hessian_demod
-from .filters import HIGH_PASS, LOW_PASS, FirstOrderFilter, estimate_gradient, estimate_hessian
+from .filters import (HIGH_PASS, LOW_PASS, MIN_DEMOD_AMPLITUDE, FirstOrderFilter,
+                      estimate_gradient, estimate_hessian)
 from .heat import Grid, SolverConfig, integrate_profile, make_field, spatial_integral, step
 
 __all__ = [
@@ -106,6 +107,11 @@ class ScenarioConfig:
         self.map.validate()
         self.dither.validate()
         self.solver.validate()
+        if 0.0 < self.dither.a < MIN_DEMOD_AMPLITUDE:
+            raise ValueError(f"dither amplitude {self.dither.a:.3g} is below the demodulation "
+                             f"minimum {MIN_DEMOD_AMPLITUDE:.0e} (0 runs without excitation)")
+        if not (self.gains.K >= 0.0 and math.isfinite(self.gains.K)):
+            raise ValueError(f"adaptation gain K must be finite and >= 0, got {self.gains.K}")
         if not (self.T_final > 0.0 and math.isfinite(self.T_final)):
             raise ValueError(f"run duration must be > 0, got {self.T_final}")
         if self.record_every < 1:

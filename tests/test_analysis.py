@@ -4,6 +4,9 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from diffesc.analysis import (
     TargetState,
@@ -14,7 +17,7 @@ from diffesc.analysis import (
     target_residuals,
     to_target,
 )
-from diffesc.controller import GainConfig, make_kernel
+from diffesc.controller import GainConfig, is_admissible, make_kernel
 from diffesc.dither import DitherParams
 from diffesc.heat import Grid, SolverConfig
 from diffesc.loop import ScenarioConfig, StaticMap, TrajectoryRecord, run_average_system
@@ -57,6 +60,28 @@ class TestTransform:
         ts = to_target(KERNEL, vartheta, u, GRID)
         assert ts.Z == pytest.approx(0.9, abs=1e-10)
         assert np.max(np.abs(ts.w - w)) < 1e-10
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(3, 160),
+        L=st.floats(0.5, 2.0),
+        gain_fraction=st.floats(0.01, 30.0),
+        vartheta=st.floats(-3.0, 3.0),
+        data=st.data(),
+    )
+    def test_round_trip_property(self, n, L, gain_fraction, vartheta, data):
+        # K_bar ranges over multiples of the first singular value, odd and
+        # even node counts select Simpson and trapezoid weights
+        K_bar = -gain_fraction * math.pi**2 / (4.0 * L**3)
+        assume(is_admissible(K_bar, L, tol=1e-3 * math.pi**2 / (4.0 * L**3)))
+        kernel = make_kernel(K_bar, L)
+        grid = Grid(L, n)
+        u = data.draw(arrays(np.float64, n, elements=st.floats(-2.0, 2.0)))
+        ts = to_target(kernel, vartheta, u, grid)
+        back_vartheta, back_u = from_target(kernel, ts, grid)
+        scale = 1.0 + abs(ts.Z) * float(np.max(np.abs(kernel.gamma(grid.nodes()))))
+        assert back_vartheta == pytest.approx(vartheta, abs=1e-13 * scale)
+        assert np.max(np.abs(back_u - u)) <= 1e-13 * scale
 
     def test_zero_target_maps_to_origin(self):
         vartheta, u = from_target(KERNEL, TargetState(Z=0.0, w=np.zeros(GRID.n)), GRID)

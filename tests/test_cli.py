@@ -7,7 +7,8 @@ import math
 
 import pytest
 
-from diffesc.cli import EXIT_FAILURE, EXIT_OK, EXIT_USAGE, main
+from diffesc.cli import (EXIT_FAILURE, EXIT_OK, EXIT_USAGE, RunPlan, _parse_ini, _resolve_config,
+                         main)
 
 SHORT_ESC = """
 [scenario]
@@ -159,6 +160,86 @@ class TestRun:
         assert rate < 0.0
 
 
+class TestRunValidation:
+    def test_negative_standard_gain_is_usage_error_before_run(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path)
+        cfg.write_text(cfg.read_text().replace("kind = esc", "kind = standard")
+                       .replace("K = 0.2", "K = -0.1"))
+        out = tmp_path / "o"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == EXIT_USAGE
+        assert "adaptation gain" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_sub_demodulation_amplitude_is_usage_error_before_run(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, amplitude=1e-10)
+        out = tmp_path / "o"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == EXIT_USAGE
+        assert "demodulation" in capsys.readouterr().err
+        assert not out.exists()
+
+
+BUNDLED = ("baseline", "average_system", "standard_esc", "amplitude_sweep", "gain_probe")
+
+
+def test_bundled_names_are_the_help_names_and_files(capsys):
+    assert main(["run", "--help"]) == EXIT_OK
+    help_text = capsys.readouterr().out
+    for name in BUNDLED:
+        assert name in help_text
+        assert _resolve_config(name).name == f"{name}.cfg"
+    assert {p.stem for p in _resolve_config("baseline").parent.glob("*.cfg")} == set(BUNDLED)
+
+
+@pytest.mark.parametrize("name", BUNDLED)
+def test_bundled_config_parses_and_validates(name):
+    plan = RunPlan(_parse_ini(_resolve_config(name)))
+    plan.validate()
+    assert plan.kind in ("esc", "average", "standard")
+    assert plan.config.T_final > 0.0
+
+
+def manifest_names(out):
+    return {f["name"] for f in json.loads((out / "manifest.json").read_text())["files"]}
+
+
+class TestRunDirectory:
+    def test_rerun_without_snapshots_lists_no_field_files(self, tmp_path):
+        out = tmp_path / "o"
+        assert main(["run", "--config", str(write_cfg(tmp_path, snapshot=200)),
+                     "--out", str(out)]) == EXIT_OK
+        assert {"field.csv", "field.svg"} <= manifest_names(out)
+        assert main(["run", "--config", str(write_cfg(tmp_path, name="plain.cfg")),
+                     "--out", str(out)]) == EXIT_OK
+        assert not {"field.csv", "field.svg"} & manifest_names(out)
+        assert (out / "field.csv").is_file()  # left alone, just not listed
+
+    def test_foreign_file_neither_listed_nor_deleted(self, tmp_path):
+        out = tmp_path / "o"
+        out.mkdir()
+        (out / "notes.txt").write_text("keep me\n")
+        assert main(["run", "--config", str(write_cfg(tmp_path)), "--out", str(out)]) == EXIT_OK
+        assert "notes.txt" not in manifest_names(out)
+        assert "trajectory.csv" in manifest_names(out)
+        assert (out / "notes.txt").read_text() == "keep me\n"
+
+    def test_successful_rerun_clears_failed_marker(self, tmp_path):
+        out = tmp_path / "o"
+        bad = write_cfg(tmp_path, name="bad.cfg", scheme="explicit_euler")
+        assert main(["run", "--config", str(bad), "--out", str(out)]) == EXIT_FAILURE
+        assert (out / ".failed").is_file()
+        assert main(["run", "--config", str(write_cfg(tmp_path)), "--out", str(out)]) == EXIT_OK
+        assert not (out / ".failed").exists()
+        assert ".failed" not in manifest_names(out)
+
+    def test_failed_run_drops_stale_manifest(self, tmp_path):
+        out = tmp_path / "o"
+        assert main(["run", "--config", str(write_cfg(tmp_path)), "--out", str(out)]) == EXIT_OK
+        bad = write_cfg(tmp_path, name="bad.cfg", scheme="explicit_euler")
+        assert main(["run", "--config", str(bad), "--out", str(out)]) == EXIT_FAILURE
+        assert (out / ".failed").is_file()
+        assert not (out / "manifest.json").exists()
+
+
 class TestSweep:
     def test_single_value_marked_inconclusive(self, tmp_path):
         cfg = write_cfg(tmp_path, duration=2.0)
@@ -208,6 +289,36 @@ class TestSweep:
         assert "output_residual_exponent" in report
         for a in ("0.2", "0.1", "0.05"):
             assert (out / f"a_{a}" / "manifest.json").is_file()
+
+
+    def test_member_failing_mid_run_leaves_failed_marker(self, tmp_path):
+        cfg = write_cfg(tmp_path, scheme="explicit_euler")
+        out = tmp_path / "unstable"
+        rc = main(["sweep", "--config", str(cfg), "--param", "a",
+                   "--values", "0.2,0.1", "--out", str(out)])
+        assert rc == EXIT_FAILURE
+        for a in ("0.2", "0.1"):
+            assert "unstable" in (out / f"a_{a}" / ".failed").read_text()
+            assert not (out / f"a_{a}" / "manifest.json").exists()
+
+    def test_member_lists_only_its_trajectory(self, tmp_path):
+        cfg = write_cfg(tmp_path, snapshot=200)
+        out = tmp_path / "omega"
+        rc = main(["sweep", "--config", str(cfg), "--param", "omega",
+                   "--values", "10,20", "--out", str(out)])
+        assert rc == EXIT_OK
+        for w in ("10", "20"):
+            assert {p.name for p in (out / f"omega_{w}").iterdir()} == {
+                "trajectory.csv", "manifest.json"}
+            assert manifest_names(out / f"omega_{w}") == {"trajectory.csv"}
+
+    def test_non_esc_config_is_usage_error_before_any_run(self, tmp_path, capsys):
+        out = tmp_path / "avg"
+        rc = main(["sweep", "--config", "average_system", "--param", "a",
+                   "--values", "0.2,0.1", "--out", str(out)])
+        assert rc == EXIT_USAGE
+        assert "esc" in capsys.readouterr().err
+        assert not out.exists()
 
 
 def test_usage_without_command_returns_usage_code():

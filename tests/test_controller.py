@@ -9,6 +9,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from diffesc.controller import (
     ControllerState,
@@ -72,6 +74,22 @@ class TestCheckGain:
         far = forbidden_gains(1.0, 50)[-1]
         assert not is_admissible(far, 1.0, kappa_max=50)
         assert is_admissible(far, 1.0, kappa_max=10)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        L=st.floats(0.5, 3.0),
+        kappa_max=st.integers(0, 30),
+        tol_scale=st.floats(1e-9, 1e-3),
+        offset=st.floats(-0.99, 0.99),
+    )
+    def test_forbidden_band_property(self, L, kappa_max, tol_scale, offset):
+        tol = tol_scale * math.pi**2 / (4.0 * L**3)
+        for kappa, bad in enumerate(forbidden_gains(L, kappa_max)):
+            with pytest.raises(ForbiddenGainError) as err:
+                check_gain(bad + offset * tol, L, kappa_max=kappa_max, tol=tol)
+            assert err.value.kappa == kappa
+            check_gain(bad + 2.0 * tol, L, kappa_max=kappa_max, tol=tol)
+            check_gain(bad - 2.0 * tol, L, kappa_max=kappa_max, tol=tol)
 
     def test_invalid_length(self):
         with pytest.raises(ValueError):

@@ -11,6 +11,8 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import brentq
 
 from diffesc.dither import (
@@ -72,6 +74,15 @@ def test_integral_identity(a, omega, L):
     report = verify_integral_identity(d, ts, tol=1e-6)
     assert report.passed
     assert report.max_residual < 1e-12 * max(1.0, a)
+
+
+@settings(max_examples=60, deadline=None)
+@given(a=st.floats(1e-3, 5.0), omega=st.floats(0.1, 200.0), L=st.floats(0.1, 3.0))
+def test_integral_identity_property(a, omega, L):
+    p = DitherParams(a, omega, L)
+    ts = np.linspace(0.0, p.period, 64, endpoint=False)
+    report = verify_integral_identity(design_dither(p), ts)
+    assert report.max_residual < 1e-12 * a
 
 
 def test_integral_identity_mpmath_quadrature():

@@ -22,6 +22,7 @@ from diffesc.heat import (
     convergence_order,
     field_norm_l2,
     integrate_profile,
+    integration_weights,
     make_field,
     spatial_integral,
     step,
@@ -154,6 +155,16 @@ def test_spatial_integral_quadrature_orders(reference_field):
     simp = [err(n, "simpson") for n in (51, 101, 201)]
     slope_s = np.polyfit(np.log([1 / 50, 1 / 100, 1 / 200]), np.log(simp), 1)[0]
     assert 3.5 < slope_s < 4.5
+
+
+def test_integration_weights_built_once_and_read_only():
+    w = integration_weights(101, 0.01)
+    assert integration_weights(101, 0.01) is w
+    with pytest.raises(ValueError, match="read-only"):
+        w[0] = 1.0
+    assert w.sum() == pytest.approx(1.0, abs=1e-14)
+    with pytest.raises(ValueError, match="unknown quadrature rule"):
+        integration_weights(101, 0.01, "banana")
 
 
 def test_simpson_requires_odd_nodes():

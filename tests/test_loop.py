@@ -253,3 +253,16 @@ class TestScenarioValidation:
     def test_non_finite_or_nonpositive_values_rejected(self, kw):
         with pytest.raises(ValueError):
             scenario(**kw).validate()
+
+    @pytest.mark.parametrize("K", [-0.1, math.nan, math.inf])
+    def test_negative_or_non_finite_adaptation_gain_rejected(self, K):
+        with pytest.raises(ValueError, match="adaptation gain"):
+            scenario(gains=GainConfig(K=K, K_bar=-0.4, c=10.0)).validate()
+
+    def test_amplitude_below_demodulation_minimum_rejected(self):
+        with pytest.raises(ValueError, match="demodulation"):
+            scenario(dither=DitherParams(1e-10, 10.0, 1.0)).validate()
+
+    def test_zero_gain_and_zero_amplitude_accepted(self):
+        scenario(gains=GainConfig(K=0.0, K_bar=-0.4, c=10.0)).validate()
+        scenario(dither=DitherParams(0.0, 10.0, 1.0)).validate()
