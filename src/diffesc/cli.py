@@ -34,7 +34,6 @@ from .heat import Grid, SolverConfig
 from .loop import (
     ScenarioConfig,
     StaticMap,
-    require_unit_diffusion,
     run_average_system,
     run_esc,
     run_standard_esc,
@@ -121,16 +120,17 @@ class RunPlan:
             snapshot_every=_get(parser, "scenario", "snapshot_every", int, default=0),
             washout_corner=_get(parser, "gains", "washout_corner", float, default=1.0),
             hessian_corner=_get(parser, "gains", "hessian_corner", float, default=1.0),
-            diffusion=_get(parser, "actuator", "diffusion", float, default=1.0),
         )
+        diffusion = _get(parser, "actuator", "diffusion", float, default=1.0)
+        if not abs(diffusion - 1.0) <= 1e-12:
+            raise ConfigError(f"[actuator] diffusion must be 1 (got {diffusion}): the probe "
+                              "design and the backstepping kernel assume unit diffusion")
         self.initial_vartheta = _get(parser, "average", "initial_vartheta", float, default=1.0)
         self.allow_unstable = _get(parser, "average", "allow_unstable", bool, default=False)
 
     def validate(self) -> None:
         cfg = self.config
         cfg.validate()
-        if self.kind == "esc":
-            require_unit_diffusion(cfg.diffusion)
         if self.kind == "esc" or (self.kind == "average" and not self.allow_unstable):
             check_gain(cfg.gains.K_bar, cfg.grid.L)
 
@@ -227,8 +227,7 @@ def _run_average_outputs(plan: RunPlan, out):
 
 def _run_standard_outputs(plan: RunPlan, out):
     cfg = plan.config
-    rec = run_standard_esc(cfg.map, cfg.dither, K=cfg.gains.K, T=cfg.T_final,
-                           dt=cfg.solver.dt, record_every=cfg.record_every)
+    rec = run_standard_esc(cfg)
     save_trajectory_csv(rec, out("trajectory.csv"))
     svgplot.line_chart(out("output.svg"), "Map output (no actuator dynamics)", "t [s]", "y",
                        [("y(t)", rec.t, rec.y),

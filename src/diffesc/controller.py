@@ -142,14 +142,12 @@ def make_kernel(K_bar: float, L: float, check: bool = True, kappa_max: int = 100
     """
     if check:
         check_gain(K_bar, L, kappa_max=kappa_max)
-        tol = default_gain_tol(L)
-        bad = forbidden_gains(L, kappa_max)
-        near = np.abs(K_bar - bad) < 10.0 * tol
-        if near.any():
-            kappa = int(np.flatnonzero(near)[0])
+        try:
+            check_gain(K_bar, L, kappa_max=kappa_max, tol=10.0 * default_gain_tol(L))
+        except ForbiddenGainError as near:
             warnings.warn(
                 f"compensator gain {K_bar:.6g} is within 10x tolerance of the singular "
-                f"value at kappa={kappa}; kernel is badly conditioned",
+                f"value at kappa={near.kappa}; kernel is badly conditioned",
                 RuntimeWarning,
             )
     A_cl = K_bar * L

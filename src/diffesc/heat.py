@@ -79,9 +79,6 @@ class ActuatorField:
     t: float = 0.0
     diffusion: float = 1.0
 
-    def copy(self) -> "ActuatorField":
-        return ActuatorField(self.grid, self.alpha.copy(), self.t, self.diffusion)
-
 
 def make_field(grid: Grid, initial=None, diffusion: float = 1.0, t: float = 0.0) -> ActuatorField:
     """Build a field; ``initial`` is a profile array, a callable of x, or None (zeros)."""

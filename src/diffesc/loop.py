@@ -37,7 +37,6 @@ __all__ = [
     "AverageRecord",
     "SimulationDiverged",
     "evaluate_map",
-    "require_unit_diffusion",
     "run_esc",
     "run_average_system",
     "run_standard_esc",
@@ -82,11 +81,11 @@ def evaluate_map(m: StaticMap, Theta: float):
 
 @dataclass
 class ScenarioConfig:
-    """Everything one closed-loop run needs.
+    """Everything one closed-loop run needs; the one input of every runner.
 
-    The actuator diffusion coefficient is fixed at 1 for ESC runs: the
-    dither design constants are only valid there, so other values are
-    rejected rather than silently mis-probing the map.
+    ``validate`` is the single gate all three runners call first.  Every run
+    uses an actuator with diffusion 1: the probe design and the backstepping
+    kernel are derived for it.
     """
 
     map: StaticMap
@@ -101,7 +100,6 @@ class ScenarioConfig:
     snapshot_every: int = 0               # 0 disables field snapshots
     washout_corner: float = 1.0
     hessian_corner: float = 1.0
-    diffusion: float = 1.0
 
     def validate(self) -> None:
         self.map.validate()
@@ -127,18 +125,9 @@ class ScenarioConfig:
                 raise ValueError(f"filter corner frequencies must be > 0, got {corner}")
 
 
-def require_unit_diffusion(diffusion: float) -> None:
-    """ESC runs need diffusion 1: the dither design constants are only valid there."""
-    if abs(diffusion - 1.0) > 1e-12:
-        raise ValueError(
-            f"ESC scenarios require diffusion coefficient 1 (got {diffusion}); "
-            "the dither design constants are only valid there"
-        )
-
-
 @dataclass
 class TrajectoryRecord:
-    """Sampled closed-loop signals; columns match the trajectory CSV."""
+    """Sampled closed-loop signals, fields in ``TRAJECTORY_COLUMNS`` order."""
 
     t: np.ndarray
     theta: np.ndarray      # actuator boundary command
@@ -184,7 +173,6 @@ def run_esc(config: ScenarioConfig) -> TrajectoryRecord:
     a function of signals at time t only.
     """
     config.validate()
-    require_unit_diffusion(config.diffusion)
     if config.dither.a == 0.0:
         warnings.warn(
             "dither amplitude is zero: the loop cannot estimate gradients without "
@@ -202,7 +190,7 @@ def run_esc(config: ScenarioConfig) -> TrajectoryRecord:
     S_all = dither_signal(design, t_all)
     asin_all = dith.a * np.sin(dith.omega * t_all)
 
-    fld = make_field(config.grid, initial=config.initial_alpha, diffusion=config.diffusion)
+    fld = make_field(config.grid, initial=config.initial_alpha)
     washout_g = FirstOrderFilter(HIGH_PASS, config.washout_corner, dt)
     washout_h = FirstOrderFilter(HIGH_PASS, config.washout_corner, dt)
     smoother = FirstOrderFilter(LOW_PASS, config.hessian_corner, dt)
@@ -246,16 +234,11 @@ def run_esc(config: ScenarioConfig) -> TrajectoryRecord:
         integrate_theta_hat(ctrl, U, dt)
         step(fld, ctrl.theta_hat + S_all[k + 1], config.solver)
 
-    data = np.array(rows)
     history = None
     if snaps_t:
         history = FieldHistory(t=np.array(snaps_t), x=config.grid.nodes(),
                                alpha=np.array(snaps_alpha))
-    return TrajectoryRecord(
-        t=data[:, 0], theta=data[:, 1], Theta=data[:, 2], y=data[:, 3], U=data[:, 4],
-        G_hat=data[:, 5], H_hat=data[:, 6], S=data[:, 7], vartheta=data[:, 8],
-        field_history=history,
-    )
+    return TrajectoryRecord(*np.array(rows).T, field_history=history)
 
 
 def run_average_system(
@@ -271,14 +254,14 @@ def run_average_system(
     is insensitive to it); the PDE step applies the control held over the
     step.  ``check_admissible=False`` allows sign-flipped gain probes.
     """
-    config.solver.validate()
+    config.validate()
     K_bar = config.gains.K_bar
     grid = config.grid
     kernel = make_kernel(K_bar, grid.L, check=check_admissible)
     dt = config.solver.dt
     n_steps = round(config.T_final / dt)
 
-    fld = make_field(grid, initial=initial_u, diffusion=config.diffusion)
+    fld = make_field(grid, initial=initial_u)
     vartheta = float(initial_vartheta)
     x = grid.nodes()
     g_x = kernel.g(x)
@@ -316,26 +299,17 @@ def run_average_system(
     )
 
 
-def run_standard_esc(
-    map_: StaticMap,
-    dither: DitherParams,
-    K: float,
-    T: float,
-    dt: float = 1e-3,
-    initial_theta_hat: float = 0.0,
-    record_every: int = 10,
-) -> TrajectoryRecord:
-    """PDE-free baseline loop: the map input is estimate + a*sin(omega*t)."""
-    map_.validate()
-    dither.validate()
-    if K < 0.0:
-        raise ValueError(f"adaptation gain must be >= 0, got {K}")
-    if dt <= 0.0 or T <= 0.0:
-        raise ValueError("dt and T must be > 0")
-    if record_every < 1:
-        raise ValueError("record_every must be >= 1")
-    n_steps = round(T / dt)
-    theta_hat = float(initial_theta_hat)
+def run_standard_esc(config: ScenarioConfig) -> TrajectoryRecord:
+    """PDE-free baseline loop: the map input is estimate + a*sin(omega*t).
+
+    Reads the map, dither, adaptation gain ``K``, duration, step, initial
+    estimate and record cadence of ``config``; the grid and the solver
+    scheme are validated but not simulated.
+    """
+    config.validate()
+    map_, dither, K, dt = config.map, config.dither, config.gains.K, config.solver.dt
+    n_steps = round(config.T_final / dt)
+    theta_hat = float(config.initial_theta_hat)
     rows = []
     for k in range(n_steps + 1):
         t = k * dt
@@ -345,23 +319,16 @@ def run_standard_esc(
         G_hat = float(gradient_demod(dither, t)) * y if dither.a > 0 else 0.0
         H_hat = float(hessian_demod(dither, t)) * y if dither.a > 0 else 0.0
         U = K * G_hat
-        if k % record_every == 0:
+        if k % config.record_every == 0:
             rows.append((t, Theta, Theta, y, U, G_hat, H_hat, S,
                          theta_hat - map_.theta_star))
         theta_hat += dt * U
-    data = np.array(rows)
-    return TrajectoryRecord(
-        t=data[:, 0], theta=data[:, 1], Theta=data[:, 2], y=data[:, 3], U=data[:, 4],
-        G_hat=data[:, 5], H_hat=data[:, 6], S=data[:, 7], vartheta=data[:, 8],
-    )
+    return TrajectoryRecord(*np.array(rows).T)
 
 
 def save_trajectory_csv(record: TrajectoryRecord, path) -> None:
     """Write the trajectory with the fixed column set."""
-    data = np.column_stack([
-        record.t, record.theta, record.Theta, record.y, record.U,
-        record.G_hat, record.H_hat, record.S, record.vartheta,
-    ])
+    data = np.column_stack([getattr(record, name) for name in TRAJECTORY_COLUMNS.split(",")])
     np.savetxt(path, data, delimiter=",", header=TRAJECTORY_COLUMNS, comments="", fmt="%.12g")
 
 

@@ -177,6 +177,25 @@ class TestRunValidation:
         assert "demodulation" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("kind", ["average", "standard"])
+    def test_nonunit_diffusion_is_usage_error_for_every_kind(self, tmp_path, capsys, kind):
+        cfg = write_cfg(tmp_path, diffusion=0.5)
+        cfg.write_text(cfg.read_text().replace("kind = esc", f"kind = {kind}"))
+        out = tmp_path / "o"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == EXIT_USAGE
+        assert "diffusion" in capsys.readouterr().err
+        assert not out.exists()
+
+
+def test_standard_run_starts_at_configured_estimate(tmp_path):
+    cfg = write_cfg(tmp_path, extra="initial_theta_hat = 1.9\n")
+    cfg.write_text(cfg.read_text().replace("kind = esc", "kind = standard"))
+    out = tmp_path / "o"
+    assert main(["run", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
+    lines = (out / "trajectory.csv").read_text().splitlines()
+    first = dict(zip(lines[0].split(","), map(float, lines[1].split(","))))
+    assert first["Theta"] == 1.9
+
 
 BUNDLED = ("baseline", "average_system", "standard_esc", "amplitude_sweep", "gain_probe")
 

@@ -85,10 +85,6 @@ class TestRunEsc:
         assert np.all(rec.G_hat == 0.0)
         assert np.max(np.abs((rec.theta - rec.S))) == 0.0  # theta_hat stays 0
 
-    def test_requires_unit_diffusion(self):
-        with pytest.raises(ValueError, match="diffusion"):
-            run_esc(scenario(T=1.0, diffusion=0.5))
-
     def test_rejects_forbidden_gain(self):
         bad = GainConfig(K=0.2, K_bar=-math.pi**2 / 4.0, c=10.0)
         with pytest.raises(ForbiddenGainError):
@@ -130,6 +126,16 @@ class TestRunEsc:
         assert fpath.read_text().splitlines()[0] == "t,x,alpha"
         fdata = np.loadtxt(fpath, delimiter=",", skiprows=1)
         assert fdata.shape == (m * n, 3)
+
+    def test_csv_columns_are_the_record_fields(self, tmp_path):
+        for rec in (run_esc(scenario(T=0.5)), run_standard_esc(scenario(T=0.5))):
+            path = tmp_path / "traj.csv"
+            save_trajectory_csv(rec, path)
+            header = path.read_text().splitlines()[0].split(",")
+            data = np.loadtxt(path, delimiter=",", skiprows=1)
+            for j, name in enumerate(header):
+                np.testing.assert_allclose(data[:, j], getattr(rec, name), rtol=1e-10,
+                                           err_msg=name)
 
     def test_record_cadence(self):
         rec = run_esc(scenario(T=1.0, record_every=25))
@@ -176,6 +182,11 @@ class TestAverageSystem:
         data = np.loadtxt(path, delimiter=",", skiprows=1)
         assert data.shape == (rec.t.size, 6)
 
+    @pytest.mark.parametrize("kw", [dict(record_every=0), dict(T=-1.0)])
+    def test_invalid_scenario_rejected(self, kw):
+        with pytest.raises(ValueError):
+            run_average_system(scenario(**{"T": 1.0, **kw}), initial_vartheta=1.0)
+
     def test_initial_profile_accepted(self):
         rec = run_average_system(scenario(T=1.0), initial_vartheta=0.0,
                                  initial_u=lambda x: np.sin(math.pi * x))
@@ -185,13 +196,13 @@ class TestAverageSystem:
 
 class TestStandardEsc:
     def test_zero_gain_freezes(self):
-        rec = run_standard_esc(MAP, DITHER, K=0.0, T=2.0)
+        rec = run_standard_esc(scenario(T=2.0, gains=GainConfig(K=0.0, K_bar=-0.4, c=10.0)))
         assert np.max(np.abs(rec.vartheta - rec.vartheta[0])) == 0.0
 
     def test_period_mean_error_decays_at_adaptation_rate(self):
         # the averaged loop contracts at K*|H|; the demodulated DC of the
         # output adds a zero-mean ripple that the period mean removes
-        rec = run_standard_esc(MAP, DITHER, K=0.2, T=20.0, record_every=1)
+        rec = run_standard_esc(scenario(T=20.0, record_every=1))
         t, v = rec.t, rec.vartheta
         per = round(DITHER.period / (t[1] - t[0]))
         vbar = np.convolve(v, np.ones(per) / per, mode="same")
@@ -200,7 +211,7 @@ class TestStandardEsc:
         assert 0.3 < rate < 0.5
 
     def test_converges_to_neighborhood(self):
-        rec = run_standard_esc(MAP, DITHER, K=0.2, T=40.0)
+        rec = run_standard_esc(scenario(T=40.0))
         late = rec.t > 30.0
         assert np.mean(np.abs(rec.vartheta[late])) < 0.75
 
@@ -211,7 +222,7 @@ class TestStandardEsc:
         residuals = []
         for a in (0.2, 0.1, 0.05):
             dith = DitherParams(a, 2000.0, 1.0)
-            rec = run_standard_esc(MAP, dith, K=0.2, T=T, dt=dt, record_every=20)
+            rec = run_standard_esc(scenario(T=T, dt=dt, dither=dith, record_every=20))
             late = rec.t > 0.8 * T
             residuals.append(np.mean(np.abs(rec.y[late] - MAP.y_star)))
         slope = np.polyfit(np.log([0.2, 0.1, 0.05]), np.log(residuals), 1)[0]
@@ -219,13 +230,13 @@ class TestStandardEsc:
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            run_standard_esc(MAP, DITHER, K=-0.1, T=1.0)
+            run_standard_esc(scenario(T=1.0, gains=GainConfig(K=-0.1, K_bar=-0.4, c=10.0)))
         with pytest.raises(ValueError):
-            run_standard_esc(MAP, DITHER, K=0.2, T=-1.0)
+            run_standard_esc(scenario(T=-1.0))
 
     def test_zero_record_every_is_value_error(self):
         with pytest.raises(ValueError, match="record_every"):
-            run_standard_esc(MAP, DITHER, K=0.2, T=1.0, record_every=0)
+            run_standard_esc(scenario(T=1.0, record_every=0))
 
 
 class TestScenarioValidation:
