@@ -25,7 +25,6 @@ from .controller import (
     forbidden_gains,
     ideal_control,
     integrate_theta_hat,
-    is_admissible,
     make_kernel,
     realtime_control,
     transform_scalar,

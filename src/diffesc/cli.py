@@ -102,13 +102,12 @@ class RunPlan:
             H=_get(parser, "map", "curvature", float, required=True),
         )
         length = _get(parser, "actuator", "length", float, required=True)
-        K = _get(parser, "gains", "K", float, required=True)
         self.config = ScenarioConfig(
             map=map_,
             dither=DitherParams(a=_get(parser, "dither", "amplitude", float, required=True),
                                 omega=_get(parser, "dither", "frequency", float, required=True),
                                 L=length),
-            gains=GainConfig(K=K, K_bar=_get(parser, "average", "K_bar", float, default=K * map_.H),
+            gains=GainConfig(K=_get(parser, "gains", "K", float, required=True),
                              c=_get(parser, "gains", "corner", float, default=10.0)),
             solver=SolverConfig(dt=_get(parser, "actuator", "dt", float, required=True),
                                 scheme=_get(parser, "actuator", "scheme", str,
@@ -127,12 +126,16 @@ class RunPlan:
                               "design and the backstepping kernel assume unit diffusion")
         self.initial_vartheta = _get(parser, "average", "initial_vartheta", float, default=1.0)
         self.allow_unstable = _get(parser, "average", "allow_unstable", bool, default=False)
+        self.K_bar = _get(parser, "average", "K_bar", float)    # None: K*H
+        if self.K_bar is not None and self.kind != "average":
+            raise ConfigError(f"[average] K_bar applies only to kind = average, not {self.kind!r}")
 
     def validate(self) -> None:
         cfg = self.config
         cfg.validate()
-        if self.kind == "esc" or (self.kind == "average" and not self.allow_unstable):
-            check_gain(cfg.gains.K_bar, cfg.grid.L)
+        if self.kind == "average" and not self.allow_unstable:
+            K_bar = cfg.gains.K * cfg.map.H if self.K_bar is None else self.K_bar
+            check_gain(K_bar, cfg.grid.L)
 
 
 def _execute_run(out_dir: Path, scenario: str, config_path: str, write):
@@ -204,7 +207,7 @@ def _run_esc_outputs(plan: RunPlan, out):
 
 def _run_average_outputs(plan: RunPlan, out):
     rec = run_average_system(plan.config, initial_vartheta=plan.initial_vartheta,
-                             check_admissible=not plan.allow_unstable)
+                             K_bar=plan.K_bar, check_admissible=not plan.allow_unstable)
     save_average_csv(rec, out("average.csv"))
     svgplot.line_chart(out("norm.svg"), "Composite squared norm", "t [s]", "Omega",
                        [("Omega(t)", rec.t, rec.Omega)], y_log=True)
@@ -215,7 +218,7 @@ def _run_average_outputs(plan: RunPlan, out):
         analysis.save_fit_residuals_csv(rec.t, rec.Omega, fit, out("fit_residuals.csv"))
     report = {
         "scenario": "average",
-        "compensator_gain": plan.config.gains.K_bar,
+        "compensator_gain": rec.K_bar,
         "fitted_decay_rate": fit.nu_hat,
         "fitted_prefactor": fit.eta_hat,
         "fit_r_squared": fit.r_squared,
@@ -292,10 +295,10 @@ def cmd_design_dither(args) -> int:
 
 
 def _sweep_member(plan: RunPlan, param: str, value: float) -> RunPlan:
-    """The validated plan with one swept value; K also sets K_bar = K*H."""
+    """The validated plan with one swept value."""
     cfg = plan.config
     if param == "K":
-        changed = {"gains": replace(cfg.gains, K=value, K_bar=value * cfg.map.H)}
+        changed = {"gains": replace(cfg.gains, K=value)}
     else:
         changed = {"dither": replace(cfg.dither, **{param: value})}
     member = copy.copy(plan)

@@ -33,7 +33,6 @@ __all__ = [
     "ForbiddenGainError",
     "forbidden_gains",
     "check_gain",
-    "is_admissible",
     "make_kernel",
     "transform_scalar",
     "ideal_control",
@@ -53,11 +52,11 @@ class ForbiddenGainError(ValueError):
 
 @dataclass(frozen=True)
 class GainConfig:
-    """Loop gains: adaptation gain K > 0, compensator gain K_bar < 0,
-    and the corner frequency c of the control smoothing low-pass."""
+    """Loop gains: adaptation gain K >= 0 and the corner frequency c of the
+    control smoothing low-pass.  The compensator gain is not configured: it
+    is the averaged loop gain K_bar = K*H of the map curvature H."""
 
     K: float
-    K_bar: float
     c: float
 
 
@@ -95,14 +94,6 @@ def check_gain(K_bar: float, L: float, kappa_max: int = 100, tol: float | None =
         )
 
 
-def is_admissible(K_bar: float, L: float, kappa_max: int = 100, tol: float | None = None) -> bool:
-    try:
-        check_gain(K_bar, L, kappa_max, tol)
-    except (ForbiddenGainError, ValueError):
-        return False
-    return True
-
-
 @dataclass(frozen=True)
 class BacksteppingKernel:
     """Kernel data for the error-to-target transformation on [0, L].
@@ -134,16 +125,16 @@ class BacksteppingKernel:
         return self.K_bar * np.ones_like(x)
 
 
-def make_kernel(K_bar: float, L: float, check: bool = True, kappa_max: int = 100) -> BacksteppingKernel:
+def make_kernel(K_bar: float, L: float, check: bool = True) -> BacksteppingKernel:
     """Build the kernel, gating on gain admissibility.
 
     ``check=False`` skips the sign gate (used by instability probes) but the
     singular normalization is always rejected.
     """
     if check:
-        check_gain(K_bar, L, kappa_max=kappa_max)
+        check_gain(K_bar, L)
         try:
-            check_gain(K_bar, L, kappa_max=kappa_max, tol=10.0 * default_gain_tol(L))
+            check_gain(K_bar, L, tol=10.0 * default_gain_tol(L))
         except ForbiddenGainError as near:
             warnings.warn(
                 f"compensator gain {K_bar:.6g} is within 10x tolerance of the singular "

@@ -85,7 +85,9 @@ class ScenarioConfig:
 
     ``validate`` is the single gate all three runners call first.  Every run
     uses an actuator with diffusion 1: the probe design and the backstepping
-    kernel are derived for it.
+    kernel are derived for it.  The compensator gain is the averaged loop
+    gain K*H; ``validate`` rejects it when it is forbidden, unless K = 0 (no
+    adaptation, so no compensated loop).
     """
 
     map: StaticMap
@@ -123,6 +125,8 @@ class ScenarioConfig:
         for corner in (self.washout_corner, self.hessian_corner, self.gains.c):
             if not (corner > 0.0 and math.isfinite(corner)):
                 raise ValueError(f"filter corner frequencies must be > 0, got {corner}")
+        if self.gains.K > 0.0:
+            check_gain(self.gains.K * self.map.H, self.grid.L)
 
 
 @dataclass
@@ -178,7 +182,6 @@ def run_esc(config: ScenarioConfig) -> TrajectoryRecord:
             "dither amplitude is zero: the loop cannot estimate gradients without "
             "excitation", RuntimeWarning,
         )
-    check_gain(config.gains.K_bar, config.grid.L)
 
     dith = config.dither
     design = design_dither(dith)
@@ -244,24 +247,27 @@ def run_esc(config: ScenarioConfig) -> TrajectoryRecord:
 def run_average_system(
     config: ScenarioConfig,
     initial_vartheta: float,
-    initial_u=None,
+    K_bar: float | None = None,
     check_admissible: bool = True,
 ) -> AverageRecord:
     """Simulate the averaged error cascade under the averaged control law.
 
-    The recorded field profiles carry the same-time control value at the
-    boundary entry (the weight g vanishes there, so the transformed scalar
-    is insensitive to it); the PDE step applies the control held over the
-    step.  ``check_admissible=False`` allows sign-flipped gain probes.
+    The compensator gain is K*H unless ``K_bar`` overrides it, and the field
+    starts from ``config.initial_alpha``.  The recorded field profiles carry
+    the same-time control value at the boundary entry (the weight g vanishes
+    there, so the transformed scalar is insensitive to it); the PDE step
+    applies the control held over the step.  ``check_admissible=False``
+    allows sign-flipped gain probes.
     """
     config.validate()
-    K_bar = config.gains.K_bar
+    if K_bar is None:
+        K_bar = config.gains.K * config.map.H
     grid = config.grid
     kernel = make_kernel(K_bar, grid.L, check=check_admissible)
     dt = config.solver.dt
     n_steps = round(config.T_final / dt)
 
-    fld = make_field(grid, initial=initial_u)
+    fld = make_field(grid, initial=config.initial_alpha)
     vartheta = float(initial_vartheta)
     x = grid.nodes()
     g_x = kernel.g(x)

@@ -38,7 +38,7 @@ from diffesc.heat import Grid, SolverConfig, convergence_order
 from diffesc.loop import ScenarioConfig, StaticMap, run_average_system, run_esc
 
 MAP = StaticMap(y_star=5.0, theta_star=2.0, H=-2.0)
-GAINS = GainConfig(K=0.2, K_bar=0.2 * -2.0, c=10.0)
+GAINS = GainConfig(K=0.2, c=10.0)
 GRID = Grid(1.0, 101)
 KERNEL = make_kernel(-0.4, 1.0)
 
@@ -127,8 +127,8 @@ def test_criterion_03_headline_convergence(headline_runs):
 
 def test_criterion_04_average_decay_and_instability(average_run):
     fit = fit_decay(average_run.t, average_run.Omega, window=0.5)
-    cfg = headline_scenario(0.2, T=20.0, gains=GainConfig(K=0.2, K_bar=+0.4, c=10.0))
-    flipped = run_average_system(cfg, initial_vartheta=1.0, check_admissible=False)
+    flipped = run_average_system(headline_scenario(0.2, T=20.0), initial_vartheta=1.0,
+                                 K_bar=+0.4, check_admissible=False)
     fit_flip = fit_decay(flipped.t, flipped.Omega, window=0.5)
     ok = (not fit.degenerate and fit.nu_hat > 0.0 and fit.r_squared > 0.95
           and fit_flip.nu_hat < 0.0)

@@ -197,6 +197,50 @@ def test_standard_run_starts_at_configured_estimate(tmp_path):
     assert first["Theta"] == 1.9
 
 
+class TestGainContract:
+    """The compensator gain is K*H, checked before the run for every kind."""
+
+    def test_average_gain_override_rejected_for_esc(self, tmp_path, capsys):
+        # K*H = -pi^2/4 is the first singular value; the override never
+        # reaches the esc loop, so it must not hide that
+        text = (_resolve_config("baseline").read_text()
+                .replace("K = 0.2", "K = 1.2337005501361697")
+                .replace("duration = 100.0", "duration = 1.0"))
+        cfg = tmp_path / "found.cfg"
+        cfg.write_text(text + "\n[average]\nK_bar = -0.4\n")
+        out = tmp_path / "o"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == EXIT_USAGE
+        assert "K_bar" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_standard_run_on_singular_gain_is_usage_error(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path)
+        cfg.write_text(cfg.read_text().replace("kind = esc", "kind = standard")
+                       .replace("K = 0.2", f"K = {math.pi**2 / 8!r}"))
+        out = tmp_path / "o"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == EXIT_USAGE
+        assert "singular value" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_zero_adaptation_runs_without_gain_check(self, tmp_path):
+        cfg = write_cfg(tmp_path, extra="initial_theta_hat = 0.5\n")
+        cfg.write_text(cfg.read_text().replace("K = 0.2", "K = 0"))
+        out = tmp_path / "o"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
+        lines = (out / "trajectory.csv").read_text().splitlines()
+        col = lines[0].split(",")
+        for line in lines[1:]:
+            row = dict(zip(col, map(float, line.split(","))))
+            assert abs(row["theta"] - row["S"] - 0.5) <= 1e-9
+
+    def test_average_report_gives_the_gain_it_ran(self, tmp_path):
+        cfg = write_cfg(tmp_path, duration=1.0, extra="\n[average]\nK_bar = -0.7\n")
+        cfg.write_text(cfg.read_text().replace("kind = esc", "kind = average"))
+        out = tmp_path / "o"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
+        assert "compensator_gain: -0.7" in (out / "report.txt").read_text()
+
+
 BUNDLED = ("baseline", "average_system", "standard_esc", "amplitude_sweep", "gain_probe")
 
 

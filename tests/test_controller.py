@@ -21,7 +21,6 @@ from diffesc.controller import (
     forbidden_gains,
     ideal_control,
     integrate_theta_hat,
-    is_admissible,
     make_kernel,
     realtime_control,
     transform_scalar,
@@ -42,7 +41,6 @@ def gamma_complex(K_bar, L, x):
 class TestCheckGain:
     def test_accepts_nominal_gain(self):
         check_gain(-0.4, 1.0)
-        assert is_admissible(-0.4, 1.0)
 
     @pytest.mark.parametrize("kappa", range(11))
     def test_rejects_each_forbidden_value(self, kappa):
@@ -72,8 +70,9 @@ class TestCheckGain:
 
     def test_kappa_max_respected(self):
         far = forbidden_gains(1.0, 50)[-1]
-        assert not is_admissible(far, 1.0, kappa_max=50)
-        assert is_admissible(far, 1.0, kappa_max=10)
+        with pytest.raises(ForbiddenGainError):
+            check_gain(far, 1.0, kappa_max=50)
+        check_gain(far, 1.0, kappa_max=10)
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -166,11 +165,11 @@ class TestControlLaws:
         assert z_trap == pytest.approx(1.0 / 3.0, abs=1e-4)
 
 
-def make_state(c=10.0, dt=1e-3, K=0.2, K_bar=-0.4, theta_hat=0.0):
+def make_state(c=10.0, dt=1e-3, K=0.2, theta_hat=0.0):
     return ControllerState(
         theta_hat=theta_hat,
         T_filter=FirstOrderFilter(LOW_PASS, c, dt),
-        gains=GainConfig(K=K, K_bar=K_bar, c=c),
+        gains=GainConfig(K=K, c=c),
         L=1.0,
     )
 

@@ -27,7 +27,7 @@ from diffesc.loop import (
 
 MAP = StaticMap(y_star=5.0, theta_star=2.0, H=-2.0)
 DITHER = DitherParams(a=0.2, omega=10.0, L=1.0)
-GAINS = GainConfig(K=0.2, K_bar=-0.4, c=10.0)
+GAINS = GainConfig(K=0.2, c=10.0)
 
 
 def scenario(T=5.0, dt=1e-3, n=101, **kw):
@@ -69,7 +69,7 @@ class TestRunEsc:
     def test_zero_adaptation_freezes_estimate(self):
         # K = 0 disables adaptation; the boundary still carries the dither,
         # so after the transient the map input is the pure target sinusoid
-        cfg = scenario(T=8.0, gains=GainConfig(K=0.0, K_bar=-0.4, c=10.0),
+        cfg = scenario(T=8.0, gains=GainConfig(K=0.0, c=10.0),
                        initial_theta_hat=0.5)
         rec = run_esc(cfg)
         theta_hat = rec.theta - rec.S
@@ -86,7 +86,7 @@ class TestRunEsc:
         assert np.max(np.abs((rec.theta - rec.S))) == 0.0  # theta_hat stays 0
 
     def test_rejects_forbidden_gain(self):
-        bad = GainConfig(K=0.2, K_bar=-math.pi**2 / 4.0, c=10.0)
+        bad = GainConfig(K=math.pi**2 / 8.0, c=10.0)     # K*H = -pi^2/4
         with pytest.raises(ForbiddenGainError):
             run_esc(scenario(T=1.0, gains=bad))
 
@@ -164,10 +164,10 @@ class TestAverageSystem:
         assert np.all(np.diff(rec.Omega[rec.t > 1.0]) <= 1e-12)
 
     def test_sign_flipped_gain_grows_with_probe_flag(self):
-        cfg = scenario(T=10.0, gains=GainConfig(K=0.2, K_bar=0.4, c=10.0))
+        cfg = scenario(T=10.0)
         with pytest.raises(ForbiddenGainError):
-            run_average_system(cfg, initial_vartheta=1.0)
-        rec = run_average_system(cfg, initial_vartheta=1.0, check_admissible=False)
+            run_average_system(cfg, initial_vartheta=1.0, K_bar=0.4)
+        rec = run_average_system(cfg, initial_vartheta=1.0, K_bar=0.4, check_admissible=False)
         assert rec.Omega[-1] > 50.0 * rec.Omega[0]
 
     def test_boundary_entry_carries_same_time_control(self):
@@ -188,15 +188,15 @@ class TestAverageSystem:
             run_average_system(scenario(**{"T": 1.0, **kw}), initial_vartheta=1.0)
 
     def test_initial_profile_accepted(self):
-        rec = run_average_system(scenario(T=1.0), initial_vartheta=0.0,
-                                 initial_u=lambda x: np.sin(math.pi * x))
+        rec = run_average_system(scenario(T=1.0, initial_alpha=lambda x: np.sin(math.pi * x)),
+                                 initial_vartheta=0.0)
         assert rec.Omega[0] > 0.0
         assert rec.Omega[-1] < rec.Omega[0]
 
 
 class TestStandardEsc:
     def test_zero_gain_freezes(self):
-        rec = run_standard_esc(scenario(T=2.0, gains=GainConfig(K=0.0, K_bar=-0.4, c=10.0)))
+        rec = run_standard_esc(scenario(T=2.0, gains=GainConfig(K=0.0, c=10.0)))
         assert np.max(np.abs(rec.vartheta - rec.vartheta[0])) == 0.0
 
     def test_period_mean_error_decays_at_adaptation_rate(self):
@@ -230,7 +230,7 @@ class TestStandardEsc:
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            run_standard_esc(scenario(T=1.0, gains=GainConfig(K=-0.1, K_bar=-0.4, c=10.0)))
+            run_standard_esc(scenario(T=1.0, gains=GainConfig(K=-0.1, c=10.0)))
         with pytest.raises(ValueError):
             run_standard_esc(scenario(T=-1.0))
 
@@ -257,8 +257,8 @@ class TestScenarioValidation:
         dict(T=math.inf),
         dict(map=StaticMap(math.nan, 2.0, -2.0)),
         dict(map=StaticMap(5.0, math.inf, -2.0)),
-        dict(gains=GainConfig(K=0.2, K_bar=-0.4, c=0.0)),
-        dict(gains=GainConfig(K=0.2, K_bar=-0.4, c=math.nan)),
+        dict(gains=GainConfig(K=0.2, c=0.0)),
+        dict(gains=GainConfig(K=0.2, c=math.nan)),
         dict(hessian_corner=math.inf),
     ])
     def test_non_finite_or_nonpositive_values_rejected(self, kw):
@@ -268,12 +268,12 @@ class TestScenarioValidation:
     @pytest.mark.parametrize("K", [-0.1, math.nan, math.inf])
     def test_negative_or_non_finite_adaptation_gain_rejected(self, K):
         with pytest.raises(ValueError, match="adaptation gain"):
-            scenario(gains=GainConfig(K=K, K_bar=-0.4, c=10.0)).validate()
+            scenario(gains=GainConfig(K=K, c=10.0)).validate()
 
     def test_amplitude_below_demodulation_minimum_rejected(self):
         with pytest.raises(ValueError, match="demodulation"):
             scenario(dither=DitherParams(1e-10, 10.0, 1.0)).validate()
 
     def test_zero_gain_and_zero_amplitude_accepted(self):
-        scenario(gains=GainConfig(K=0.0, K_bar=-0.4, c=10.0)).validate()
+        scenario(gains=GainConfig(K=0.0, c=10.0)).validate()
         scenario(dither=DitherParams(0.0, 10.0, 1.0)).validate()
