@@ -2,20 +2,20 @@
 
 The field obeys  d/dt alpha = eps * d2/dx2 alpha  on [0, L] with an
 insulated left end (zero flux at x=0, second-order mirror ghost node) and a
-driven right end (Dirichlet value at x=L).  All three schemes are one
-theta-method (explicit Euler theta=0, Crank-Nicolson 1/2, implicit Euler 1):
-each step solves one symmetric tridiagonal system whose factors, like the
-validation and the explicit stability bound, are computed once per
-(grid, dt, scheme, diffusion).
+driven right end (Dirichlet value at x=L), stepped by one theta-method
+(explicit Euler theta=0, Crank-Nicolson 1/2, implicit Euler 1).  The discrete
+Laplacian on the m = n-1 non-Dirichlet nodes has eigenvectors cos(beta_k j),
+beta_k = (2k+1)pi/(2m), and eigenvalues -4 sin^2(beta_k/2)/dx^2.  A field is
+held in these modal coordinates: a step is elementwise and a fixed linear
+functional (the integral the map sees) is one dot product.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.linalg.lapack import dpttrf, dpttrs
 
 __all__ = [
     "SCHEMES",
@@ -25,6 +25,7 @@ __all__ = [
     "OrderEstimate",
     "make_field",
     "step",
+    "linear_functional",
     "spatial_integral",
     "integrate_profile",
     "integration_weights",
@@ -70,14 +71,33 @@ class SolverConfig:
             raise ValueError(f"unknown scheme {self.scheme!r}, expected one of {SCHEMES}")
 
 
+@lru_cache(maxsize=8)
+def _modes(m: int) -> np.ndarray:
+    """Read-only eigenvector matrix Phi[j, k] = cos(beta_k j) of the m-node Laplacian."""
+    j = np.arange(m)
+    # (2k+1)*j reduced modulo 4m in integers keeps the cosine argument exact
+    phi = np.cos((np.outer(j, 2 * j + 1) % (4 * m)) * (math.pi / (2 * m)))
+    phi.flags.writeable = False
+    return phi
+
+
 @dataclass
 class ActuatorField:
-    """Diffusion state alpha on a grid; alpha[-1] is the applied boundary value."""
+    """Diffusion state: modal coordinates ``z`` and the applied ``boundary`` value.
+    ``alpha``, the nodal profile (boundary value last), is built on each read, read-only.
+    """
 
     grid: Grid
-    alpha: np.ndarray
+    z: np.ndarray
+    boundary: float
     t: float = 0.0
     diffusion: float = 1.0
+
+    @property
+    def alpha(self) -> np.ndarray:
+        alpha = np.append(_modes(self.z.size) @ self.z, self.boundary)
+        alpha.flags.writeable = False
+        return alpha
 
 
 def make_field(grid: Grid, initial=None, diffusion: float = 1.0, t: float = 0.0) -> ActuatorField:
@@ -92,22 +112,23 @@ def make_field(grid: Grid, initial=None, diffusion: float = 1.0, t: float = 0.0)
             raise ValueError(f"initial profile has shape {alpha.shape}, expected ({grid.n},)")
     if diffusion <= 0.0:
         raise ValueError(f"diffusion coefficient must be > 0, got {diffusion}")
-    return ActuatorField(grid=grid, alpha=alpha, t=t, diffusion=diffusion)
+    bad = np.flatnonzero(~np.isfinite(alpha))
+    if bad.size:
+        raise ValueError(f"initial profile is not finite at node {bad[0]}")
+    # the modes are orthogonal under the node weights (1/2, 1, ..., 1), norm m/2
+    m = grid.n - 1
+    alpha[0] *= 0.5
+    z = (2.0 / m) * (alpha[:-1] @ _modes(m))
+    return ActuatorField(grid=grid, z=z, boundary=float(alpha[-1]), t=t, diffusion=diffusion)
 
 
 @lru_cache(maxsize=64)
-def _stepper(m: int, dx: float, dt: float, scheme: str, eps: float):
-    """Validated, factored theta-method step on the m non-Dirichlet nodes.
+def _propagator(m: int, dx: float, dt: float, scheme: str, eps: float):
+    """Validated modal theta-step z+ = lam*z + f*((1-theta)*b_old + theta*b_new).
 
-    With r = eps*dt/dx^2 the step reads (I - theta*r*Lap) v+ =
-    (I + (1-theta)*r*Lap) v + boundary terms, where row 0 of Lap is the
-    insulated end (mirror ghost: off-diagonal doubled).  Halving row 0 on
-    both sides makes both operators symmetric tridiagonal, and the left one
-    positive definite, so it is factored once with ``dpttrf``.
-
-    Returns ``(diag, lo, hi, factors)``: the diagonal of the halved
-    explicit-side operator, its off-diagonal (1-theta)*r, the implicit
-    weight theta*r, and the LDL^T factors.  All arrays are read-only.
+    With r = eps*dt/dx^2, lam = (1 + (1-theta)*r*nu)/(1 - theta*r*nu) and f is
+    the modal projection of the boundary coupling r*e_{m-1} over the same
+    denominator.  The one home of the explicit stability bound.
     """
     SolverConfig(dt, scheme).validate()
     theta = THETAS[scheme]
@@ -116,43 +137,44 @@ def _stepper(m: int, dx: float, dt: float, scheme: str, eps: float):
             f"explicit step unstable: dt={dt:.3g} exceeds dx^2/(2*eps)={dx*dx/(2*eps):.3g}"
         )
     r = eps * dt / (dx * dx)
-    lo, hi = (1.0 - theta) * r, theta * r
-    diag = np.full(m, 1.0 - 2.0 * lo)
-    lhs_diag = np.full(m, 1.0 + 2.0 * hi)
-    diag[0] *= 0.5
-    lhs_diag[0] *= 0.5
-    factors = dpttrf(lhs_diag, np.full(m - 1, -hi))[:2]
-    for arr in (diag, *factors):
-        arr.flags.writeable = False
-    return diag, lo, hi, factors
+    nu = -4.0 * np.sin((2 * np.arange(m) + 1) * (math.pi / (4 * m))) ** 2
+    denom = 1.0 - theta * r * nu
+    lam = (1.0 + (1.0 - theta) * r * nu) / denom
+    f = (2.0 / m) * _modes(m)[m - 1] * r / denom
+    lam.flags.writeable = f.flags.writeable = False
+    return lam, f, theta
 
 
 def step(field: ActuatorField, boundary_theta: float, config: SolverConfig) -> ActuatorField:
     """Advance the field by one theta-method step, applying the new boundary value.
 
-    The Dirichlet value enters with weight (1-theta)*r at the old time level
-    and theta*r at the new one, which keeps Crank-Nicolson second-order
-    accurate.  The field is updated in place and returned.
+    The Dirichlet value enters with weight (1-theta) at the old time level
+    and theta at the new one, which keeps Crank-Nicolson second-order
+    accurate.  The field is updated in place and returned; it stays finite
+    because ``make_field`` and this function reject non-finite input.
     """
     if not math.isfinite(boundary_theta):
         raise ValueError(f"boundary value is not finite: {boundary_theta}")
-    alpha = field.alpha
-    if not np.isfinite(alpha).all():
-        bad = int(np.flatnonzero(~np.isfinite(alpha))[0])
-        raise FloatingPointError(f"non-finite state at node {bad} (t={field.t:.6g})")
-
-    v = alpha[:-1]
-    diag, lo, hi, factors = _stepper(v.size, field.grid.dx, config.dt, config.scheme,
-                                     field.diffusion)
-    rhs = diag * v
-    rhs[:-1] += lo * v[1:]
-    rhs[1:] += lo * v[:-1]
-    rhs[-1] += lo * alpha[-1] + hi * boundary_theta
-    v[:] = dpttrs(*factors, rhs, overwrite_b=1)[0]
-
-    alpha[-1] = boundary_theta
+    z = field.z
+    lam, f, theta = _propagator(z.size, field.grid.dx, config.dt, config.scheme,
+                                field.diffusion)
+    z *= lam
+    z += f * ((1.0 - theta) * field.boundary + theta * boundary_theta)
+    field.boundary = float(boundary_theta)
     field.t += config.dt
     return field
+
+
+def linear_functional(grid: Grid, weights):
+    """The map field -> weights @ field.alpha on ``grid``, one O(n) dot product per call."""
+    coef = weights[:-1] @ _modes(grid.n - 1)
+    w_end = float(weights[-1])
+    return lambda fld: float(coef.dot(fld.z)) + w_end * fld.boundary
+
+
+@lru_cache(maxsize=64)
+def _integral(grid: Grid, rule: str):
+    return linear_functional(grid, integration_weights(grid.n, grid.dx, rule))
 
 
 @lru_cache(maxsize=64)
@@ -187,7 +209,7 @@ def integrate_profile(values: np.ndarray, dx: float, rule: str = "auto") -> floa
 
 def spatial_integral(field: ActuatorField, rule: str = "auto") -> float:
     """Integral of the field over [0, L]; this is the input seen by the map."""
-    return integrate_profile(field.alpha, field.grid.dx, rule)
+    return _integral(field.grid, rule)(field)
 
 
 def field_norm_l2(field: ActuatorField) -> float:
@@ -233,13 +255,7 @@ def convergence_order(
         err = float(np.max(np.abs(fld.alpha - exact(grid.nodes(), T))))
         dxs.append(grid.dx)
         errors.append(err)
-    if max(errors) < error_floor:
-        return OrderEstimate(
-            order=float("nan"),
-            dxs=tuple(dxs),
-            errors=tuple(errors),
-            inconclusive=True,
-            note="errors at rounding floor",
-        )
-    slope = np.polyfit(np.log(dxs), np.log(errors), 1)[0]
-    return OrderEstimate(order=float(slope), dxs=tuple(dxs), errors=tuple(errors), inconclusive=False)
+    floor = max(errors) < error_floor
+    order = math.nan if floor else float(np.polyfit(np.log(dxs), np.log(errors), 1)[0])
+    return OrderEstimate(order=order, dxs=tuple(dxs), errors=tuple(errors), inconclusive=floor,
+                         note="errors at rounding floor" if floor else "")

@@ -27,7 +27,8 @@ from .controller import (
 from .dither import DitherParams, design_dither, dither_signal, gradient_demod, hessian_demod
 from .filters import (HIGH_PASS, LOW_PASS, MIN_DEMOD_AMPLITUDE, FirstOrderFilter,
                       estimate_gradient, estimate_hessian)
-from .heat import Grid, SolverConfig, integrate_profile, make_field, spatial_integral, step
+from .heat import (Grid, SolverConfig, _propagator, integrate_profile, integration_weights,
+                   linear_functional, make_field, spatial_integral, step)
 
 __all__ = [
     "StaticMap",
@@ -106,7 +107,7 @@ class ScenarioConfig:
     def validate(self) -> None:
         self.map.validate()
         self.dither.validate()
-        self.solver.validate()
+        _propagator(self.grid.n - 1, self.grid.dx, self.solver.dt, self.solver.scheme, 1.0)
         if 0.0 < self.dither.a < MIN_DEMOD_AMPLITUDE:
             raise ValueError(f"dither amplitude {self.dither.a:.3g} is below the demodulation "
                              f"minimum {MIN_DEMOD_AMPLITUDE:.0e} (0 runs without excitation)")
@@ -269,23 +270,23 @@ def run_average_system(
 
     fld = make_field(grid, initial=config.initial_alpha)
     vartheta = float(initial_vartheta)
-    x = grid.nodes()
-    g_x = kernel.g(x)
-    dx = grid.dx
+    weights = integration_weights(grid.n, grid.dx)
+    transformed = linear_functional(grid, weights * kernel.g(grid.nodes()))
+    w_end = float(weights[-1])
 
     ts, vths, Us, Zs, unorms, omegas, profiles = [], [], [], [], [], [], []
     for k in range(n_steps + 1):
-        Z = vartheta + integrate_profile(g_x * fld.alpha, dx)
+        Z = vartheta + transformed(fld)
         U = K_bar * Z
         if not (math.isfinite(vartheta) and math.isfinite(U)):
             raise SimulationDiverged(
                 f"non-finite averaged state at step {k}: vartheta={vartheta}, U={U}",
                 step_index=k,
             )
-        consistent = fld.alpha.copy()
-        consistent[-1] = U
         if k % config.record_every == 0:
-            u_sq = integrate_profile(consistent**2, dx)
+            consistent = fld.alpha.copy()
+            consistent[-1] = U
+            u_sq = integrate_profile(consistent**2, grid.dx)
             ts.append(k * dt)
             vths.append(vartheta)
             Us.append(U)
@@ -295,7 +296,7 @@ def run_average_system(
             profiles.append(consistent)
         if k == n_steps:
             break
-        vartheta += dt * integrate_profile(consistent, dx)
+        vartheta += dt * (spatial_integral(fld) + w_end * (U - fld.boundary))
         step(fld, U, config.solver)
 
     return AverageRecord(

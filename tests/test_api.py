@@ -1,7 +1,11 @@
 """Every name a module exports through ``__all__`` must exist on it, so that
 ``from diffesc.<module> import *`` keeps working after names are deleted."""
 import importlib
+import os
 import pkgutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -20,3 +24,12 @@ def test_all_names_resolve(name):
     module = importlib.import_module(f"diffesc.{name}")
     missing = [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)]
     assert missing == []
+
+
+def test_cli_import_loads_no_scipy():
+    # the runtime needs only numpy; scipy is a test-only dependency
+    probe = "import sys, diffesc.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    env = {**os.environ, "PYTHONPATH": str(Path(diffesc.__file__).parents[1])}
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                         check=True, env=env)
+    assert out.stdout.strip() == "[]"

@@ -27,7 +27,7 @@ amplitude = {amplitude}
 frequency = 10.0
 
 [gains]
-K = 0.2
+K = {K}
 corner = 10.0
 
 [actuator]
@@ -40,10 +40,10 @@ diffusion = {diffusion}
 
 
 def write_cfg(tmp_path, name="run.cfg", duration=2.0, amplitude=0.2, snapshot=0,
-              scheme="crank_nicolson", diffusion=1.0, extra=""):
+              scheme="crank_nicolson", diffusion=1.0, extra="", K=0.2):
     path = tmp_path / name
     text = SHORT_ESC.format(duration=duration, amplitude=amplitude, snapshot=snapshot,
-                            scheme=scheme, diffusion=diffusion)
+                            scheme=scheme, diffusion=diffusion, K=K)
     path.write_text(text + extra)
     return path
 
@@ -121,13 +121,21 @@ class TestRun:
         assert "diffusion" in capsys.readouterr().err
 
     def test_runtime_failure_writes_failed_marker(self, tmp_path):
-        # explicit scheme with a step far beyond its stability bound fails
-        # inside the run, after the output directory exists
-        cfg = write_cfg(tmp_path, scheme="explicit_euler")
+        # an admissible but far too large adaptation gain diverges inside
+        # the run (t = 0.285 s), after the output directory exists
+        cfg = write_cfg(tmp_path, K=5.0)
         out = tmp_path / "o"
         assert main(["run", "--config", str(cfg), "--out", str(out)]) == EXIT_FAILURE
         assert (out / ".failed").is_file()
-        assert "unstable" in (out / ".failed").read_text()
+        assert "non-finite" in (out / ".failed").read_text()
+
+    def test_unstable_explicit_step_rejected_before_run(self, tmp_path, capsys):
+        # dt = 1e-3 is five times the explicit bound dx^2/2 = 2e-4 at 51 nodes
+        cfg = write_cfg(tmp_path, scheme="explicit_euler")
+        out = tmp_path / "o"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == EXIT_USAGE
+        assert "unstable" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("old, new", [
         ("corner = 10.0", "corner = -1"),
@@ -287,7 +295,7 @@ class TestRunDirectory:
 
     def test_successful_rerun_clears_failed_marker(self, tmp_path):
         out = tmp_path / "o"
-        bad = write_cfg(tmp_path, name="bad.cfg", scheme="explicit_euler")
+        bad = write_cfg(tmp_path, name="bad.cfg", K=5.0)
         assert main(["run", "--config", str(bad), "--out", str(out)]) == EXIT_FAILURE
         assert (out / ".failed").is_file()
         assert main(["run", "--config", str(write_cfg(tmp_path)), "--out", str(out)]) == EXIT_OK
@@ -297,7 +305,7 @@ class TestRunDirectory:
     def test_failed_run_drops_stale_manifest(self, tmp_path):
         out = tmp_path / "o"
         assert main(["run", "--config", str(write_cfg(tmp_path)), "--out", str(out)]) == EXIT_OK
-        bad = write_cfg(tmp_path, name="bad.cfg", scheme="explicit_euler")
+        bad = write_cfg(tmp_path, name="bad.cfg", K=5.0)
         assert main(["run", "--config", str(bad), "--out", str(out)]) == EXIT_FAILURE
         assert (out / ".failed").is_file()
         assert not (out / "manifest.json").exists()
@@ -355,13 +363,13 @@ class TestSweep:
 
 
     def test_member_failing_mid_run_leaves_failed_marker(self, tmp_path):
-        cfg = write_cfg(tmp_path, scheme="explicit_euler")
+        cfg = write_cfg(tmp_path, K=5.0)
         out = tmp_path / "unstable"
         rc = main(["sweep", "--config", str(cfg), "--param", "a",
                    "--values", "0.2,0.1", "--out", str(out)])
         assert rc == EXIT_FAILURE
         for a in ("0.2", "0.1"):
-            assert "unstable" in (out / f"a_{a}" / ".failed").read_text()
+            assert "non-finite" in (out / f"a_{a}" / ".failed").read_text()
             assert not (out / f"a_{a}" / "manifest.json").exists()
 
     def test_member_lists_only_its_trajectory(self, tmp_path):

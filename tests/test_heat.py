@@ -23,11 +23,12 @@ from diffesc.heat import (
     field_norm_l2,
     integrate_profile,
     integration_weights,
+    linear_functional,
     make_field,
     spatial_integral,
     step,
 )
-from diffesc.heat import _stepper
+from diffesc.heat import _modes, _propagator
 
 
 @pytest.fixture(scope="module")
@@ -82,10 +83,10 @@ def test_explicit_scheme_and_stability_gate(reference_field):
 
 def test_rejects_non_finite_state_with_node_index():
     grid = Grid(1.0, 11)
-    fld = make_field(grid)
-    fld.alpha[4] = math.nan
-    with pytest.raises(FloatingPointError, match="node 4"):
-        step(fld, 0.0, SolverConfig(dt=1e-3))
+    initial = np.zeros(grid.n)
+    initial[4] = math.nan
+    with pytest.raises(ValueError, match="node 4"):
+        make_field(grid, initial=initial)
     with pytest.raises(ValueError):
         step(make_field(grid), math.inf, SolverConfig(dt=1e-3))
 
@@ -108,8 +109,9 @@ def test_implicit_euler_maximum_principle():
 def test_crank_nicolson_norm_nonincreasing_with_zero_boundary():
     rng = np.random.default_rng(3)
     grid = Grid(1.0, 41)
-    fld = make_field(grid, initial=rng.standard_normal(grid.n))
-    fld.alpha[-1] = 0.0
+    initial = rng.standard_normal(grid.n)
+    initial[-1] = 0.0
+    fld = make_field(grid, initial=initial)
     cfg = SolverConfig(dt=5e-3)
     prev = field_norm_l2(fld)
     for _ in range(200):
@@ -309,13 +311,57 @@ def test_crank_nicolson_long_run_matches_banded_reference(reference_field):
 def test_step_factors_built_once_and_read_only():
     grid = Grid(1.0, 21)
     cfg = SolverConfig(dt=1.2345e-3)
-    misses = _stepper.cache_info().misses
+    misses = _propagator.cache_info().misses
     march(make_field(grid), lambda t: math.sin(t), cfg, 50)
-    assert _stepper.cache_info().misses == misses + 1
-    diag, _, _, factors = _stepper(grid.n - 1, grid.dx, cfg.dt, cfg.scheme, 1.0)
-    for arr in (diag, *factors):
+    assert _propagator.cache_info().misses == misses + 1
+    lam, f, _ = _propagator(grid.n - 1, grid.dx, cfg.dt, cfg.scheme, 1.0)
+    assert _modes(grid.n - 1) is _modes(grid.n - 1)
+    for arr in (lam, f, _modes(grid.n - 1)):
         with pytest.raises(ValueError, match="read-only"):
             arr[0] = 1.0
+
+
+def test_field_profile_is_read_only():
+    fld = make_field(Grid(1.0, 11), initial=lambda x: x)
+    with pytest.raises(ValueError, match="read-only"):
+        fld.alpha[3] = 1.0
+    assert fld.alpha[3] == pytest.approx(0.3, abs=1e-15)
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(3, 801), data=st.data())
+def test_profile_round_trip(n, data):
+    profile = data.draw(arrays(np.float64, n, elements=st.floats(-1.0, 1.0)))
+    alpha = make_field(Grid(1.0, n), initial=profile).alpha
+    assert np.max(np.abs(alpha - profile)) <= 1e-13 * max(1.0, np.max(np.abs(profile)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(3, 300), data=st.data())
+def test_linear_functional_matches_nodal_dot_product(n, data):
+    grid = Grid(1.0, n)
+    unit = st.floats(-1.0, 1.0)
+    weights = data.draw(arrays(np.float64, n, elements=unit))
+    fld = make_field(grid, initial=data.draw(arrays(np.float64, n, elements=unit)))
+    step(fld, data.draw(unit), SolverConfig(dt=1e-3))
+    assert linear_functional(grid, weights)(fld) == pytest.approx(weights @ fld.alpha, abs=1e-13)
+
+
+def test_crank_nicolson_fine_grid_matches_banded_reference(reference_field):
+    # Theta, sampled every 1000 steps, within 1e-12; the nodal profile, which sums
+    # m = 800 modal terms per node, within 5e-12 (both measured ~6e-13)
+    grid = Grid(1.0, 801)
+    cfg = SolverConfig(dt=1e-3)
+    fld = make_field(grid, initial=lambda x: reference_field(x, 0.0))
+    ref = fld.alpha.copy()
+    w = integration_weights(grid.n, grid.dx)
+    for k in range(10_000):
+        b = float(reference_field(1.0, (k + 1) * cfg.dt))
+        step(fld, b, cfg)
+        banded_step(ref, b, grid.dx, cfg.dt, cfg.scheme, 1.0)
+        if k % 1000 == 999:
+            assert abs(spatial_integral(fld) - w @ ref) <= 1e-12
+    assert np.max(np.abs(fld.alpha - ref)) <= 5e-12
 
 
 @settings(max_examples=40, deadline=None)
