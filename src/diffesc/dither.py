@@ -10,7 +10,9 @@ phase, obtained from the phasor sum of the two travelling components of
 that solution.
 
 All functions here are pure and accept scalars or numpy arrays for the
-(x, t) arguments.
+(x, t) arguments.  The loop's per-step scalars are Python floats; the two
+demodulation signals evaluate those through ``math`` and arrays through
+NumPy, with the same operations in the same order.
 """
 from __future__ import annotations
 
@@ -175,11 +177,15 @@ def dither_envelope(design: DitherDesign) -> float:
 
 def gradient_demod(params: DitherParams, t):
     """Demodulation signal multiplying the output to estimate the gradient."""
+    if isinstance(t, float):
+        return (2.0 / params.a) * math.sin(params.omega * t)
     return (2.0 / params.a) * np.sin(params.omega * np.asarray(t, dtype=float))
 
 
 def hessian_demod(params: DitherParams, t):
     """Demodulation signal multiplying the output to estimate the curvature."""
+    if isinstance(t, float):
+        return (-8.0 / params.a**2) * math.cos(2.0 * params.omega * t)
     return (-8.0 / params.a**2) * np.cos(2.0 * params.omega * np.asarray(t, dtype=float))
 
 

@@ -75,9 +75,13 @@ class StaticMap:
             )
 
 
-def evaluate_map(m: StaticMap, Theta: float):
-    """Quadratic map output at the given input."""
-    return m.y_star + 0.5 * m.H * (np.asarray(Theta, dtype=float) - m.theta_star) ** 2
+def evaluate_map(m: StaticMap, Theta):
+    """Quadratic map output at a float or ndarray input.
+
+    Squares by multiplication: a diverging input gives -inf, not OverflowError.
+    """
+    d = Theta - m.theta_star
+    return m.y_star + 0.5 * m.H * (d * d)
 
 
 @dataclass
@@ -209,9 +213,10 @@ def run_esc(config: ScenarioConfig) -> TrajectoryRecord:
     rows = []
     snaps_t, snaps_alpha = [], []
     for k in range(n_steps + 1):
-        t = t_all[k]
+        t = k * dt                                 # == t_all[k], as a Python float
+        S = S_all.item(k)
         Theta = spatial_integral(fld)
-        y = float(evaluate_map(config.map, Theta))
+        y = evaluate_map(config.map, Theta)
         if estimating:
             G_hat = estimate_gradient(y, t, dith, washout_g)
             H_hat = estimate_hessian(washout_h.step(y), t, dith, smoother)
@@ -226,9 +231,9 @@ def run_esc(config: ScenarioConfig) -> TrajectoryRecord:
         if k % config.record_every == 0:
             rows.append((
                 t,
-                ctrl.theta_hat + S_all[k],                 # boundary command
-                Theta, y, U, G_hat, H_hat, S_all[k],
-                Theta - asin_all[k] - config.map.theta_star,
+                ctrl.theta_hat + S,                        # boundary command
+                Theta, y, U, G_hat, H_hat, S,
+                Theta - asin_all.item(k) - config.map.theta_star,
             ))
         if config.snapshot_every and k % config.snapshot_every == 0:
             snaps_t.append(t)
@@ -236,7 +241,7 @@ def run_esc(config: ScenarioConfig) -> TrajectoryRecord:
         if k == n_steps:
             break
         integrate_theta_hat(ctrl, U, dt)
-        step(fld, ctrl.theta_hat + S_all[k + 1], config.solver)
+        step(fld, ctrl.theta_hat + S_all.item(k + 1), config.solver)
 
     history = None
     if snaps_t:
@@ -322,9 +327,9 @@ def run_standard_esc(config: ScenarioConfig) -> TrajectoryRecord:
         t = k * dt
         S = dither.a * math.sin(dither.omega * t)
         Theta = theta_hat + S
-        y = float(evaluate_map(map_, Theta))
-        G_hat = float(gradient_demod(dither, t)) * y if dither.a > 0 else 0.0
-        H_hat = float(hessian_demod(dither, t)) * y if dither.a > 0 else 0.0
+        y = evaluate_map(map_, Theta)
+        G_hat = gradient_demod(dither, t) * y if dither.a > 0 else 0.0
+        H_hat = hessian_demod(dither, t) * y if dither.a > 0 else 0.0
         U = K * G_hat
         if k % config.record_every == 0:
             rows.append((t, Theta, Theta, y, U, G_hat, H_hat, S,

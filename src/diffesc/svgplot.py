@@ -130,16 +130,18 @@ def line_chart(path, title: str, xlabel: str, ylabel: str, series,
         fh.write("\n".join(parts))
 
 
-def _ramp(frac: float) -> str:
-    # blue -> white -> red diverging ramp
-    frac = min(max(frac, 0.0), 1.0)
-    anchors = [(0.0, (33, 102, 172)), (0.5, (247, 247, 247)), (1.0, (178, 24, 43))]
-    for (f0, c0), (f1, c1) in zip(anchors, anchors[1:]):
-        if frac <= f1:
-            s = (frac - f0) / (f1 - f0)
-            rgb = tuple(round(a + s * (b - a)) for a, b in zip(c0, c1))
-            return f"rgb({rgb[0]},{rgb[1]},{rgb[2]})"
-    return "rgb(178,24,43)"
+# diverging ramp anchors at fractions 0, 0.5 and 1: blue, white, red
+_RAMP = np.array([(33, 102, 172), (247, 247, 247), (178, 24, 43)], dtype=float)
+
+
+def _ramp_rgb(frac: np.ndarray) -> list[list[int]]:
+    """[r, g, b] int lists for flat fractions clipped to [0, 1]; NaN is red; round half-even."""
+    frac = np.clip(np.ravel(frac), 0.0, 1.0)[:, None]
+    lower = frac <= 0.5
+    lo, hi = np.where(lower, _RAMP[0], _RAMP[1]), np.where(lower, _RAMP[1], _RAMP[2])
+    rgb = np.rint(lo + np.where(lower, frac / 0.5, (frac - 0.5) / 0.5) * (hi - lo))
+    rgb[np.isnan(frac[:, 0])] = _RAMP[2]
+    return rgb.astype(int).T.tolist()
 
 
 def heatmap(path, title: str, xlabel: str, ylabel: str,
@@ -167,14 +169,15 @@ def heatmap(path, title: str, xlabel: str, ylabel: str,
         f'<rect width="{width}" height="{height}" fill="white"/>',
         f'<text x="{width/2:.1f}" y="20" text-anchor="middle" font-size="14">{title}</text>',
     ]
+    r, g, b = _ramp_rgb((sub - v_lo) / (v_hi - v_lo))
     for i in range(xi.size):
         for j in range(yi.size):
-            frac = (sub[i, j] - v_lo) / (v_hi - v_lo)
+            c = i * yi.size + j
             px = ml + i * cw
             py = mt + ph - (j + 1) * ch
             parts.append(
                 f'<rect x="{px:.2f}" y="{py:.2f}" width="{cw+0.5:.2f}" height="{ch+0.5:.2f}" '
-                f'fill="{_ramp(frac)}"/>'
+                f'fill="rgb({r[c]},{g[c]},{b[c]})"/>'
             )
     parts.append(f'<rect x="{ml}" y="{mt}" width="{pw}" height="{ph}" fill="none" stroke="#333333"/>')
     for frac, anchor in ((0.0, "start"), (0.5, "middle"), (1.0, "end")):
@@ -187,10 +190,10 @@ def heatmap(path, title: str, xlabel: str, ylabel: str,
         parts.append(f'<text x="{ml-6}" y="{py+4:.1f}" text-anchor="end">{_fmt(y[yi[0]] + frac*(y[yi[-1]]-y[yi[0]]))}</text>')
     # color bar
     bx = ml + pw + 18
+    r, g, b = _ramp_rgb(np.arange(60) / 59.0)
     for k in range(60):
-        frac = k / 59.0
         py = mt + ph - (k + 1) * ph / 60.0
-        parts.append(f'<rect x="{bx}" y="{py:.2f}" width="14" height="{ph/60+0.5:.2f}" fill="{_ramp(frac)}"/>')
+        parts.append(f'<rect x="{bx}" y="{py:.2f}" width="14" height="{ph/60+0.5:.2f}" fill="rgb({r[k]},{g[k]},{b[k]})"/>')
     parts.append(f'<text x="{bx+18}" y="{mt+ph+4:.1f}">{_fmt(v_lo)}</text>')
     parts.append(f'<text x="{bx+18}" y="{mt+10:.1f}">{_fmt(v_hi)}</text>')
     parts.append(f'<text x="{ml+pw/2:.1f}" y="{height-8}" text-anchor="middle">{xlabel}</text>')

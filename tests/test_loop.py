@@ -9,10 +9,13 @@ import math
 import numpy as np
 import pytest
 
-from diffesc.controller import ForbiddenGainError, GainConfig
-from diffesc.dither import DitherParams
-from diffesc.heat import Grid, SolverConfig
+from diffesc.controller import (ControllerState, ForbiddenGainError, GainConfig,
+                                integrate_theta_hat, realtime_control)
+from diffesc.dither import DitherParams, design_dither, dither_signal
+from diffesc.filters import HIGH_PASS, LOW_PASS, FirstOrderFilter
+from diffesc.heat import Grid, SolverConfig, make_field, spatial_integral, step
 from diffesc.loop import (
+    TRAJECTORY_COLUMNS,
     ScenarioConfig,
     SimulationDiverged,
     StaticMap,
@@ -52,6 +55,50 @@ class TestStaticMap:
         with pytest.raises(ValueError):
             StaticMap(5.0, 2.0, 2.0).validate()
 
+    def test_diverging_input_gives_minus_inf(self):
+        assert evaluate_map(MAP, 1e200) == -math.inf
+        with np.errstate(over="ignore"):
+            values = evaluate_map(MAP, np.array([2.0, 3.0, 1e200]))
+        np.testing.assert_array_equal(values, [5.0, 4.0, -np.inf])
+
+
+def numpy_scalar_loop(config):
+    """run_esc's loop body with every per-step scalar a NumPy scalar.
+
+    The reference for the float path: time from the sample array, the map
+    squared by ``**`` and both demodulation signals through ``np.sin`` /
+    ``np.cos``.  Returns the recorded rows as columns.
+    """
+    dith, dt, m = config.dither, config.solver.dt, config.map
+    n_steps = round(config.T_final / dt)
+    t_all = np.arange(n_steps + 1) * dt
+    S_all = dither_signal(design_dither(dith), t_all)
+    asin_all = dith.a * np.sin(dith.omega * t_all)
+    fld = make_field(config.grid, initial=config.initial_alpha)
+    washout_g = FirstOrderFilter(HIGH_PASS, config.washout_corner, dt)
+    washout_h = FirstOrderFilter(HIGH_PASS, config.washout_corner, dt)
+    smoother = FirstOrderFilter(LOW_PASS, config.hessian_corner, dt)
+    ctrl = ControllerState(theta_hat=config.initial_theta_hat,
+                           T_filter=FirstOrderFilter(LOW_PASS, config.gains.c, dt),
+                           gains=config.gains, L=config.grid.L)
+    rows = []
+    for k in range(n_steps + 1):
+        t = t_all[k]
+        Theta = spatial_integral(fld)
+        y = float(m.y_star + 0.5 * m.H * (np.asarray(Theta) - m.theta_star) ** 2)
+        G_hat = float((2.0 / dith.a) * np.sin(dith.omega * np.asarray(t))) * washout_g.step(y)
+        demod_h = float((-8.0 / dith.a**2) * np.cos(2.0 * dith.omega * np.asarray(t)))
+        H_hat = smoother.step(demod_h * washout_h.step(y))
+        U = realtime_control(ctrl, G_hat, H_hat, Theta, t, dith)
+        if k % config.record_every == 0:
+            rows.append((t, ctrl.theta_hat + S_all[k], Theta, y, U, G_hat, H_hat, S_all[k],
+                         Theta - asin_all[k] - m.theta_star))
+        if k == n_steps:
+            break
+        integrate_theta_hat(ctrl, U, dt)
+        step(fld, ctrl.theta_hat + S_all[k + 1], config.solver)
+    return np.array(rows).T
+
 
 class TestRunEsc:
     def test_error_identity_holds_at_every_sample(self):
@@ -59,6 +106,13 @@ class TestRunEsc:
         lhs = rec.vartheta + DITHER.a * np.sin(DITHER.omega * rec.t)
         rhs = rec.Theta - MAP.theta_star
         assert np.max(np.abs(lhs - rhs)) < 1e-9
+
+    def test_float_path_matches_numpy_scalar_loop(self):
+        # the bundled baseline's values, 3 s
+        cfg = scenario(T=3.0)
+        rec = run_esc(cfg)
+        for name, ref in zip(TRAJECTORY_COLUMNS.split(","), numpy_scalar_loop(cfg)):
+            assert np.max(np.abs(getattr(rec, name) - ref)) <= 1e-12, name
 
     def test_deterministic(self):
         r1 = run_esc(scenario(T=2.0))
