@@ -15,7 +15,7 @@ import numpy as np
 
 from .controller import BacksteppingKernel, transform_scalar
 from .heat import Grid, integrate_profile, integration_weights
-from .loop import AverageRecord, StaticMap, TrajectoryRecord
+from .loop import AverageRecord, StaticMap, TrajectoryRecord, _write_csv
 
 __all__ = [
     "TargetState",
@@ -267,5 +267,4 @@ def save_fit_residuals_csv(t: np.ndarray, values: np.ndarray, fit: DecayFit, pat
     logv = np.log(values[sel])
     fitted = math.log(fit.eta_hat * values[0]) - fit.nu_hat * t[sel]
     data = np.column_stack([t[sel], logv, fitted, logv - fitted])
-    np.savetxt(path, data, delimiter=",", header="t,log_value,fit,residual",
-               comments="", fmt="%.12g")
+    _write_csv(path, "t,log_value,fit,residual", data)

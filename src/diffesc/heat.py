@@ -11,6 +11,7 @@ functional (the integral the map sees) is one dot product.
 """
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -85,6 +86,8 @@ def _modes(m: int) -> np.ndarray:
 class ActuatorField:
     """Diffusion state: modal coordinates ``z`` and the applied ``boundary`` value.
     ``alpha``, the nodal profile (boundary value last), is built on each read, read-only.
+    ``grid`` and ``diffusion`` are fixed for the field's life: ``step`` binds one propagator
+    per (dt, scheme) and ``spatial_integral`` one functional per rule, in ``_bound``.
     """
 
     grid: Grid
@@ -92,6 +95,7 @@ class ActuatorField:
     boundary: float
     t: float = 0.0
     diffusion: float = 1.0
+    _bound: dict = dataclasses.field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def alpha(self) -> np.ndarray:
@@ -156,8 +160,10 @@ def step(field: ActuatorField, boundary_theta: float, config: SolverConfig) -> A
     if not math.isfinite(boundary_theta):
         raise ValueError(f"boundary value is not finite: {boundary_theta}")
     z = field.z
-    lam, f, theta = _propagator(z.size, field.grid.dx, config.dt, config.scheme,
-                                field.diffusion)
+    key = (config.dt, config.scheme)
+    if (propagator := field._bound.get(key)) is None:
+        propagator = field._bound[key] = _propagator(z.size, field.grid.dx, *key, field.diffusion)
+    lam, f, theta = propagator
     z *= lam
     z += f * ((1.0 - theta) * field.boundary + theta * boundary_theta)
     field.boundary = float(boundary_theta)
@@ -170,11 +176,6 @@ def linear_functional(grid: Grid, weights):
     coef = weights[:-1] @ _modes(grid.n - 1)
     w_end = float(weights[-1])
     return lambda fld: float(coef.dot(fld.z)) + w_end * fld.boundary
-
-
-@lru_cache(maxsize=64)
-def _integral(grid: Grid, rule: str):
-    return linear_functional(grid, integration_weights(grid.n, grid.dx, rule))
 
 
 @lru_cache(maxsize=64)
@@ -209,7 +210,10 @@ def integrate_profile(values: np.ndarray, dx: float, rule: str = "auto") -> floa
 
 def spatial_integral(field: ActuatorField, rule: str = "auto") -> float:
     """Integral of the field over [0, L]; this is the input seen by the map."""
-    return _integral(field.grid, rule)(field)
+    if (integral := field._bound.get(rule)) is None:
+        weights = integration_weights(field.grid.n, field.grid.dx, rule)
+        integral = field._bound[rule] = linear_functional(field.grid, weights)
+    return integral(field)
 
 
 def field_norm_l2(field: ActuatorField) -> float:

@@ -338,10 +338,18 @@ def run_standard_esc(config: ScenarioConfig) -> TrajectoryRecord:
     return TrajectoryRecord(*np.array(rows).T)
 
 
+def _write_csv(path, header: str, data: np.ndarray) -> None:
+    """Write a 2-D array as ``%.12g`` comma-delimited rows under a header, in one format."""
+    rows, cols = data.shape
+    row = ",".join(["%.12g"] * cols) + "\n"
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(header + "\n" + (row * rows) % tuple(data.ravel().tolist()))
+
+
 def save_trajectory_csv(record: TrajectoryRecord, path) -> None:
     """Write the trajectory with the fixed column set."""
     data = np.column_stack([getattr(record, name) for name in TRAJECTORY_COLUMNS.split(",")])
-    np.savetxt(path, data, delimiter=",", header=TRAJECTORY_COLUMNS, comments="", fmt="%.12g")
+    _write_csv(path, TRAJECTORY_COLUMNS, data)
 
 
 def save_field_csv(history: FieldHistory, path) -> None:
@@ -352,7 +360,7 @@ def save_field_csv(history: FieldHistory, path) -> None:
         np.tile(history.x, m),
         history.alpha.reshape(-1),
     ])
-    np.savetxt(path, data, delimiter=",", header="t,x,alpha", comments="", fmt="%.12g")
+    _write_csv(path, "t,x,alpha", data)
 
 
 def save_average_csv(record: AverageRecord, path) -> None:
@@ -360,5 +368,4 @@ def save_average_csv(record: AverageRecord, path) -> None:
     data = np.column_stack([
         record.t, record.vartheta, record.U, record.Z, record.u_norm, record.Omega,
     ])
-    np.savetxt(path, data, delimiter=",", header="t,vartheta,U,Z,u_norm,Omega",
-               comments="", fmt="%.12g")
+    _write_csv(path, "t,vartheta,U,Z,u_norm,Omega", data)

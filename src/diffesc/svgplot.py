@@ -114,7 +114,9 @@ def line_chart(path, title: str, xlabel: str, ylabel: str, series,
     for idx, (label, x, y) in enumerate(cleaned):
         color = PALETTE[idx % len(PALETTE)]
         yy = np.log10(y) if y_log else y
-        pts = " ".join(f"{sx(a):.2f},{sy(b):.2f}" for a, b in zip(x, yy))
+        # sx/sy on whole arrays do the per-point float operations in the same order
+        xy = np.column_stack([sx(x), sy(yy)]).ravel().tolist()
+        pts = " ".join(["%.2f,%.2f"] * x.size) % tuple(xy)
         parts.append(f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="1.3"/>')
         lx, ly = ml + pw - 150, mt + 16 + 16 * idx
         parts.append(f'<line x1="{lx}" y1="{ly-4}" x2="{lx+22}" y2="{ly-4}" stroke="{color}" stroke-width="2"/>')
@@ -144,6 +146,11 @@ def _ramp_rgb(frac: np.ndarray) -> list[list[int]]:
     return rgb.astype(int).T.tolist()
 
 
+def _sample_index(size: int, count: int) -> np.ndarray:
+    """min(size, count) evenly spaced indices of range(size); spacing >= 1 keeps them distinct."""
+    return np.linspace(0, size - 1, min(size, count)).astype(int)
+
+
 def heatmap(path, title: str, xlabel: str, ylabel: str,
             x: np.ndarray, y: np.ndarray, values: np.ndarray,
             width: int = 880, height: int = 420, max_cells: int = 200) -> None:
@@ -153,8 +160,7 @@ def heatmap(path, title: str, xlabel: str, ylabel: str,
     values = np.asarray(values, dtype=float)
     if values.shape != (x.size, y.size):
         raise ValueError(f"values shape {values.shape} does not match axes {(x.size, y.size)}")
-    xi = np.unique(np.linspace(0, x.size - 1, min(x.size, max_cells)).astype(int))
-    yi = np.unique(np.linspace(0, y.size - 1, min(y.size, max_cells)).astype(int))
+    xi, yi = _sample_index(x.size, max_cells), _sample_index(y.size, max_cells)
     sub = values[np.ix_(xi, yi)]
     v_lo, v_hi = float(np.nanmin(sub)), float(np.nanmax(sub))
     if v_hi <= v_lo:
@@ -169,16 +175,13 @@ def heatmap(path, title: str, xlabel: str, ylabel: str,
         f'<rect width="{width}" height="{height}" fill="white"/>',
         f'<text x="{width/2:.1f}" y="20" text-anchor="middle" font-size="14">{title}</text>',
     ]
-    r, g, b = _ramp_rgb((sub - v_lo) / (v_hi - v_lo))
-    for i in range(xi.size):
-        for j in range(yi.size):
-            c = i * yi.size + j
-            px = ml + i * cw
-            py = mt + ph - (j + 1) * ch
-            parts.append(
-                f'<rect x="{px:.2f}" y="{py:.2f}" width="{cw+0.5:.2f}" height="{ch+0.5:.2f}" '
-                f'fill="rgb({r[c]},{g[c]},{b[c]})"/>'
-            )
+    # cell (i, j) is at x = ml + i*cw, y = (mt + ph) - (j+1)*ch; each x and y is formatted once
+    xs = [f'<rect x="{px:.2f}" y="' for px in (ml + np.arange(xi.size) * cw).tolist()]
+    ys = [f'{py:.2f}" width="{cw+0.5:.2f}" height="{ch+0.5:.2f}" fill="rgb('
+          for py in ((mt + ph) - np.arange(1, yi.size + 1) * ch).tolist()]
+    heads = [col + row for col in xs for row in ys]
+    rgb = _ramp_rgb((sub - v_lo) / (v_hi - v_lo))
+    parts.extend('%s%d,%d,%d)"/>' % cell for cell in zip(heads, *rgb))
     parts.append(f'<rect x="{ml}" y="{mt}" width="{pw}" height="{ph}" fill="none" stroke="#333333"/>')
     for frac, anchor in ((0.0, "start"), (0.5, "middle"), (1.0, "end")):
         px = ml + frac * pw

@@ -4,9 +4,14 @@ physics itself is graded elsewhere.
 """
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import diffesc
 from diffesc.cli import (EXIT_FAILURE, EXIT_OK, EXIT_USAGE, RunPlan, _parse_ini, _resolve_config,
                          main)
 
@@ -105,6 +110,19 @@ class TestRun:
         actual = {p.name for p in out.iterdir() if p.name != "manifest.json"}
         assert listed == actual
         assert not (out / ".failed").exists()
+
+    def test_run_with_snapshots_loads_no_numpy_ma(self, tmp_path):
+        # np.unique imports numpy.ma lazily (~15 ms cold); no artifact writer needs it
+        cfg = write_cfg(tmp_path, duration=1.0, snapshot=100)
+        out = tmp_path / "out"
+        probe = ("import sys; from diffesc.cli import main; "
+                 f"code = main(['run', '--config', {str(cfg)!r}, '--out', {str(out)!r}]); "
+                 "print(code, 'numpy.ma' in sys.modules)")
+        env = {**os.environ, "PYTHONPATH": str(Path(diffesc.__file__).parents[1])}
+        res = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                             check=True, env=env)
+        assert res.stdout.splitlines()[-1] == f"{EXIT_OK} False"
+        assert (out / "field.svg").is_file() and (out / "field.csv").is_file()
 
     def test_rerun_reproduces_identical_checksums(self, tmp_path):
         cfg = write_cfg(tmp_path)

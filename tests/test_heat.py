@@ -321,6 +321,32 @@ def test_step_factors_built_once_and_read_only():
             arr[0] = 1.0
 
 
+def test_field_rebinds_propagator_and_integral_on_change():
+    # the field binds one propagator per (dt, scheme) and one functional per
+    # quadrature rule: switching configs or rules, or editing a config in
+    # place, must use the matching one
+    grid = Grid(1.0, 21)
+    initial = np.cos(grid.nodes())
+    fld = make_field(grid, initial=initial)
+    ref = initial.copy()
+    cn, ie = SolverConfig(dt=1e-3), SolverConfig(dt=4e-3, scheme="implicit_euler")
+    ie_same_dt = SolverConfig(dt=1e-3, scheme="implicit_euler")
+    for k, cfg in enumerate([cn, ie, cn, cn, ie_same_dt, ie, cn]):
+        b = math.sin(0.3 * k)
+        step(fld, b, cfg)
+        banded_step(ref, b, grid.dx, cfg.dt, cfg.scheme, 1.0)
+        assert np.max(np.abs(fld.alpha - ref)) <= 1e-12
+    cn.dt = 2e-3
+    step(fld, 0.5, cn)
+    banded_step(ref, 0.5, grid.dx, 2e-3, "crank_nicolson", 1.0)
+    assert np.max(np.abs(fld.alpha - ref)) <= 1e-12
+    assert fld.t == pytest.approx(5 * 1e-3 + 2 * 4e-3 + 2e-3)
+    for rule in ("auto", "trapezoid", "simpson", "trapezoid", "auto"):
+        expected = integrate_profile(fld.alpha, grid.dx, rule)
+        assert spatial_integral(fld, rule) == pytest.approx(expected, rel=0, abs=1e-14)
+    assert abs(spatial_integral(fld, "trapezoid") - spatial_integral(fld)) > 1e-6
+
+
 def test_field_profile_is_read_only():
     fld = make_field(Grid(1.0, 11), initial=lambda x: x)
     with pytest.raises(ValueError, match="read-only"):

@@ -5,9 +5,14 @@ tests cover wiring, invariants, edge cases, and the short-horizon physics
 (dither-only response, curvature estimate, baseline loop averaging).
 """
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from diffesc.controller import (ControllerState, ForbiddenGainError, GainConfig,
                                 integrate_theta_hat, realtime_control)
@@ -27,6 +32,7 @@ from diffesc.loop import (
     save_field_csv,
     save_trajectory_csv,
 )
+from diffesc.loop import _write_csv
 
 MAP = StaticMap(y_star=5.0, theta_star=2.0, H=-2.0)
 DITHER = DitherParams(a=0.2, omega=10.0, L=1.0)
@@ -331,3 +337,20 @@ class TestScenarioValidation:
     def test_zero_gain_and_zero_amplitude_accepted(self):
         scenario(gains=GainConfig(K=0.0, c=10.0)).validate()
         scenario(dither=DitherParams(0.0, 10.0, 1.0)).validate()
+
+
+# values %.12g renders in every form: non-finite, signed zero, subnormal, near overflow
+CSV_EDGES = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, -2.5e-310, 2.2250738585072014e-308,
+             1e308, -1e308, 1.7976931348623157e308, 0.1, 123456789012.5, 1e-5, 1e16]
+
+
+@settings(max_examples=150, deadline=None)
+@given(arrays(np.float64, st.tuples(st.integers(0, 50), st.integers(1, 9)),
+              elements=st.floats(allow_subnormal=True) | st.sampled_from(CSV_EDGES)))
+def test_write_csv_matches_savetxt_bytes(data):
+    header = ",".join(f"c{j}" for j in range(data.shape[1]))
+    with tempfile.TemporaryDirectory() as tmp:
+        ours, ref = Path(tmp) / "ours.csv", Path(tmp) / "ref.csv"
+        _write_csv(ours, header, data)
+        np.savetxt(ref, data, delimiter=",", header=header, comments="", fmt="%.12g")
+        assert ours.read_bytes() == ref.read_bytes()
