@@ -59,7 +59,6 @@ from .heat import (
     OrderEstimate,
     SolverConfig,
     convergence_order,
-    field_norm_l2,
     integrate_profile,
     make_field,
     spatial_integral,

@@ -28,7 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from . import analysis, svgplot
-from .controller import ForbiddenGainError, GainConfig, check_gain
+from .controller import GainConfig, check_gain
 from .dither import DitherParams, design_dither, dither_field, dither_signal, gauss_legendre, verify_integral_identity
 from .heat import Grid, SolverConfig
 from .loop import (
@@ -133,6 +133,9 @@ class RunPlan:
     def validate(self) -> None:
         cfg = self.config
         cfg.validate()
+        if not math.isfinite(self.initial_vartheta):
+            raise ConfigError(f"[average] initial_vartheta must be finite, "
+                              f"got {self.initial_vartheta}")
         if self.kind == "average" and not self.allow_unstable:
             K_bar = cfg.gains.K * cfg.map.H if self.K_bar is None else self.K_bar
             check_gain(K_bar, cfg.grid.L)
@@ -257,7 +260,7 @@ def cmd_run(args) -> int:
         path = _resolve_config(args.config)
         plan = RunPlan(_parse_ini(path))
         plan.validate()
-    except (ConfigError, ForbiddenGainError, ValueError) as exc:
+    except (ConfigError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     out_dir = Path(args.out)
@@ -271,11 +274,14 @@ def cmd_run(args) -> int:
 
 
 def cmd_design_dither(args) -> int:
-    if args.a <= 0 or args.omega <= 0 or args.L <= 0:
-        print("error: a, omega and L must all be positive", file=sys.stderr)
-        return EXIT_USAGE
     params = DitherParams(a=args.a, omega=args.omega, L=args.L)
-    design = design_dither(params)
+    try:
+        if not params.a > 0.0:
+            raise ValueError(f"dither amplitude must be > 0, got {params.a}")
+        design = design_dither(params)      # validates omega and L
+    except ValueError as exc:
+        print(f"error: a, omega and L must all be positive ({exc})", file=sys.stderr)
+        return EXIT_USAGE
     print(f"A   = {design.amplitude:.6f}")
     print(f"phi = {design.phase:.6f} rad")
     print(f"B   = {design.norm_const:.6f}")

@@ -22,7 +22,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dither import DitherParams
 from .filters import FirstOrderFilter
 from .heat import Grid, integrate_profile
 
@@ -186,15 +185,16 @@ class ControllerState:
 
 
 def realtime_control(state: ControllerState, G_hat: float, H_hat: float, Theta: float,
-                     t: float, dither: DitherParams) -> float:
-    """Implementable law: smooth K*[G_hat + H_hat*(L*theta_hat - Theta + a sin(omega t))].
+                     probe: float) -> float:
+    """Implementable law: smooth K*[G_hat + H_hat*(L*theta_hat - Theta + probe)].
 
-    The bracketed term reconstructs the field integral of the ideal law from
-    the measured map input alone (integration by parts against the weight g
-    eliminates the distributed state), so no field sensing is required.
-    Advances the smoothing filter by one sample.
+    ``probe`` is this sample's target perturbation a*sin(omega t) at the map
+    input.  The bracketed term reconstructs the field integral of the ideal
+    law from the measured map input alone (integration by parts against the
+    weight g eliminates the distributed state), so no field sensing is
+    required.  Advances the smoothing filter by one sample.
     """
-    feedback = state.L * state.theta_hat - Theta + dither.a * math.sin(dither.omega * t)
+    feedback = state.L * state.theta_hat - Theta + probe
     bracket = state.gains.K * (G_hat + H_hat * feedback)
     return state.T_filter.step(bracket)
 

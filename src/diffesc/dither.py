@@ -10,9 +10,8 @@ phase, obtained from the phasor sum of the two travelling components of
 that solution.
 
 All functions here are pure and accept scalars or numpy arrays for the
-(x, t) arguments.  The loop's per-step scalars are Python floats; the two
-demodulation signals evaluate those through ``math`` and arrays through
-NumPy, with the same operations in the same order.
+(x, t) arguments.  The loops evaluate the signals once per run, over the
+array of sample times, and read them per step.
 """
 from __future__ import annotations
 
@@ -177,16 +176,16 @@ def dither_envelope(design: DitherDesign) -> float:
 
 def gradient_demod(params: DitherParams, t):
     """Demodulation signal multiplying the output to estimate the gradient."""
-    if isinstance(t, float):
-        return (2.0 / params.a) * math.sin(params.omega * t)
-    return (2.0 / params.a) * np.sin(params.omega * np.asarray(t, dtype=float))
+    s = np.sin(params.omega * np.asarray(t, dtype=float))
+    s *= 2.0 / params.a         # in place: one run-length temporary fewer at peak memory
+    return s
 
 
 def hessian_demod(params: DitherParams, t):
     """Demodulation signal multiplying the output to estimate the curvature."""
-    if isinstance(t, float):
-        return (-8.0 / params.a**2) * math.cos(2.0 * params.omega * t)
-    return (-8.0 / params.a**2) * np.cos(2.0 * params.omega * np.asarray(t, dtype=float))
+    c = np.cos(2.0 * params.omega * np.asarray(t, dtype=float))
+    c *= -8.0 / params.a**2
+    return c
 
 
 def gauss_legendre(n_nodes: int, lo: float, hi: float) -> tuple[np.ndarray, np.ndarray]:

@@ -54,9 +54,6 @@ class FirstOrderFilter:
         self.state += self._gain * (u - self.state)
         return self.state if self.kind == LOW_PASS else u - self.state
 
-    def reset(self, state: float = 0.0) -> None:
-        self.state = state
-
 
 @dataclass(frozen=True)
 class EstimatorOutputs:
@@ -64,31 +61,22 @@ class EstimatorOutputs:
     H_hat: float
 
 
-def _check_amplitude(params: DitherParams) -> None:
-    if params.a < MIN_DEMOD_AMPLITUDE:
-        raise ValueError(
-            f"dither amplitude {params.a:.3g} too small for demodulation "
-            f"(minimum {MIN_DEMOD_AMPLITUDE:.0e})"
-        )
-
-
-def estimate_gradient(y_signal: float, t: float, params: DitherParams,
-                      washout: FirstOrderFilter) -> float:
-    """Gradient estimate: demodulate the washed-out output.
+def estimate_gradient(y_signal: float, demod: float, washout: FirstOrderFilter) -> float:
+    """Gradient estimate: the washed-out output times this sample's gradient
+    demodulation signal (``dither.gradient_demod``).
 
     The washout removes the unknown DC level of the map output before the
     sinusoidal demodulation, which otherwise injects a large zero-mean
-    carrier into the estimate.
+    carrier into the estimate.  The amplitude the signal divides by is
+    checked where the run is validated, not here.
     """
-    _check_amplitude(params)
-    return float(gradient_demod(params, t)) * washout.step(y_signal)
+    return demod * washout.step(y_signal)
 
 
-def estimate_hessian(y_signal: float, t: float, params: DitherParams,
-                     smoother: FirstOrderFilter) -> float:
-    """Curvature estimate: low-pass the double-frequency demodulation."""
-    _check_amplitude(params)
-    return smoother.step(float(hessian_demod(params, t)) * y_signal)
+def estimate_hessian(y_signal: float, demod: float, smoother: FirstOrderFilter) -> float:
+    """Curvature estimate: low-pass the output times this sample's curvature
+    demodulation signal (``dither.hessian_demod``)."""
+    return smoother.step(demod * y_signal)
 
 
 def period_average_estimates(params: DitherParams, y_star: float, H: float,
@@ -100,7 +88,9 @@ def period_average_estimates(params: DitherParams, y_star: float, H: float,
     one period recover exactly (H*vartheta, H).  Evaluated by Gauss-Legendre
     quadrature; serves as the averaging-level check of the estimator design.
     """
-    _check_amplitude(params)
+    if params.a < MIN_DEMOD_AMPLITUDE:
+        raise ValueError(f"dither amplitude {params.a:.3g} too small for demodulation "
+                         f"(minimum {MIN_DEMOD_AMPLITUDE:.0e})")
     period = params.period
     t, w = gauss_legendre(nodes, 0.0, period)
     y = y_star + 0.5 * H * (vartheta + params.a * np.sin(params.omega * t)) ** 2

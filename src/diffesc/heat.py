@@ -1,17 +1,17 @@
 """1-D diffusion actuator on a uniform grid.
 
-The field obeys  d/dt alpha = eps * d2/dx2 alpha  on [0, L] with an
-insulated left end (zero flux at x=0, second-order mirror ghost node) and a
-driven right end (Dirichlet value at x=L), stepped by one theta-method
-(explicit Euler theta=0, Crank-Nicolson 1/2, implicit Euler 1).  The discrete
-Laplacian on the m = n-1 non-Dirichlet nodes has eigenvectors cos(beta_k j),
-beta_k = (2k+1)pi/(2m), and eigenvalues -4 sin^2(beta_k/2)/dx^2.  A field is
-held in these modal coordinates: a step is elementwise and a fixed linear
-functional (the integral the map sees) is one dot product.
+The field obeys  d/dt alpha = d2/dx2 alpha  (unit diffusion, the one
+actuator the probe design and the backstepping kernel are derived for) on
+[0, L] with an insulated left end (zero flux at x=0, second-order mirror
+ghost node) and a driven right end (Dirichlet value at x=L), stepped by one
+theta-method (explicit Euler theta=0, Crank-Nicolson 1/2, implicit Euler 1).
+The discrete Laplacian on the m = n-1 non-Dirichlet nodes has eigenvectors
+cos(beta_k j), beta_k = (2k+1)pi/(2m), and eigenvalues -4 sin^2(beta_k/2)/dx^2.
+A field is held in these modal coordinates: a step is elementwise and a
+fixed linear functional (the integral the map sees) is one dot product.
 """
 from __future__ import annotations
 
-import dataclasses
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -30,7 +30,6 @@ __all__ = [
     "spatial_integral",
     "integrate_profile",
     "integration_weights",
-    "field_norm_l2",
     "convergence_order",
 ]
 
@@ -85,17 +84,22 @@ def _modes(m: int) -> np.ndarray:
 @dataclass
 class ActuatorField:
     """Diffusion state: modal coordinates ``z`` and the applied ``boundary`` value.
-    ``alpha``, the nodal profile (boundary value last), is built on each read, read-only.
-    ``grid`` and ``diffusion`` are fixed for the field's life: ``step`` binds one propagator
-    per (dt, scheme) and ``spatial_integral`` one functional per rule, in ``_bound``.
+
+    ``alpha``, the nodal profile (boundary value last), is built on each read,
+    read-only.  Everything else is fixed by ``make_field`` for the field's
+    life: the propagator ``(lam, f, theta)`` of its solver config, which
+    ``step`` applies, and the modal weights ``(coef, w_end)`` of the auto-rule
+    spatial integral, which ``spatial_integral`` applies.
     """
 
     grid: Grid
     z: np.ndarray
     boundary: float
-    t: float = 0.0
-    diffusion: float = 1.0
-    _bound: dict = dataclasses.field(default_factory=dict, init=False, repr=False, compare=False)
+    lam: np.ndarray
+    f: np.ndarray
+    theta: float
+    coef: np.ndarray
+    w_end: float
 
     @property
     def alpha(self) -> np.ndarray:
@@ -104,8 +108,9 @@ class ActuatorField:
         return alpha
 
 
-def make_field(grid: Grid, initial=None, diffusion: float = 1.0, t: float = 0.0) -> ActuatorField:
-    """Build a field; ``initial`` is a profile array, a callable of x, or None (zeros)."""
+def make_field(grid: Grid, solver: SolverConfig, initial=None) -> ActuatorField:
+    """Build a field stepped by ``solver``; ``initial`` is a profile array, a
+    callable of x, or None (zeros)."""
     if initial is None:
         alpha = np.zeros(grid.n)
     elif callable(initial):
@@ -114,8 +119,6 @@ def make_field(grid: Grid, initial=None, diffusion: float = 1.0, t: float = 0.0)
         alpha = np.array(initial, dtype=float)
         if alpha.shape != (grid.n,):
             raise ValueError(f"initial profile has shape {alpha.shape}, expected ({grid.n},)")
-    if diffusion <= 0.0:
-        raise ValueError(f"diffusion coefficient must be > 0, got {diffusion}")
     bad = np.flatnonzero(~np.isfinite(alpha))
     if bad.size:
         raise ValueError(f"initial profile is not finite at node {bad[0]}")
@@ -123,24 +126,24 @@ def make_field(grid: Grid, initial=None, diffusion: float = 1.0, t: float = 0.0)
     m = grid.n - 1
     alpha[0] *= 0.5
     z = (2.0 / m) * (alpha[:-1] @ _modes(m))
-    return ActuatorField(grid=grid, z=z, boundary=float(alpha[-1]), t=t, diffusion=diffusion)
+    lam, f, theta = _propagator(m, grid.dx, solver.dt, solver.scheme)
+    coef, w_end = _modal_weights(grid, integration_weights(grid.n, grid.dx))
+    return ActuatorField(grid, z, float(alpha[-1]), lam, f, theta, coef, w_end)
 
 
 @lru_cache(maxsize=64)
-def _propagator(m: int, dx: float, dt: float, scheme: str, eps: float):
+def _propagator(m: int, dx: float, dt: float, scheme: str):
     """Validated modal theta-step z+ = lam*z + f*((1-theta)*b_old + theta*b_new).
 
-    With r = eps*dt/dx^2, lam = (1 + (1-theta)*r*nu)/(1 - theta*r*nu) and f is
+    With r = dt/dx^2, lam = (1 + (1-theta)*r*nu)/(1 - theta*r*nu) and f is
     the modal projection of the boundary coupling r*e_{m-1} over the same
     denominator.  The one home of the explicit stability bound.
     """
     SolverConfig(dt, scheme).validate()
     theta = THETAS[scheme]
-    if theta == 0.0 and dt > dx * dx / (2.0 * eps):
-        raise ValueError(
-            f"explicit step unstable: dt={dt:.3g} exceeds dx^2/(2*eps)={dx*dx/(2*eps):.3g}"
-        )
-    r = eps * dt / (dx * dx)
+    if theta == 0.0 and dt > dx * dx / 2.0:
+        raise ValueError(f"explicit step unstable: dt={dt:.3g} exceeds dx^2/2={dx*dx/2:.3g}")
+    r = dt / (dx * dx)
     nu = -4.0 * np.sin((2 * np.arange(m) + 1) * (math.pi / (4 * m))) ** 2
     denom = 1.0 - theta * r * nu
     lam = (1.0 + (1.0 - theta) * r * nu) / denom
@@ -149,7 +152,7 @@ def _propagator(m: int, dx: float, dt: float, scheme: str, eps: float):
     return lam, f, theta
 
 
-def step(field: ActuatorField, boundary_theta: float, config: SolverConfig) -> ActuatorField:
+def step(field: ActuatorField, boundary_theta: float) -> ActuatorField:
     """Advance the field by one theta-method step, applying the new boundary value.
 
     The Dirichlet value enters with weight (1-theta) at the old time level
@@ -159,22 +162,22 @@ def step(field: ActuatorField, boundary_theta: float, config: SolverConfig) -> A
     """
     if not math.isfinite(boundary_theta):
         raise ValueError(f"boundary value is not finite: {boundary_theta}")
+    theta = field.theta
     z = field.z
-    key = (config.dt, config.scheme)
-    if (propagator := field._bound.get(key)) is None:
-        propagator = field._bound[key] = _propagator(z.size, field.grid.dx, *key, field.diffusion)
-    lam, f, theta = propagator
-    z *= lam
-    z += f * ((1.0 - theta) * field.boundary + theta * boundary_theta)
+    z *= field.lam
+    z += field.f * ((1.0 - theta) * field.boundary + theta * boundary_theta)
     field.boundary = float(boundary_theta)
-    field.t += config.dt
     return field
+
+
+def _modal_weights(grid: Grid, weights) -> tuple[np.ndarray, float]:
+    """Modal coefficients and boundary weight of field -> weights @ field.alpha."""
+    return weights[:-1] @ _modes(grid.n - 1), float(weights[-1])
 
 
 def linear_functional(grid: Grid, weights):
     """The map field -> weights @ field.alpha on ``grid``, one O(n) dot product per call."""
-    coef = weights[:-1] @ _modes(grid.n - 1)
-    w_end = float(weights[-1])
+    coef, w_end = _modal_weights(grid, weights)
     return lambda fld: float(coef.dot(fld.z)) + w_end * fld.boundary
 
 
@@ -208,17 +211,9 @@ def integrate_profile(values: np.ndarray, dx: float, rule: str = "auto") -> floa
     return float(integration_weights(values.size, dx, rule) @ values)
 
 
-def spatial_integral(field: ActuatorField, rule: str = "auto") -> float:
-    """Integral of the field over [0, L]; this is the input seen by the map."""
-    if (integral := field._bound.get(rule)) is None:
-        weights = integration_weights(field.grid.n, field.grid.dx, rule)
-        integral = field._bound[rule] = linear_functional(field.grid, weights)
-    return integral(field)
-
-
-def field_norm_l2(field: ActuatorField) -> float:
-    """Discrete L2 norm sqrt(integral of alpha^2), trapezoid weights."""
-    return math.sqrt(integrate_profile(field.alpha**2, field.grid.dx, rule="trapezoid"))
+def spatial_integral(field: ActuatorField) -> float:
+    """Integral of the field over [0, L] (auto rule); this is the input seen by the map."""
+    return float(field.coef.dot(field.z)) + field.w_end * field.boundary
 
 
 @dataclass(frozen=True)
@@ -236,7 +231,6 @@ def convergence_order(
     scheme: str = "crank_nicolson",
     L: float = 1.0,
     T: float = 0.5,
-    diffusion: float = 1.0,
     error_floor: float = 1e-12,
 ) -> OrderEstimate:
     """Refinement study against an exact space-time solution.
@@ -252,10 +246,10 @@ def convergence_order(
         grid = Grid(L, n)
         nsteps = max(1, round(T / dt))
         dt_eff = T / nsteps  # land exactly on T
-        cfg = SolverConfig(dt=dt_eff, scheme=scheme)
-        fld = make_field(grid, initial=lambda x: exact(x, 0.0), diffusion=diffusion)
+        fld = make_field(grid, SolverConfig(dt=dt_eff, scheme=scheme),
+                         initial=lambda x: exact(x, 0.0))
         for k in range(nsteps):
-            step(fld, float(exact(L, (k + 1) * dt_eff)), cfg)
+            step(fld, float(exact(L, (k + 1) * dt_eff)))
         err = float(np.max(np.abs(fld.alpha - exact(grid.nodes(), T))))
         dxs.append(grid.dx)
         errors.append(err)

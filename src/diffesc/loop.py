@@ -88,11 +88,9 @@ def evaluate_map(m: StaticMap, Theta):
 class ScenarioConfig:
     """Everything one closed-loop run needs; the one input of every runner.
 
-    ``validate`` is the single gate all three runners call first.  Every run
-    uses an actuator with diffusion 1: the probe design and the backstepping
-    kernel are derived for it.  The compensator gain is the averaged loop
-    gain K*H; ``validate`` rejects it when it is forbidden, unless K = 0 (no
-    adaptation, so no compensated loop).
+    ``validate`` is the single gate all three runners call first.  The
+    compensator gain is the averaged loop gain K*H; ``validate`` rejects it
+    when it is forbidden, unless K = 0 (no adaptation, so no compensated loop).
     """
 
     map: StaticMap
@@ -111,10 +109,13 @@ class ScenarioConfig:
     def validate(self) -> None:
         self.map.validate()
         self.dither.validate()
-        _propagator(self.grid.n - 1, self.grid.dx, self.solver.dt, self.solver.scheme, 1.0)
+        _propagator(self.grid.n - 1, self.grid.dx, self.solver.dt, self.solver.scheme)
         if 0.0 < self.dither.a < MIN_DEMOD_AMPLITUDE:
             raise ValueError(f"dither amplitude {self.dither.a:.3g} is below the demodulation "
                              f"minimum {MIN_DEMOD_AMPLITUDE:.0e} (0 runs without excitation)")
+        if not math.isfinite(self.initial_theta_hat):
+            raise ValueError(f"initial input estimate must be finite, "
+                             f"got {self.initial_theta_hat}")
         if not (self.gains.K >= 0.0 and math.isfinite(self.gains.K)):
             raise ValueError(f"adaptation gain K must be finite and >= 0, got {self.gains.K}")
         if not (self.T_final > 0.0 and math.isfinite(self.T_final)):
@@ -174,6 +175,15 @@ class AverageRecord:
     K_bar: float
 
 
+def _time_signals(dither: DitherParams, t_all: np.ndarray):
+    """The run's probe a*sin(omega t) and its gradient and curvature demodulation
+    signals at every sample time; the demodulation signals are None when a = 0."""
+    probe = dither.a * np.sin(dither.omega * t_all)
+    if dither.a == 0.0:
+        return probe, None, None
+    return probe, gradient_demod(dither, t_all), hessian_demod(dither, t_all)
+
+
 def run_esc(config: ScenarioConfig) -> TrajectoryRecord:
     """Run the full extremum-seeking loop with the diffusion actuator.
 
@@ -189,16 +199,13 @@ def run_esc(config: ScenarioConfig) -> TrajectoryRecord:
         )
 
     dith = config.dither
-    design = design_dither(dith)
     dt = config.solver.dt
     n_steps = round(config.T_final / dt)
     t_all = np.arange(n_steps + 1) * dt
+    S_all = dither_signal(design_dither(dith), t_all)
+    probe_all, demod_g, demod_h = _time_signals(dith, t_all)
 
-    # periodic signals for the whole run (pure functions of time)
-    S_all = dither_signal(design, t_all)
-    asin_all = dith.a * np.sin(dith.omega * t_all)
-
-    fld = make_field(config.grid, initial=config.initial_alpha)
+    fld = make_field(config.grid, config.solver, initial=config.initial_alpha)
     washout_g = FirstOrderFilter(HIGH_PASS, config.washout_corner, dt)
     washout_h = FirstOrderFilter(HIGH_PASS, config.washout_corner, dt)
     smoother = FirstOrderFilter(LOW_PASS, config.hessian_corner, dt)
@@ -208,21 +215,21 @@ def run_esc(config: ScenarioConfig) -> TrajectoryRecord:
         gains=config.gains,
         L=config.grid.L,
     )
-    estimating = dith.a > 0.0
 
     rows = []
     snaps_t, snaps_alpha = [], []
     for k in range(n_steps + 1):
         t = k * dt                                 # == t_all[k], as a Python float
         S = S_all.item(k)
+        probe = probe_all.item(k)
         Theta = spatial_integral(fld)
         y = evaluate_map(config.map, Theta)
-        if estimating:
-            G_hat = estimate_gradient(y, t, dith, washout_g)
-            H_hat = estimate_hessian(washout_h.step(y), t, dith, smoother)
-        else:
+        if demod_g is None:
             G_hat = H_hat = 0.0
-        U = realtime_control(ctrl, G_hat, H_hat, Theta, t, dith)
+        else:
+            G_hat = estimate_gradient(y, demod_g.item(k), washout_g)
+            H_hat = estimate_hessian(washout_h.step(y), demod_h.item(k), smoother)
+        U = realtime_control(ctrl, G_hat, H_hat, Theta, probe)
         if not (math.isfinite(Theta) and math.isfinite(y) and math.isfinite(U)):
             raise SimulationDiverged(
                 f"non-finite signal at step {k} (t={t:.6g}): Theta={Theta}, y={y}, U={U}",
@@ -233,7 +240,7 @@ def run_esc(config: ScenarioConfig) -> TrajectoryRecord:
                 t,
                 ctrl.theta_hat + S,                        # boundary command
                 Theta, y, U, G_hat, H_hat, S,
-                Theta - asin_all.item(k) - config.map.theta_star,
+                Theta - probe - config.map.theta_star,
             ))
         if config.snapshot_every and k % config.snapshot_every == 0:
             snaps_t.append(t)
@@ -241,7 +248,7 @@ def run_esc(config: ScenarioConfig) -> TrajectoryRecord:
         if k == n_steps:
             break
         integrate_theta_hat(ctrl, U, dt)
-        step(fld, ctrl.theta_hat + S_all.item(k + 1), config.solver)
+        step(fld, ctrl.theta_hat + S_all.item(k + 1))
 
     history = None
     if snaps_t:
@@ -273,7 +280,7 @@ def run_average_system(
     dt = config.solver.dt
     n_steps = round(config.T_final / dt)
 
-    fld = make_field(grid, initial=config.initial_alpha)
+    fld = make_field(grid, config.solver, initial=config.initial_alpha)
     vartheta = float(initial_vartheta)
     weights = integration_weights(grid.n, grid.dx)
     transformed = linear_functional(grid, weights * kernel.g(grid.nodes()))
@@ -302,7 +309,7 @@ def run_average_system(
         if k == n_steps:
             break
         vartheta += dt * (spatial_integral(fld) + w_end * (U - fld.boundary))
-        step(fld, U, config.solver)
+        step(fld, U)
 
     return AverageRecord(
         t=np.array(ts), vartheta=np.array(vths), U=np.array(Us), Z=np.array(Zs),
@@ -319,17 +326,18 @@ def run_standard_esc(config: ScenarioConfig) -> TrajectoryRecord:
     scheme are validated but not simulated.
     """
     config.validate()
-    map_, dither, K, dt = config.map, config.dither, config.gains.K, config.solver.dt
+    map_, K, dt = config.map, config.gains.K, config.solver.dt
     n_steps = round(config.T_final / dt)
+    probe_all, demod_g, demod_h = _time_signals(config.dither, np.arange(n_steps + 1) * dt)
     theta_hat = float(config.initial_theta_hat)
     rows = []
     for k in range(n_steps + 1):
         t = k * dt
-        S = dither.a * math.sin(dither.omega * t)
+        S = probe_all.item(k)
         Theta = theta_hat + S
         y = evaluate_map(map_, Theta)
-        G_hat = gradient_demod(dither, t) * y if dither.a > 0 else 0.0
-        H_hat = hessian_demod(dither, t) * y if dither.a > 0 else 0.0
+        G_hat = demod_g.item(k) * y if demod_g is not None else 0.0
+        H_hat = demod_h.item(k) * y if demod_h is not None else 0.0
         U = K * G_hat
         if k % config.record_every == 0:
             rows.append((t, Theta, Theta, y, U, G_hat, H_hat, S,

@@ -78,6 +78,13 @@ class TestDesignDither:
         assert main(["design-dither", "--a", "-0.2", "--omega", "10", "--L", "1"]) == EXIT_USAGE
         assert "positive" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag", ["--a", "--omega", "--L"])
+    def test_rejects_nan(self, capsys, flag):
+        args = {"--a": "0.2", "--omega": "10", "--L": "1", flag: "nan"}
+        assert main(["design-dither", *[x for kv in args.items() for x in kv]]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "positive" in err and "nan" in err
+
 
 class TestRun:
     def test_empty_config_is_usage_error(self, tmp_path, capsys):
@@ -201,6 +208,21 @@ class TestRunValidation:
         out = tmp_path / "o"
         assert main(["run", "--config", str(cfg), "--out", str(out)]) == EXIT_USAGE
         assert "demodulation" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_non_finite_initial_estimate_is_usage_error_before_run(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, extra="initial_theta_hat = nan\n")
+        out = tmp_path / "o"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == EXIT_USAGE
+        assert "initial input estimate" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_non_finite_initial_average_error_is_usage_error_before_run(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, extra="\n[average]\ninitial_vartheta = inf\n")
+        cfg.write_text(cfg.read_text().replace("kind = esc", "kind = average"))
+        out = tmp_path / "o"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == EXIT_USAGE
+        assert "initial_vartheta" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("kind", ["average", "standard"])

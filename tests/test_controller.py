@@ -25,7 +25,6 @@ from diffesc.controller import (
     realtime_control,
     transform_scalar,
 )
-from diffesc.dither import DitherParams
 from diffesc.filters import LOW_PASS, FirstOrderFilter
 from diffesc.heat import Grid, integrate_profile
 
@@ -175,14 +174,12 @@ def make_state(c=10.0, dt=1e-3, K=0.2, theta_hat=0.0):
 
 
 class TestRealtimeControl:
-    dither = DitherParams(0.2, 10.0, 1.0)
-
     def test_zero_estimates_decay_filter_state(self):
         state = make_state()
         state.T_filter.state = 1.0
         prev = 1.0
         for k in range(50):
-            u = realtime_control(state, 0.0, 0.0, 0.0, k * 1e-3, self.dither)
+            u = realtime_control(state, 0.0, 0.0, 0.0, 0.2 * math.sin(10.0 * k * 1e-3))
             assert abs(u) < abs(prev) or u == 0.0
             prev = u
         assert abs(prev) < math.exp(-10.0 * 49e-3) * 1.01
@@ -191,7 +188,7 @@ class TestRealtimeControl:
         state = make_state(c=1e6)
         G_hat, H_hat, Theta, t = 1.3, -2.0, 0.4, 0.21
         for _ in range(3):
-            u = realtime_control(state, G_hat, H_hat, Theta, t, self.dither)
+            u = realtime_control(state, G_hat, H_hat, Theta, 0.2 * math.sin(10.0 * t))
         feedback = 1.0 * state.theta_hat - Theta + 0.2 * math.sin(10.0 * t)
         bracket = 0.2 * (G_hat + H_hat * feedback)
         assert u == pytest.approx(bracket, rel=1e-3)
@@ -211,7 +208,7 @@ class TestRealtimeControl:
         theta_hat = weighted + Theta - 0.2 * math.sin(10.0 * t)  # L = 1
         state = make_state(c=1e7, theta_hat=theta_hat)
         for _ in range(3):
-            u_rt = realtime_control(state, H * vartheta, H, Theta, t, self.dither)
+            u_rt = realtime_control(state, H * vartheta, H, Theta, 0.2 * math.sin(10.0 * t))
         # with exact averages the bracket reduces to K_bar * (vartheta + weighted)
         u_avg = average_control(kern, H * vartheta, H, u_profile, grid, K)
         assert u_rt == pytest.approx(u_avg, rel=1e-3)

@@ -218,19 +218,6 @@ def test_demodulation_signals():
                                hessian_demod(p, ts), atol=1e-10)
 
 
-@settings(max_examples=200, deadline=None)
-@given(t=st.floats(0.0, 1e4), omega=st.floats(0.1, 200.0), a=st.floats(1e-3, 5.0))
-def test_demodulation_float_path_matches_array_path(t, omega, a):
-    # the loop passes Python floats (math); arrays take the NumPy expression
-    p = DitherParams(a, omega, 1.0)
-    for demod in (gradient_demod, hessian_demod):
-        array_value = demod(p, np.array([t]))[0]
-        for scalar in (t, np.float64(t)):
-            value = demod(p, scalar)
-            assert type(value) is float
-            assert abs(value - array_value) <= np.spacing(abs(array_value))
-
-
 def test_phase_branch_selection():
     p = DitherParams(0.2, 10.0, 1.0)
     # huge zero tolerance forces the degenerate branch: sign(psi1) * pi/2

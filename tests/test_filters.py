@@ -9,7 +9,7 @@ import math
 import numpy as np
 import pytest
 
-from diffesc.dither import DitherParams
+from diffesc.dither import DitherParams, gradient_demod, hessian_demod
 from diffesc.filters import (
     HIGH_PASS,
     LOW_PASS,
@@ -75,8 +75,8 @@ def test_filter_validation_and_reset():
         FirstOrderFilter(LOW_PASS, 1.0, 0.0)
     f = FirstOrderFilter(LOW_PASS, 1.0, 0.01, state=0.3)
     f.step(1.0)
-    f.reset()
-    assert f.state == 0.0
+    f.state = 0.0
+    assert f.step(1.0) == pytest.approx(1.0 - math.exp(-0.01), abs=1e-15)
 
 
 def test_gradient_estimate_of_constant_output_averages_out():
@@ -86,9 +86,10 @@ def test_gradient_estimate_of_constant_output_averages_out():
     dt = 1e-3
     washout = FirstOrderFilter(HIGH_PASS, 1.0, dt)
     period_samples = round(p.period / dt)
+    demod = gradient_demod(p, np.arange(12_000) * dt)
     values = []
     for k in range(12_000):
-        values.append(estimate_gradient(5.0, k * dt, p, washout))
+        values.append(estimate_gradient(5.0, demod.item(k), washout))
     late = np.array(values[-period_samples:])
     assert abs(late.mean()) < 1e-3
 
@@ -96,19 +97,15 @@ def test_gradient_estimate_of_constant_output_averages_out():
 def test_hessian_estimate_of_zero_output_is_zero():
     p = DitherParams(0.2, 10.0, 1.0)
     smoother = FirstOrderFilter(LOW_PASS, 1.0, 1e-3)
-    for k in range(100):
-        out = estimate_hessian(0.0, k * 1e-3, p, smoother)
+    for demod in hessian_demod(p, np.arange(100) * 1e-3):
+        out = estimate_hessian(0.0, demod.item(), smoother)
     assert out == 0.0
 
 
-def test_estimators_reject_tiny_amplitude():
+def test_period_average_rejects_tiny_amplitude():
     p = DitherParams(1e-12, 10.0, 1.0)
-    washout = FirstOrderFilter(HIGH_PASS, 1.0, 1e-3)
-    smoother = FirstOrderFilter(LOW_PASS, 1.0, 1e-3)
     with pytest.raises(ValueError, match="amplitude"):
-        estimate_gradient(1.0, 0.0, p, washout)
-    with pytest.raises(ValueError, match="amplitude"):
-        estimate_hessian(1.0, 0.0, p, smoother)
+        period_average_estimates(p, y_star=5.0, H=-2.0, vartheta=0.3)
 
 
 @pytest.mark.parametrize("vartheta", [0.0, 0.3, -1.2, 2.5])

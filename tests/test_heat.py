@@ -20,7 +20,6 @@ from diffesc.heat import (
     Grid,
     SolverConfig,
     convergence_order,
-    field_norm_l2,
     integrate_profile,
     integration_weights,
     linear_functional,
@@ -37,33 +36,39 @@ def reference_field():
     return lambda x, t: dither_field(design, x, t)
 
 
-def march(field, boundary_fn, cfg, n_steps):
+def march(field, boundary_fn, dt, n_steps):
     for k in range(n_steps):
-        step(field, float(boundary_fn((k + 1) * cfg.dt)), cfg)
+        step(field, float(boundary_fn((k + 1) * dt)))
     return field
+
+
+def l2_norm(field):
+    return math.sqrt(integrate_profile(field.alpha**2, field.grid.dx, "trapezoid"))
+
+
+CN = SolverConfig(dt=1e-3)
 
 
 @pytest.mark.parametrize("scheme", ["crank_nicolson", "implicit_euler"])
 def test_constant_boundary_reaches_steady_state(scheme):
     grid = Grid(1.0, 51)
-    cfg = SolverConfig(dt=2e-3, scheme=scheme)
-    fld = make_field(grid, initial=lambda x: np.sin(5 * x) + 1.0)
-    march(fld, lambda t: 3.0, cfg, 10_000)
+    fld = make_field(grid, SolverConfig(dt=2e-3, scheme=scheme),
+                     initial=lambda x: np.sin(5 * x) + 1.0)
+    march(fld, lambda t: 3.0, 2e-3, 10_000)
     assert np.max(np.abs(fld.alpha - 3.0)) < 1e-6
 
 
 def test_zero_stays_zero():
     grid = Grid(1.0, 31)
-    fld = make_field(grid)
-    march(fld, lambda t: 0.0, SolverConfig(dt=1e-3), 500)
+    fld = make_field(grid, CN)
+    march(fld, lambda t: 0.0, CN.dt, 500)
     assert np.all(fld.alpha == 0.0)
 
 
 def test_tracks_exact_solution(reference_field):
     grid = Grid(1.0, 101)
-    cfg = SolverConfig(dt=1e-3)
-    fld = make_field(grid, initial=lambda x: reference_field(x, 0.0))
-    march(fld, lambda t: reference_field(1.0, t), cfg, 1000)
+    fld = make_field(grid, CN, initial=lambda x: reference_field(x, 0.0))
+    march(fld, lambda t: reference_field(1.0, t), CN.dt, 1000)
     assert np.max(np.abs(fld.alpha - reference_field(grid.nodes(), 1.0))) < 1e-4
 
 
@@ -71,14 +76,14 @@ def test_explicit_scheme_and_stability_gate(reference_field):
     grid = Grid(1.0, 26)
     dx = grid.dx
     cfg = SolverConfig(dt=0.4 * dx * dx, scheme="explicit_euler")
-    fld = make_field(grid, initial=lambda x: reference_field(x, 0.0))
+    fld = make_field(grid, cfg, initial=lambda x: reference_field(x, 0.0))
     n = round(0.2 / cfg.dt)
-    march(fld, lambda t: reference_field(1.0, t), cfg, n)
+    march(fld, lambda t: reference_field(1.0, t), cfg.dt, n)
     assert np.max(np.abs(fld.alpha - reference_field(grid.nodes(), n * cfg.dt))) < 5e-3
 
     bad = SolverConfig(dt=0.6 * dx * dx, scheme="explicit_euler")
     with pytest.raises(ValueError, match="unstable"):
-        step(make_field(grid), 0.0, bad)
+        make_field(grid, bad)
 
 
 def test_rejects_non_finite_state_with_node_index():
@@ -86,22 +91,21 @@ def test_rejects_non_finite_state_with_node_index():
     initial = np.zeros(grid.n)
     initial[4] = math.nan
     with pytest.raises(ValueError, match="node 4"):
-        make_field(grid, initial=initial)
+        make_field(grid, CN, initial=initial)
     with pytest.raises(ValueError):
-        step(make_field(grid), math.inf, SolverConfig(dt=1e-3))
+        step(make_field(grid, CN), math.inf)
 
 
 def test_implicit_euler_maximum_principle():
     rng = np.random.default_rng(42)
     grid = Grid(1.0, 41)
     initial = rng.uniform(-1.0, 2.0, grid.n)
-    fld = make_field(grid, initial=initial)
-    cfg = SolverConfig(dt=5e-3, scheme="implicit_euler")
+    fld = make_field(grid, SolverConfig(dt=5e-3, scheme="implicit_euler"), initial=initial)
     boundaries = rng.uniform(-0.5, 1.5, 400)
     lo = min(initial.min(), boundaries.min())
     hi = max(initial.max(), boundaries.max())
     for b in boundaries:
-        step(fld, float(b), cfg)
+        step(fld, float(b))
         assert fld.alpha.min() >= lo - 1e-12
         assert fld.alpha.max() <= hi + 1e-12
 
@@ -111,12 +115,11 @@ def test_crank_nicolson_norm_nonincreasing_with_zero_boundary():
     grid = Grid(1.0, 41)
     initial = rng.standard_normal(grid.n)
     initial[-1] = 0.0
-    fld = make_field(grid, initial=initial)
-    cfg = SolverConfig(dt=5e-3)
-    prev = field_norm_l2(fld)
+    fld = make_field(grid, SolverConfig(dt=5e-3), initial=initial)
+    prev = l2_norm(fld)
     for _ in range(200):
-        step(fld, 0.0, cfg)
-        cur = field_norm_l2(fld)
+        step(fld, 0.0)
+        cur = l2_norm(fld)
         assert cur <= prev + 1e-13
         prev = cur
 
@@ -124,8 +127,8 @@ def test_crank_nicolson_norm_nonincreasing_with_zero_boundary():
 def test_step_is_deterministic(reference_field):
     def run():
         grid = Grid(1.0, 51)
-        fld = make_field(grid, initial=lambda x: reference_field(x, 0.0))
-        march(fld, lambda t: reference_field(1.0, t), SolverConfig(dt=1e-3), 300)
+        fld = make_field(grid, CN, initial=lambda x: reference_field(x, 0.0))
+        march(fld, lambda t: reference_field(1.0, t), CN.dt, 300)
         return fld.alpha
 
     assert np.array_equal(run(), run())
@@ -133,11 +136,12 @@ def test_step_is_deterministic(reference_field):
 
 def test_spatial_integral_exact_cases():
     grid = Grid(1.0, 101)
-    const = make_field(grid, initial=lambda x: 2.5 * np.ones_like(x))
+    trapezoid = linear_functional(grid, integration_weights(grid.n, grid.dx, "trapezoid"))
+    const = make_field(grid, CN, initial=lambda x: 2.5 * np.ones_like(x))
     assert spatial_integral(const) == pytest.approx(2.5, abs=1e-14)
-    assert spatial_integral(const, rule="trapezoid") == pytest.approx(2.5, abs=1e-14)
-    linear = make_field(grid, initial=lambda x: x)
-    assert spatial_integral(linear, rule="trapezoid") == pytest.approx(0.5, abs=1e-12)
+    assert trapezoid(const) == pytest.approx(2.5, abs=1e-14)
+    linear = make_field(grid, CN, initial=lambda x: x)
+    assert trapezoid(linear) == pytest.approx(0.5, abs=1e-12)
     assert spatial_integral(linear) == pytest.approx(0.5, abs=1e-12)
 
 
@@ -210,34 +214,19 @@ def test_grid_and_config_validation():
     with pytest.raises(ValueError):
         SolverConfig(dt=1e-3, scheme="rk4").validate()
     with pytest.raises(ValueError):
-        make_field(Grid(1.0, 11), initial=np.ones(7))
-    with pytest.raises(ValueError):
-        make_field(Grid(1.0, 11), diffusion=0.0)
+        make_field(Grid(1.0, 11), CN, initial=np.ones(7))
 
 
 def test_boundary_value_stored_on_field():
     grid = Grid(1.0, 21)
-    fld = make_field(grid)
-    step(fld, 1.7, SolverConfig(dt=1e-3))
+    fld = make_field(grid, CN)
+    step(fld, 1.7)
     assert fld.alpha[-1] == 1.7
-    assert fld.t == pytest.approx(1e-3)
 
 
-def test_diffusion_coefficient_scales_dynamics():
-    # with eps != 1 the field relaxes at a rate scaled by eps
-    grid = Grid(1.0, 51)
-    out = {}
-    for eps in (0.5, 2.0):
-        fld = make_field(grid, initial=lambda x: np.cos(np.pi * x / 2), diffusion=eps)
-        march(fld, lambda t: 0.0, SolverConfig(dt=1e-3), 400)
-        out[eps] = float(np.max(np.abs(fld.alpha)))
-    # slowest mode decays like exp(-eps (pi/2)^2 t); ratio of logs ~ ratio of eps
-    assert math.log(out[0.5]) / math.log(out[2.0]) == pytest.approx(0.25, rel=0.05)
-
-
-def banded_step(alpha, boundary_theta, dx, dt, scheme, eps):
+def banded_step(alpha, boundary_theta, dx, dt, scheme):
     """Reference stepper: one branch per scheme, one banded solve per step."""
-    r = eps * dt / (dx * dx)
+    r = dt / (dx * dx)
     v = alpha[:-1]
     theta_old = alpha[-1]
     if scheme == "explicit_euler":
@@ -269,41 +258,38 @@ def banded_step(alpha, boundary_theta, dx, dt, scheme, eps):
 def stepping_cases(draw):
     n = draw(st.integers(3, 300))
     scheme = draw(st.sampled_from(SCHEMES))
-    eps = draw(st.floats(0.1, 2.0))
     dx = 1.0 / (n - 1)
     if scheme == "explicit_euler":
-        dt = draw(st.floats(0.01, 1.0)) * dx * dx / (2.0 * eps)
+        dt = draw(st.floats(0.01, 1.0)) * dx * dx / 2.0
     else:
-        dt = draw(st.floats(1e-5, 1e-2))
+        dt = draw(st.floats(1e-6, 2e-2))
     unit = st.floats(-1.0, 1.0)
     initial = draw(arrays(np.float64, n, elements=unit))
     boundary = draw(st.lists(unit, min_size=1, max_size=40))
-    return n, scheme, eps, dt, initial, boundary
+    return n, scheme, dt, initial, boundary
 
 
 @settings(max_examples=80, deadline=None)
 @given(stepping_cases())
 def test_step_matches_banded_reference(case):
-    n, scheme, eps, dt, initial, boundary = case
+    n, scheme, dt, initial, boundary = case
     grid = Grid(1.0, n)
-    fld = make_field(grid, initial=initial, diffusion=eps)
+    fld = make_field(grid, SolverConfig(dt=dt, scheme=scheme), initial=initial)
     ref = initial.copy()
-    cfg = SolverConfig(dt=dt, scheme=scheme)
     for b in boundary:
-        step(fld, b, cfg)
-        banded_step(ref, b, grid.dx, dt, scheme, eps)
+        step(fld, b)
+        banded_step(ref, b, grid.dx, dt, scheme)
         assert np.max(np.abs(fld.alpha - ref)) <= 1e-12
 
 
 def test_crank_nicolson_long_run_matches_banded_reference(reference_field):
     grid = Grid(1.0, 101)
-    cfg = SolverConfig(dt=1e-3)
-    fld = make_field(grid, initial=lambda x: reference_field(x, 0.0))
+    fld = make_field(grid, CN, initial=lambda x: reference_field(x, 0.0))
     ref = fld.alpha.copy()
     for k in range(10_000):
-        b = float(reference_field(1.0, (k + 1) * cfg.dt))
-        step(fld, b, cfg)
-        banded_step(ref, b, grid.dx, cfg.dt, cfg.scheme, 1.0)
+        b = float(reference_field(1.0, (k + 1) * CN.dt))
+        step(fld, b)
+        banded_step(ref, b, grid.dx, CN.dt, CN.scheme)
     assert np.max(np.abs(fld.alpha - ref)) <= 1e-12
     assert np.max(np.abs(fld.alpha - reference_field(grid.nodes(), 10.0))) < 1e-4
 
@@ -312,43 +298,18 @@ def test_step_factors_built_once_and_read_only():
     grid = Grid(1.0, 21)
     cfg = SolverConfig(dt=1.2345e-3)
     misses = _propagator.cache_info().misses
-    march(make_field(grid), lambda t: math.sin(t), cfg, 50)
+    fld = march(make_field(grid, cfg), lambda t: math.sin(t), cfg.dt, 50)
     assert _propagator.cache_info().misses == misses + 1
-    lam, f, _ = _propagator(grid.n - 1, grid.dx, cfg.dt, cfg.scheme, 1.0)
+    lam, f, _ = _propagator(grid.n - 1, grid.dx, cfg.dt, cfg.scheme)
+    assert fld.lam is lam and fld.f is f
     assert _modes(grid.n - 1) is _modes(grid.n - 1)
     for arr in (lam, f, _modes(grid.n - 1)):
         with pytest.raises(ValueError, match="read-only"):
             arr[0] = 1.0
 
 
-def test_field_rebinds_propagator_and_integral_on_change():
-    # the field binds one propagator per (dt, scheme) and one functional per
-    # quadrature rule: switching configs or rules, or editing a config in
-    # place, must use the matching one
-    grid = Grid(1.0, 21)
-    initial = np.cos(grid.nodes())
-    fld = make_field(grid, initial=initial)
-    ref = initial.copy()
-    cn, ie = SolverConfig(dt=1e-3), SolverConfig(dt=4e-3, scheme="implicit_euler")
-    ie_same_dt = SolverConfig(dt=1e-3, scheme="implicit_euler")
-    for k, cfg in enumerate([cn, ie, cn, cn, ie_same_dt, ie, cn]):
-        b = math.sin(0.3 * k)
-        step(fld, b, cfg)
-        banded_step(ref, b, grid.dx, cfg.dt, cfg.scheme, 1.0)
-        assert np.max(np.abs(fld.alpha - ref)) <= 1e-12
-    cn.dt = 2e-3
-    step(fld, 0.5, cn)
-    banded_step(ref, 0.5, grid.dx, 2e-3, "crank_nicolson", 1.0)
-    assert np.max(np.abs(fld.alpha - ref)) <= 1e-12
-    assert fld.t == pytest.approx(5 * 1e-3 + 2 * 4e-3 + 2e-3)
-    for rule in ("auto", "trapezoid", "simpson", "trapezoid", "auto"):
-        expected = integrate_profile(fld.alpha, grid.dx, rule)
-        assert spatial_integral(fld, rule) == pytest.approx(expected, rel=0, abs=1e-14)
-    assert abs(spatial_integral(fld, "trapezoid") - spatial_integral(fld)) > 1e-6
-
-
 def test_field_profile_is_read_only():
-    fld = make_field(Grid(1.0, 11), initial=lambda x: x)
+    fld = make_field(Grid(1.0, 11), CN, initial=lambda x: x)
     with pytest.raises(ValueError, match="read-only"):
         fld.alpha[3] = 1.0
     assert fld.alpha[3] == pytest.approx(0.3, abs=1e-15)
@@ -369,7 +330,7 @@ def unit_vectors(n):
 @example(profile=np.ones(685))          # error 1.23e-13, ~0.2 of the bound
 def test_profile_round_trip(profile):
     m = profile.size - 1
-    alpha = make_field(Grid(1.0, profile.size), initial=profile).alpha
+    alpha = make_field(Grid(1.0, profile.size), CN, initial=profile).alpha
     assert np.max(np.abs(alpha - profile)) <= 4 * m * EPS * max(1.0, np.max(np.abs(profile)))
 
 
@@ -381,8 +342,8 @@ def test_linear_functional_matches_nodal_dot_product(case):
     weights, profile, boundary = case
     n = weights.size
     grid = Grid(1.0, n)
-    fld = make_field(grid, initial=profile)
-    step(fld, boundary, SolverConfig(dt=1e-3))
+    fld = make_field(grid, CN, initial=profile)
+    step(fld, boundary)
     # l1 x max-norm rather than sum(|w| * |alpha|): with the weights where the
     # field is ~0 the two sums cancel and the modal one keeps its rounding
     tol = 4 * n * EPS * np.sum(np.abs(weights)) * np.max(np.abs(fld.alpha)) + 1e-300
@@ -393,14 +354,13 @@ def test_crank_nicolson_fine_grid_matches_banded_reference(reference_field):
     # Theta, sampled every 1000 steps, within 1e-12; the nodal profile, which sums
     # m = 800 modal terms per node, within 5e-12 (both measured ~6e-13)
     grid = Grid(1.0, 801)
-    cfg = SolverConfig(dt=1e-3)
-    fld = make_field(grid, initial=lambda x: reference_field(x, 0.0))
+    fld = make_field(grid, CN, initial=lambda x: reference_field(x, 0.0))
     ref = fld.alpha.copy()
     w = integration_weights(grid.n, grid.dx)
     for k in range(10_000):
-        b = float(reference_field(1.0, (k + 1) * cfg.dt))
-        step(fld, b, cfg)
-        banded_step(ref, b, grid.dx, cfg.dt, cfg.scheme, 1.0)
+        b = float(reference_field(1.0, (k + 1) * CN.dt))
+        step(fld, b)
+        banded_step(ref, b, grid.dx, CN.dt, CN.scheme)
         if k % 1000 == 999:
             assert abs(spatial_integral(fld) - w @ ref) <= 1e-12
     assert np.max(np.abs(fld.alpha - ref)) <= 5e-12
@@ -410,18 +370,16 @@ def test_crank_nicolson_fine_grid_matches_banded_reference(reference_field):
 @given(
     n=st.integers(3, 120),
     scheme=st.sampled_from(["crank_nicolson", "implicit_euler"]),
-    dt=st.floats(1e-5, 1e-1),
-    eps=st.floats(0.1, 2.0),
+    dt=st.floats(1e-6, 2e-1),
     data=st.data(),
 )
-def test_l2_norm_nonincreasing_with_zero_boundary(n, scheme, dt, eps, data):
+def test_l2_norm_nonincreasing_with_zero_boundary(n, scheme, dt, data):
     initial = data.draw(arrays(np.float64, n, elements=st.floats(-1.0, 1.0)))
     initial[-1] = 0.0
-    fld = make_field(Grid(1.0, n), initial=initial, diffusion=eps)
-    cfg = SolverConfig(dt=dt, scheme=scheme)
-    prev = field_norm_l2(fld)
+    fld = make_field(Grid(1.0, n), SolverConfig(dt=dt, scheme=scheme), initial=initial)
+    prev = l2_norm(fld)
     for _ in range(30):
-        step(fld, 0.0, cfg)
-        cur = field_norm_l2(fld)
+        step(fld, 0.0)
+        cur = l2_norm(fld)
         assert cur <= prev * (1.0 + 1e-12) + 1e-15
         prev = cur

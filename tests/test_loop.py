@@ -71,16 +71,16 @@ class TestStaticMap:
 def numpy_scalar_loop(config):
     """run_esc's loop body with every per-step scalar a NumPy scalar.
 
-    The reference for the float path: time from the sample array, the map
-    squared by ``**`` and both demodulation signals through ``np.sin`` /
-    ``np.cos``.  Returns the recorded rows as columns.
+    The reference for the precomputed time signals: time from the sample
+    array, the map squared by ``**``, and the probe and both demodulation
+    signals through ``np.sin`` / ``np.cos`` at each step.  Returns the
+    recorded rows as columns.
     """
     dith, dt, m = config.dither, config.solver.dt, config.map
     n_steps = round(config.T_final / dt)
     t_all = np.arange(n_steps + 1) * dt
     S_all = dither_signal(design_dither(dith), t_all)
-    asin_all = dith.a * np.sin(dith.omega * t_all)
-    fld = make_field(config.grid, initial=config.initial_alpha)
+    fld = make_field(config.grid, config.solver, initial=config.initial_alpha)
     washout_g = FirstOrderFilter(HIGH_PASS, config.washout_corner, dt)
     washout_h = FirstOrderFilter(HIGH_PASS, config.washout_corner, dt)
     smoother = FirstOrderFilter(LOW_PASS, config.hessian_corner, dt)
@@ -95,14 +95,36 @@ def numpy_scalar_loop(config):
         G_hat = float((2.0 / dith.a) * np.sin(dith.omega * np.asarray(t))) * washout_g.step(y)
         demod_h = float((-8.0 / dith.a**2) * np.cos(2.0 * dith.omega * np.asarray(t)))
         H_hat = smoother.step(demod_h * washout_h.step(y))
-        U = realtime_control(ctrl, G_hat, H_hat, Theta, t, dith)
+        probe = float(dith.a * np.sin(dith.omega * np.asarray(t)))
+        U = realtime_control(ctrl, G_hat, H_hat, Theta, probe)
         if k % config.record_every == 0:
             rows.append((t, ctrl.theta_hat + S_all[k], Theta, y, U, G_hat, H_hat, S_all[k],
-                         Theta - asin_all[k] - m.theta_star))
+                         Theta - probe - m.theta_star))
         if k == n_steps:
             break
         integrate_theta_hat(ctrl, U, dt)
-        step(fld, ctrl.theta_hat + S_all[k + 1], config.solver)
+        step(fld, ctrl.theta_hat + S_all[k + 1])
+    return np.array(rows).T
+
+
+def math_scalar_loop(config):
+    """run_standard_esc's loop with the probe and both demodulation signals
+    through ``math.sin`` / ``math.cos`` at each step.  Returns the recorded
+    rows as columns."""
+    dith, dt, m, K = config.dither, config.solver.dt, config.map, config.gains.K
+    theta_hat = config.initial_theta_hat
+    rows = []
+    for k in range(round(config.T_final / dt) + 1):
+        t = k * dt
+        S = dith.a * math.sin(dith.omega * t)
+        y = m.y_star + 0.5 * m.H * (theta_hat + S - m.theta_star) ** 2
+        G_hat = (2.0 / dith.a) * math.sin(dith.omega * t) * y
+        H_hat = (-8.0 / dith.a**2) * math.cos(2.0 * dith.omega * t) * y
+        U = K * G_hat
+        if k % config.record_every == 0:
+            rows.append((t, theta_hat + S, theta_hat + S, y, U, G_hat, H_hat, S,
+                         theta_hat - m.theta_star))
+        theta_hat += dt * U
     return np.array(rows).T
 
 
@@ -255,6 +277,12 @@ class TestAverageSystem:
 
 
 class TestStandardEsc:
+    def test_precomputed_signals_match_math_scalar_loop(self):
+        cfg = scenario(T=3.0)
+        rec = run_standard_esc(cfg)
+        for name, ref in zip(TRAJECTORY_COLUMNS.split(","), math_scalar_loop(cfg)):
+            assert np.max(np.abs(getattr(rec, name) - ref)) <= 1e-12, name
+
     def test_zero_gain_freezes(self):
         rec = run_standard_esc(scenario(T=2.0, gains=GainConfig(K=0.0, c=10.0)))
         assert np.max(np.abs(rec.vartheta - rec.vartheta[0])) == 0.0
