@@ -22,7 +22,6 @@ from .controller import (
     GainConfig,
     average_control,
     check_gain,
-    forbidden_gains,
     ideal_control,
     integrate_theta_hat,
     make_kernel,

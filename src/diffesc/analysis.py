@@ -31,6 +31,11 @@ __all__ = [
     "format_report",
 ]
 
+DECAY_WINDOW = 0.5          # trailing fraction of a record that fit_decay fits
+DECAY_FLOOR = 1e-280        # fit_decay leaves out samples at or below it as rounding noise
+RESIDUAL_WINDOW = 0.2       # trailing fraction of a run that late_time_residuals averages
+RESIDUAL_FLOOR = 1e-12      # residuals below it sit at the solver error floor
+
 
 @dataclass(frozen=True)
 class TargetState:
@@ -131,35 +136,35 @@ class DecayFit:
     note: str = ""
 
 
-def fit_decay(t: np.ndarray, omega_series: np.ndarray, window: float = 0.5,
-              floor: float = 1e-280) -> DecayFit:
-    """Least-squares line on log(values) over the trailing ``window`` fraction.
+def _line_fit(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float]:
+    """Least-squares line y ~ slope*x + intercept: (slope, intercept, R^2)."""
+    slope, intercept = np.polyfit(x, y, 1)
+    fitted = slope * x + intercept
+    ss_res = float(np.sum((y - fitted) ** 2))
+    ss_tot = float(np.sum((y - y.mean()) ** 2))
+    return float(slope), float(intercept), (1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0)
 
-    Non-positive or sub-floor values are excluded (noted); the fit is flagged
-    degenerate when fewer than 3 usable points remain.
+
+def fit_decay(t: np.ndarray, omega_series: np.ndarray) -> DecayFit:
+    """Least-squares line on log(values) over the trailing ``DECAY_WINDOW`` (half).
+
+    Values at or below ``DECAY_FLOOR`` are excluded (noted); the fit is
+    flagged degenerate when fewer than 3 usable points remain.
     """
     t = np.asarray(t, dtype=float)
     vals = np.asarray(omega_series, dtype=float)
     if t.shape != vals.shape or t.size < 3:
         raise ValueError("need matching t/value arrays with at least 3 samples")
-    if not 0.0 < window <= 1.0:
-        raise ValueError("window must be in (0, 1]")
-    t0 = t[-1] - window * (t[-1] - t[0])
+    t0 = t[-1] - DECAY_WINDOW * (t[-1] - t[0])
     sel = t >= t0
-    usable = sel & (vals > floor)
+    usable = sel & (vals > DECAY_FLOOR)
     note = ""
     if usable.sum() < sel.sum():
         note = f"excluded {int(sel.sum() - usable.sum())} samples at/below the rounding floor"
     if usable.sum() < 3:
         return DecayFit(math.nan, math.nan, math.nan, (float(t0), float(t[-1])),
                         int(usable.sum()), True, note or "too few usable samples")
-    tt = t[usable]
-    logv = np.log(vals[usable])
-    slope, intercept = np.polyfit(tt, logv, 1)
-    fitted = slope * tt + intercept
-    ss_res = float(np.sum((logv - fitted) ** 2))
-    ss_tot = float(np.sum((logv - logv.mean()) ** 2))
-    r2 = 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0
+    slope, intercept, r2 = _line_fit(t[usable], np.log(vals[usable]))
     ref = vals[0] if vals[0] > 0 else math.nan
     eta_hat = math.exp(intercept) / ref if ref == ref and ref > 0 else math.nan
     return DecayFit(
@@ -173,13 +178,11 @@ def fit_decay(t: np.ndarray, omega_series: np.ndarray, window: float = 0.5,
     )
 
 
-def late_time_residuals(record: TrajectoryRecord, map_: StaticMap,
-                        window: float = 0.2) -> tuple[float, float]:
-    """Trailing-window time means of |y - y*| and |Theta - Theta*|."""
-    if not 0.0 < window <= 1.0:
-        raise ValueError("window must be in (0, 1]")
+def late_time_residuals(record: TrajectoryRecord, map_: StaticMap) -> tuple[float, float]:
+    """Time means of |y - y*| and |Theta - Theta*| over the trailing
+    ``RESIDUAL_WINDOW`` (fifth) of the run."""
     t = record.t
-    sel = t >= t[-1] - window * (t[-1] - t[0])
+    sel = t >= t[-1] - RESIDUAL_WINDOW * (t[-1] - t[0])
     y_res = float(np.mean(np.abs(record.y[sel] - map_.y_star)))
     theta_res = float(np.mean(np.abs(record.Theta[sel] - map_.theta_star)))
     return y_res, theta_res
@@ -200,22 +203,12 @@ class ScalingFit:
     note: str = ""
 
 
-def _loglog_slope(xs: np.ndarray, ys: np.ndarray) -> tuple[float, float]:
-    lx, ly = np.log(xs), np.log(ys)
-    slope, intercept = np.polyfit(lx, ly, 1)
-    fitted = slope * lx + intercept
-    ss_res = float(np.sum((ly - fitted) ** 2))
-    ss_tot = float(np.sum((ly - ly.mean()) ** 2))
-    return float(slope), (1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0)
-
-
-def residual_scaling(runs, map_: StaticMap, window: float = 0.2,
-                     error_floor: float = 1e-12) -> ScalingFit:
+def residual_scaling(runs, map_: StaticMap) -> ScalingFit:
     """Fit residual-vs-amplitude exponents from (amplitude, record) pairs.
 
     Expected exponents for a quadratic map at fixed large frequency: about 2
     for the output residual and about 1 for the input residual.  Fewer than
-    3 amplitudes, or residuals at the solver error floor, are inconclusive.
+    3 amplitudes, or residuals below ``RESIDUAL_FLOOR``, are inconclusive.
     """
     entries = sorted(runs, key=lambda ar: -ar[0])
     amps = np.array([a for a, _ in entries], dtype=float)
@@ -224,17 +217,17 @@ def residual_scaling(runs, map_: StaticMap, window: float = 0.2,
                           True, "need at least 3 amplitudes")
     y_res, th_res = [], []
     for _, rec in entries:
-        yr, tr = late_time_residuals(rec, map_, window)
+        yr, tr = late_time_residuals(rec, map_)
         y_res.append(yr)
         th_res.append(tr)
     y_res = np.array(y_res)
     th_res = np.array(th_res)
-    if np.any(y_res < error_floor) or np.any(th_res < error_floor):
+    if np.any(y_res < RESIDUAL_FLOOR) or np.any(th_res < RESIDUAL_FLOOR):
         return ScalingFit(tuple(amps), tuple(y_res), tuple(th_res),
                           math.nan, math.nan, math.nan, math.nan, True,
                           "residuals at solver error floor")
-    y_exp, y_r2 = _loglog_slope(amps, y_res)
-    th_exp, th_r2 = _loglog_slope(amps, th_res)
+    y_exp, _, y_r2 = _line_fit(np.log(amps), np.log(y_res))
+    th_exp, _, th_r2 = _line_fit(np.log(amps), np.log(th_res))
     return ScalingFit(
         amplitudes=tuple(float(a) for a in amps),
         y_residuals=tuple(float(v) for v in y_res),

@@ -28,8 +28,9 @@ from pathlib import Path
 import numpy as np
 
 from . import analysis, svgplot
-from .controller import GainConfig, check_gain
-from .dither import DitherParams, design_dither, dither_field, dither_signal, gauss_legendre, verify_integral_identity
+from .controller import GainConfig, make_kernel
+from .dither import (QUADRATURE_NODES, DitherParams, design_dither, dither_field, dither_signal,
+                     gauss_legendre, verify_integral_identity)
 from .heat import Grid, SolverConfig
 from .loop import (
     ScenarioConfig,
@@ -136,9 +137,9 @@ class RunPlan:
         if not math.isfinite(self.initial_vartheta):
             raise ConfigError(f"[average] initial_vartheta must be finite, "
                               f"got {self.initial_vartheta}")
-        if self.kind == "average" and not self.allow_unstable:
-            K_bar = cfg.gains.K * cfg.map.H if self.K_bar is None else self.K_bar
-            check_gain(K_bar, cfg.grid.L)
+        if self.kind == "average":     # the gate run_average_system applies
+            make_kernel(cfg.K_bar if self.K_bar is None else self.K_bar, cfg.grid.L,
+                        check=not self.allow_unstable)
 
 
 def _execute_run(out_dir: Path, scenario: str, config_path: str, write):
@@ -216,7 +217,7 @@ def _run_average_outputs(plan: RunPlan, out):
                        [("Omega(t)", rec.t, rec.Omega)], y_log=True)
     svgplot.line_chart(out("error.svg"), "Averaged tracking error", "t [s]", "vartheta",
                        [("vartheta(t)", rec.t, rec.vartheta)])
-    fit = analysis.fit_decay(rec.t, rec.Omega, window=0.5)
+    fit = analysis.fit_decay(rec.t, rec.Omega)
     if not fit.degenerate:
         analysis.save_fit_residuals_csv(rec.t, rec.Omega, fit, out("fit_residuals.csv"))
     report = {
@@ -288,7 +289,7 @@ def cmd_design_dither(args) -> int:
     print(f"psi = {design.psi:.6f} rad")
     print()
     print(f"{'t':>10} {'dither':>12} {'a*sin(wt)':>12} {'integral':>12}")
-    x, w = gauss_legendre(64, 0.0, params.L)
+    x, w = gauss_legendre(QUADRATURE_NODES, 0.0, params.L)
     for j in range(args.samples):
         t = j * params.period / (args.samples - 1) if args.samples > 1 else 0.0
         s_val = float(dither_signal(design, t))
@@ -343,23 +344,33 @@ def cmd_sweep(args) -> int:
               file=sys.stderr)
         return EXIT_USAGE
 
+    # validate every member first; when none is valid, exit 2 and write nothing
+    members, failures = {}, {}
+    for v in values:
+        try:
+            members[v] = _sweep_member(plan, args.param, v)
+        except (ConfigError, ValueError) as exc:
+            failures[v] = exc
+    if not members:
+        print(f"error: {failures[values[0]]}", file=sys.stderr)
+        return EXIT_USAGE
+
     out_root = Path(args.out)
     out_root.mkdir(parents=True, exist_ok=True)
-    results, failures = {}, {}
-    for v, label in zip(values, labels):
+    results = {}
+    for v, member in members.items():
         try:
-            member = _sweep_member(plan, args.param, v)
-            results[v] = _execute_run(out_root / f"{args.param}_{label}", "esc", str(path),
+            results[v] = _execute_run(out_root / f"{args.param}_{v:g}", "esc", str(path),
                                       lambda out: _write_trajectory(member, out))
         except Exception as exc:
-            failures[v] = f"{type(exc).__name__}: {exc}"
+            failures[v] = exc
 
     lines = {"sweep_parameter": args.param,
              "values_requested": ",".join(labels),
              "values_completed": ",".join(f"{v:g}" for v in sorted(results)),
              "values_failed": ",".join(f"{v:g}" for v in sorted(failures)) or "none"}
     for v in sorted(failures):
-        lines[f"failure_{v:g}"] = failures[v]
+        lines[f"failure_{v:g}"] = f"{type(failures[v]).__name__}: {failures[v]}"
 
     map_ = plan.config.map
     if args.param == "a" and results:

@@ -11,8 +11,10 @@ Three forms of the same law:
   input enters, and the output is smoothed by a first-order low-pass.
 
 The backstepping kernel maps the error cascade onto an exponentially stable
-target system; its normalization vanishes on a discrete set of forbidden
-gains, which ``check_gain`` rejects up front.
+target system; its normalization vanishes at the singular gains
+-(2k+1)^2 pi^2/(4 L^3), k = 0, 1, 2, ...  ``check_gain`` is the one rule
+for them: it finds the index of the singular gain nearest a given gain in
+closed form and rejects a band around it; ``make_kernel`` applies it.
 """
 from __future__ import annotations
 
@@ -30,7 +32,6 @@ __all__ = [
     "BacksteppingKernel",
     "ControllerState",
     "ForbiddenGainError",
-    "forbidden_gains",
     "check_gain",
     "make_kernel",
     "transform_scalar",
@@ -59,38 +60,37 @@ class GainConfig:
     c: float
 
 
-def forbidden_gains(L: float, kappa_max: int) -> np.ndarray:
-    """Singular compensator gains -(2k+1)^2 pi^2 / (4 L^3), k = 0..kappa_max."""
-    k = np.arange(kappa_max + 1)
-    return -((2 * k + 1) ** 2) * math.pi**2 / (4.0 * L**3)
+# Half-width of the band rejected around each singular gain, in units of pi^2/(4 L^3):
+# the condition is measure-zero, but a near-miss makes the kernel normalization blow up.
+GAIN_TOL = 1e-6
 
 
-def default_gain_tol(L: float) -> float:
-    # relative to the first singular value; the condition is measure-zero but
-    # a near-miss makes the kernel normalization blow up
-    return 1e-6 * math.pi**2 / (4.0 * L**3)
+def check_gain(K_bar: float, L: float) -> int | None:
+    """Reject a compensator gain that is not negative, or that lies within
+    ``GAIN_TOL*pi^2/(4 L^3)`` of a singular value -(2k+1)^2 pi^2/(4 L^3).
 
-
-def check_gain(K_bar: float, L: float, kappa_max: int = 100, tol: float | None = None) -> None:
-    """Reject inadmissible compensator gains; returns silently when fine."""
+    Every k = 0, 1, 2, ... is covered: the k nearest K_bar is found in closed
+    form.  Returns that k when K_bar lies within ten such bands (admissible
+    but badly conditioned), else None.
+    """
     if L <= 0.0:
         raise ValueError(f"domain length must be > 0, got {L}")
-    if not math.isfinite(K_bar):
-        raise ForbiddenGainError(f"compensator gain is not finite: {K_bar}")
+    scaled = -4.0 * L**3 * K_bar        # (2k+1)^2 * pi^2 at the singular gains
+    if not math.isfinite(scaled):
+        raise ForbiddenGainError(f"compensator gain out of range: 4*L^3*K_bar = {-scaled}")
     if K_bar >= 0.0:
         raise ForbiddenGainError(f"compensator gain must be negative, got {K_bar}")
-    if tol is None:
-        tol = default_gain_tol(L)
-    bad = forbidden_gains(L, kappa_max)
-    hits = np.flatnonzero(np.abs(K_bar - bad) < tol)
-    if hits.size:
-        kappa = int(hits[0])
+    kappa = max(0, round((math.sqrt(scaled) / math.pi - 1.0) / 2.0))
+    singular = -((2 * kappa + 1) ** 2) * math.pi**2 / (4.0 * L**3)
+    tol = GAIN_TOL * math.pi**2 / (4.0 * L**3)
+    if abs(K_bar - singular) < tol:
         raise ForbiddenGainError(
             f"compensator gain {K_bar:.6g} lies within {tol:.3g} of the singular value "
-            f"-(2*{kappa}+1)^2*pi^2/(4*L^3) = {bad[kappa]:.6g}; the kernel normalization "
+            f"-(2*{kappa}+1)^2*pi^2/(4*L^3) = {singular:.6g}; the kernel normalization "
             f"vanishes there",
             kappa=kappa,
         )
+    return kappa if abs(K_bar - singular) < 10.0 * tol else None
 
 
 @dataclass(frozen=True)
@@ -99,13 +99,12 @@ class BacksteppingKernel:
 
     A_cl = K_bar * L is the closed-loop rate of the transformed scalar; for
     admissible gains it is negative and the kernel collapses to a real
-    cosine: gamma(x) = K_bar * cos(sqrt(lam) x) / cos(sqrt(lam) L).
+    cosine: gamma(x) = K_bar * cos(sqrt(-A_cl) x) / cos(sqrt(-A_cl) L).
     """
 
     L: float
     K_bar: float
     A_cl: float
-    lam: float      # -A_cl, positive for admissible gains
 
     def g(self, x):
         """Spatial weight (L^2 - x^2)/2; zero at the driven end."""
@@ -115,37 +114,29 @@ class BacksteppingKernel:
     def gamma(self, x):
         """Kernel gain profile; gamma(L) = K_bar exactly."""
         x = np.asarray(x, dtype=float)
-        if self.A_cl < 0.0:
-            root = math.sqrt(self.lam)
-            return self.K_bar * np.cos(root * x) / math.cos(root * self.L)
         if self.A_cl > 0.0:
             root = math.sqrt(self.A_cl)
             return self.K_bar * np.cosh(root * x) / math.cosh(root * self.L)
-        return self.K_bar * np.ones_like(x)
+        root = math.sqrt(-self.A_cl)
+        return self.K_bar * np.cos(root * x) / math.cos(root * self.L)
 
 
 def make_kernel(K_bar: float, L: float, check: bool = True) -> BacksteppingKernel:
     """Build the kernel, gating on gain admissibility.
 
-    ``check=False`` skips the sign gate (used by instability probes) but the
-    singular normalization is always rejected.
+    Every negative gain goes through ``check_gain``: the kernel normalization
+    vanishes at the singular gains, and one within ten bands of them warns
+    that the kernel is badly conditioned.  ``check=False`` skips only the
+    sign gate, for instability probes with K_bar >= 0.
     """
-    if check:
-        check_gain(K_bar, L)
-        try:
-            check_gain(K_bar, L, tol=10.0 * default_gain_tol(L))
-        except ForbiddenGainError as near:
-            warnings.warn(
-                f"compensator gain {K_bar:.6g} is within 10x tolerance of the singular "
-                f"value at kappa={near.kappa}; kernel is badly conditioned",
-                RuntimeWarning,
-            )
-    A_cl = K_bar * L
-    if A_cl < 0.0 and abs(math.cos(math.sqrt(-A_cl) * L)) < 1e-9:
-        raise ForbiddenGainError(
-            f"kernel normalization vanishes for compensator gain {K_bar:.6g}"
+    kappa = check_gain(K_bar, L) if check or K_bar < 0.0 else None
+    if kappa is not None:
+        warnings.warn(
+            f"compensator gain {K_bar:.6g} is within 10x tolerance of the singular "
+            f"value at kappa={kappa}; kernel is badly conditioned",
+            RuntimeWarning,
         )
-    return BacksteppingKernel(L=L, K_bar=K_bar, A_cl=A_cl, lam=-A_cl)
+    return BacksteppingKernel(L=L, K_bar=K_bar, A_cl=K_bar * L)
 
 
 def transform_scalar(kernel: BacksteppingKernel, vartheta: float, u_profile: np.ndarray,

@@ -40,6 +40,10 @@ __all__ = [
 # Relative threshold under which the cosine phasor component counts as zero
 # and the phase falls back to +-pi/2.
 PSI2_ZERO_TOL = 1e-12
+# Gauss-Legendre nodes over the field or one period: the integrands are analytic, so
+# the quadrature error sits far below IDENTITY_TOL, the largest residual that passes.
+QUADRATURE_NODES = 64
+IDENTITY_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -117,14 +121,14 @@ def phase_components(params: DitherParams) -> tuple[float, float]:
     return psi1, psi2
 
 
-def phase_constant(params: DitherParams, zero_tol: float = PSI2_ZERO_TOL) -> float:
+def phase_constant(params: DitherParams) -> float:
     """Phase psi of the phasor sum, resolved over the full circle.
 
     Branches on the sign of the cosine component; |psi2| below
-    ``zero_tol*max(1, |psi1|)`` counts as zero and returns +-pi/2.
+    ``PSI2_ZERO_TOL*max(1, |psi1|)`` counts as zero and returns +-pi/2.
     """
     psi1, psi2 = phase_components(params)
-    if abs(psi2) < zero_tol * max(1.0, abs(psi1)):
+    if abs(psi2) < PSI2_ZERO_TOL * max(1.0, abs(psi1)):
         return math.copysign(math.pi / 2.0, psi1)
     if psi2 > 0.0:
         return math.atan(psi1 / psi2)
@@ -200,38 +204,27 @@ class IdentityReport:
     """Result of checking integral(field) == a*sin(omega*t) over samples."""
 
     max_residual: float
-    tol: float
     passed: bool
     n_samples: int
 
 
-def verify_integral_identity(
-    design: DitherDesign,
-    t_samples,
-    tol: float = 1e-6,
-    nodes: int = 64,
-) -> IdentityReport:
+def verify_integral_identity(design: DitherDesign, t_samples) -> IdentityReport:
     """Quadrature check that the planned field integrates to a*sin(omega*t).
 
-    Uses Gauss-Legendre quadrature (>= 32 nodes; the integrand is analytic,
-    so the quadrature error sits far below any meaningful tolerance).  A
-    failure indicates a bug in the design constants or the field formula.
+    Uses ``QUADRATURE_NODES``-point Gauss-Legendre quadrature and passes when
+    the largest residual is below ``IDENTITY_TOL``.  A failure indicates a
+    bug in the design constants or the field formula.
     """
     t_samples = np.atleast_1d(np.asarray(t_samples, dtype=float))
     if t_samples.size == 0:
         raise ValueError("t_samples must be non-empty")
-    if tol <= 0.0:
-        raise ValueError("tol must be > 0")
-    if nodes < 32:
-        raise ValueError("use at least 32 quadrature nodes")
     p = design.params
-    x, w = gauss_legendre(nodes, 0.0, p.L)
+    x, w = gauss_legendre(QUADRATURE_NODES, 0.0, p.L)
     integrals = w @ dither_field(design, x[:, None], t_samples[None, :])
     target = p.a * np.sin(p.omega * t_samples)
     max_residual = float(np.max(np.abs(integrals - target)))
     return IdentityReport(
         max_residual=max_residual,
-        tol=tol,
-        passed=max_residual < tol,
+        passed=max_residual < IDENTITY_TOL,
         n_samples=int(t_samples.size),
     )

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dither import DitherParams, gauss_legendre, gradient_demod, hessian_demod
+from .dither import QUADRATURE_NODES, DitherParams, gauss_legendre, gradient_demod, hessian_demod
 
 __all__ = [
     "LOW_PASS",
@@ -80,19 +80,20 @@ def estimate_hessian(y_signal: float, demod: float, smoother: FirstOrderFilter) 
 
 
 def period_average_estimates(params: DitherParams, y_star: float, H: float,
-                             vartheta: float, nodes: int = 64) -> EstimatorOutputs:
+                             vartheta: float) -> EstimatorOutputs:
     """Period averages of the demodulated output for a frozen tracking error.
 
     With the map output y(t) = y_star + (H/2)*(vartheta + a*sin(omega*t))^2
     held at a frozen vartheta, the averages of the demodulated signals over
-    one period recover exactly (H*vartheta, H).  Evaluated by Gauss-Legendre
-    quadrature; serves as the averaging-level check of the estimator design.
+    one period recover exactly (H*vartheta, H).  Evaluated by
+    ``QUADRATURE_NODES``-point Gauss-Legendre quadrature; serves as the
+    averaging-level check of the estimator design.
     """
     if params.a < MIN_DEMOD_AMPLITUDE:
         raise ValueError(f"dither amplitude {params.a:.3g} too small for demodulation "
                          f"(minimum {MIN_DEMOD_AMPLITUDE:.0e})")
     period = params.period
-    t, w = gauss_legendre(nodes, 0.0, period)
+    t, w = gauss_legendre(QUADRATURE_NODES, 0.0, period)
     y = y_star + 0.5 * H * (vartheta + params.a * np.sin(params.omega * t)) ** 2
     g_av = float(w @ (gradient_demod(params, t) * y)) / period
     h_av = float(w @ (hessian_demod(params, t) * y)) / period

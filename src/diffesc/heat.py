@@ -36,6 +36,7 @@ __all__ = [
 # implicit weight theta of each scheme's theta-method step
 THETAS = {"crank_nicolson": 0.5, "implicit_euler": 1.0, "explicit_euler": 0.0}
 SCHEMES = tuple(THETAS)
+ERROR_FLOOR = 1e-12     # refinement errors all below it sit at the rounding floor
 
 
 @dataclass(frozen=True)
@@ -231,13 +232,13 @@ def convergence_order(
     scheme: str = "crank_nicolson",
     L: float = 1.0,
     T: float = 0.5,
-    error_floor: float = 1e-12,
 ) -> OrderEstimate:
     """Refinement study against an exact space-time solution.
 
     ``exact(x, t)`` supplies initial data, the boundary trace at x=L, and the
     reference at the final time.  Returns the least-squares slope of
-    log(max error) vs log(dx) over the ``refinements`` list of (n, dt) pairs.
+    log(max error) vs log(dx) over the ``refinements`` list of (n, dt) pairs;
+    inconclusive when every error is below ``ERROR_FLOOR``.
     """
     if len(refinements) < 3:
         raise ValueError("need at least 3 refinement levels")
@@ -253,7 +254,7 @@ def convergence_order(
         err = float(np.max(np.abs(fld.alpha - exact(grid.nodes(), T))))
         dxs.append(grid.dx)
         errors.append(err)
-    floor = max(errors) < error_floor
+    floor = max(errors) < ERROR_FLOOR
     order = math.nan if floor else float(np.polyfit(np.log(dxs), np.log(errors), 1)[0])
     return OrderEstimate(order=order, dxs=tuple(dxs), errors=tuple(errors), inconclusive=floor,
                          note="errors at rounding floor" if floor else "")

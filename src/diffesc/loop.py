@@ -89,8 +89,8 @@ class ScenarioConfig:
     """Everything one closed-loop run needs; the one input of every runner.
 
     ``validate`` is the single gate all three runners call first.  The
-    compensator gain is the averaged loop gain K*H; ``validate`` rejects it
-    when it is forbidden, unless K = 0 (no adaptation, so no compensated loop).
+    compensator gain ``K_bar`` = K*H; ``validate`` rejects it when it is
+    forbidden, unless K = 0 (no adaptation, so no compensated loop).
     """
 
     map: StaticMap
@@ -105,6 +105,11 @@ class ScenarioConfig:
     snapshot_every: int = 0               # 0 disables field snapshots
     washout_corner: float = 1.0
     hessian_corner: float = 1.0
+
+    @property
+    def K_bar(self) -> float:
+        """Compensator gain K*H."""
+        return self.gains.K * self.map.H
 
     def validate(self) -> None:
         self.map.validate()
@@ -132,7 +137,7 @@ class ScenarioConfig:
             if not (corner > 0.0 and math.isfinite(corner)):
                 raise ValueError(f"filter corner frequencies must be > 0, got {corner}")
         if self.gains.K > 0.0:
-            check_gain(self.gains.K * self.map.H, self.grid.L)
+            check_gain(self.K_bar, self.grid.L)
 
 
 @dataclass
@@ -274,7 +279,7 @@ def run_average_system(
     """
     config.validate()
     if K_bar is None:
-        K_bar = config.gains.K * config.map.H
+        K_bar = config.K_bar
     grid = config.grid
     kernel = make_kernel(K_bar, grid.L, check=check_admissible)
     dt = config.solver.dt

@@ -14,10 +14,15 @@ __all__ = ["line_chart", "heatmap"]
 
 PALETTE = ["#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b"]
 MAX_POINTS = 4000
+WIDTH = 880                 # of every chart, px
+LINE_HEIGHT = 400
+HEATMAP_HEIGHT = 420
+MAX_CELLS = 200             # heatmap cells per axis; longer axes are sampled
+TICK_TARGET = 6             # ticks per linear axis, before rounding to nice steps
 
 
-def _nice_step(span: float, target: int) -> float:
-    raw = span / max(target, 1)
+def _nice_step(span: float) -> float:
+    raw = span / TICK_TARGET
     mag = 10.0 ** math.floor(math.log10(raw)) if raw > 0 else 1.0
     for mult in (1.0, 2.0, 2.5, 5.0, 10.0):
         if mult * mag >= raw:
@@ -25,10 +30,10 @@ def _nice_step(span: float, target: int) -> float:
     return 10.0 * mag
 
 
-def _ticks(lo: float, hi: float, target: int = 6) -> list[float]:
+def _ticks(lo: float, hi: float) -> list[float]:
     if not (math.isfinite(lo) and math.isfinite(hi)) or hi <= lo:
         return [lo]
-    step = _nice_step(hi - lo, target)
+    step = _nice_step(hi - lo)
     first = math.ceil(lo / step) * step
     out = []
     v = first
@@ -49,14 +54,14 @@ def _stride(arr: np.ndarray) -> np.ndarray:
 
 
 def line_chart(path, title: str, xlabel: str, ylabel: str, series,
-               y_log: bool = False, width: int = 880, height: int = 400) -> None:
+               y_log: bool = False) -> None:
     """Write a multi-series line chart.
 
     ``series`` is a list of (label, x, y) triples; non-finite and (for log
     scale) non-positive samples are dropped per series.
     """
     ml, mr, mt, mb = 64, 16, 34, 44
-    pw, ph = width - ml - mr, height - mt - mb
+    pw, ph = WIDTH - ml - mr, LINE_HEIGHT - mt - mb
 
     cleaned = []
     for label, x, y in series:
@@ -89,10 +94,10 @@ def line_chart(path, title: str, xlabel: str, ylabel: str, series,
         return mt + ph * (1.0 - (v - y_lo) / (y_hi - y_lo))
 
     parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
-        f'viewBox="0 0 {width} {height}" font-family="sans-serif" font-size="12">',
-        f'<rect width="{width}" height="{height}" fill="white"/>',
-        f'<text x="{width/2:.1f}" y="20" text-anchor="middle" font-size="14">{title}</text>',
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH}" height="{LINE_HEIGHT}" '
+        f'viewBox="0 0 {WIDTH} {LINE_HEIGHT}" font-family="sans-serif" font-size="12">',
+        f'<rect width="{WIDTH}" height="{LINE_HEIGHT}" fill="white"/>',
+        f'<text x="{WIDTH/2:.1f}" y="20" text-anchor="middle" font-size="14">{title}</text>',
     ]
     for tv in _ticks(x_lo, x_hi):
         px = sx(tv)
@@ -122,7 +127,7 @@ def line_chart(path, title: str, xlabel: str, ylabel: str, series,
         parts.append(f'<line x1="{lx}" y1="{ly-4}" x2="{lx+22}" y2="{ly-4}" stroke="{color}" stroke-width="2"/>')
         parts.append(f'<text x="{lx+28}" y="{ly}">{label}</text>')
 
-    parts.append(f'<text x="{ml+pw/2:.1f}" y="{height-8}" text-anchor="middle">{xlabel}</text>')
+    parts.append(f'<text x="{ml+pw/2:.1f}" y="{LINE_HEIGHT-8}" text-anchor="middle">{xlabel}</text>')
     parts.append(
         f'<text x="16" y="{mt+ph/2:.1f}" text-anchor="middle" '
         f'transform="rotate(-90 16 {mt+ph/2:.1f})">{ylabel}</text>'
@@ -152,28 +157,27 @@ def _sample_index(size: int, count: int) -> np.ndarray:
 
 
 def heatmap(path, title: str, xlabel: str, ylabel: str,
-            x: np.ndarray, y: np.ndarray, values: np.ndarray,
-            width: int = 880, height: int = 420, max_cells: int = 200) -> None:
+            x: np.ndarray, y: np.ndarray, values: np.ndarray) -> None:
     """Write a (len(x) x len(y)) value field as a colored-cell chart."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     values = np.asarray(values, dtype=float)
     if values.shape != (x.size, y.size):
         raise ValueError(f"values shape {values.shape} does not match axes {(x.size, y.size)}")
-    xi, yi = _sample_index(x.size, max_cells), _sample_index(y.size, max_cells)
+    xi, yi = _sample_index(x.size, MAX_CELLS), _sample_index(y.size, MAX_CELLS)
     sub = values[np.ix_(xi, yi)]
     v_lo, v_hi = float(np.nanmin(sub)), float(np.nanmax(sub))
     if v_hi <= v_lo:
         v_hi = v_lo + 1.0
 
     ml, mr, mt, mb = 64, 80, 34, 44
-    pw, ph = width - ml - mr, height - mt - mb
+    pw, ph = WIDTH - ml - mr, HEATMAP_HEIGHT - mt - mb
     cw, ch = pw / xi.size, ph / yi.size
     parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
-        f'viewBox="0 0 {width} {height}" font-family="sans-serif" font-size="12">',
-        f'<rect width="{width}" height="{height}" fill="white"/>',
-        f'<text x="{width/2:.1f}" y="20" text-anchor="middle" font-size="14">{title}</text>',
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH}" height="{HEATMAP_HEIGHT}" '
+        f'viewBox="0 0 {WIDTH} {HEATMAP_HEIGHT}" font-family="sans-serif" font-size="12">',
+        f'<rect width="{WIDTH}" height="{HEATMAP_HEIGHT}" fill="white"/>',
+        f'<text x="{WIDTH/2:.1f}" y="20" text-anchor="middle" font-size="14">{title}</text>',
     ]
     # cell (i, j) is at x = ml + i*cw, y = (mt + ph) - (j+1)*ch; each x and y is formatted once
     xs = [f'<rect x="{px:.2f}" y="' for px in (ml + np.arange(xi.size) * cw).tolist()]
@@ -199,7 +203,7 @@ def heatmap(path, title: str, xlabel: str, ylabel: str,
         parts.append(f'<rect x="{bx}" y="{py:.2f}" width="14" height="{ph/60+0.5:.2f}" fill="rgb({r[k]},{g[k]},{b[k]})"/>')
     parts.append(f'<text x="{bx+18}" y="{mt+ph+4:.1f}">{_fmt(v_lo)}</text>')
     parts.append(f'<text x="{bx+18}" y="{mt+10:.1f}">{_fmt(v_hi)}</text>')
-    parts.append(f'<text x="{ml+pw/2:.1f}" y="{height-8}" text-anchor="middle">{xlabel}</text>')
+    parts.append(f'<text x="{ml+pw/2:.1f}" y="{HEATMAP_HEIGHT-8}" text-anchor="middle">{xlabel}</text>')
     parts.append(
         f'<text x="16" y="{mt+ph/2:.1f}" text-anchor="middle" '
         f'transform="rotate(-90 16 {mt+ph/2:.1f})">{ylabel}</text>'

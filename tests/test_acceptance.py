@@ -104,7 +104,7 @@ def test_criterion_02_integral_identity():
     params = DitherParams(0.2, 10.0, 1.0)
     design = design_dither(params)
     ts = np.linspace(0.0, params.period, 200, endpoint=False)
-    rep = verify_integral_identity(design, ts, tol=1e-6, nodes=64)
+    rep = verify_integral_identity(design, ts)
     report(2, rep.passed, f"max residual {rep.max_residual:.3e} (gate 1e-6, "
                           f"200 samples, 64-node quadrature)")
     assert rep.passed
@@ -126,10 +126,10 @@ def test_criterion_03_headline_convergence(headline_runs):
 
 
 def test_criterion_04_average_decay_and_instability(average_run):
-    fit = fit_decay(average_run.t, average_run.Omega, window=0.5)
+    fit = fit_decay(average_run.t, average_run.Omega)
     flipped = run_average_system(headline_scenario(0.2, T=20.0), initial_vartheta=1.0,
                                  K_bar=+0.4, check_admissible=False)
-    fit_flip = fit_decay(flipped.t, flipped.Omega, window=0.5)
+    fit_flip = fit_decay(flipped.t, flipped.Omega)
     ok = (not fit.degenerate and fit.nu_hat > 0.0 and fit.r_squared > 0.95
           and fit_flip.nu_hat < 0.0)
     report(4, ok, f"nu_hat={fit.nu_hat:.4f} (>0), r2={fit.r_squared:.6f} (>0.95); "
@@ -183,7 +183,7 @@ def test_criterion_05_target_system_verification(average_run):
 
 
 def test_criterion_06_scaling_laws(headline_runs):
-    fit = residual_scaling(list(headline_runs.items()), MAP, window=0.2)
+    fit = residual_scaling(list(headline_runs.items()), MAP)
     ok = (not fit.inconclusive and 1.7 <= fit.y_exponent <= 2.3
           and 0.8 <= fit.theta_exponent <= 1.2)
     report(6, ok, f"y exponent={fit.y_exponent:.3f} (in [1.7,2.3]), "
@@ -219,7 +219,7 @@ def test_criterion_09_average_estimate_identities():
     params = DitherParams(0.2, 10.0, 1.0)
     worst_g = worst_h = 0.0
     for vartheta in (0.0, 0.5, -1.0, 2.0):
-        est = period_average_estimates(params, MAP.y_star, MAP.H, vartheta, nodes=64)
+        est = period_average_estimates(params, MAP.y_star, MAP.H, vartheta)
         worst_g = max(worst_g, abs(est.G_hat - MAP.H * vartheta))
         worst_h = max(worst_h, abs(est.H_hat - MAP.H))
     ok = worst_g < 1e-8 and worst_h < 1e-8

@@ -17,7 +17,7 @@ from diffesc.analysis import (
     target_residuals,
     to_target,
 )
-from diffesc.controller import ForbiddenGainError, GainConfig, check_gain, make_kernel
+from diffesc.controller import GainConfig, make_kernel
 from diffesc.dither import DitherParams
 from diffesc.heat import Grid, SolverConfig
 from diffesc.loop import ScenarioConfig, StaticMap, TrajectoryRecord, run_average_system
@@ -73,10 +73,9 @@ class TestTransform:
         # K_bar ranges over multiples of the first singular value, odd and
         # even node counts select Simpson and trapezoid weights
         K_bar = -gain_fraction * math.pi**2 / (4.0 * L**3)
-        try:
-            check_gain(K_bar, L, tol=1e-3 * math.pi**2 / (4.0 * L**3))
-        except ForbiddenGainError:
-            assume(False)
+        # keep 1e-3 first-singular-value units clear of the singular gains
+        # -(2k+1)^2 pi^2/(4 L^3), k <= 2 for gain_fraction <= 30
+        assume(min(abs(gain_fraction - (2 * k + 1) ** 2) for k in range(3)) >= 1e-3)
         kernel = make_kernel(K_bar, L)
         grid = Grid(L, n)
         u = data.draw(arrays(np.float64, n, elements=st.floats(-2.0, 2.0)))
@@ -125,7 +124,7 @@ class TestDecayFit:
     def test_recovers_exact_exponential(self):
         t = np.linspace(0.0, 10.0, 400)
         omega = 3.0 * np.exp(-0.5 * t)
-        fit = fit_decay(t, omega, window=0.5)
+        fit = fit_decay(t, omega)
         assert not fit.degenerate
         assert fit.nu_hat == pytest.approx(0.5, abs=1e-6)
         assert fit.eta_hat * omega[0] == pytest.approx(3.0, abs=1e-6)
@@ -140,7 +139,7 @@ class TestDecayFit:
         t = np.linspace(0.0, 10.0, 100)
         omega = 3.0 * np.exp(-0.5 * t)
         omega[-5:] = 0.0
-        fit = fit_decay(t, omega, window=0.5)
+        fit = fit_decay(t, omega)
         assert not fit.degenerate
         assert "excluded 5" in fit.note
         assert fit.nu_hat == pytest.approx(0.5, abs=1e-6)
@@ -153,15 +152,13 @@ class TestDecayFit:
     def test_validation(self):
         with pytest.raises(ValueError):
             fit_decay(np.arange(2.0), np.arange(2.0))
-        with pytest.raises(ValueError):
-            fit_decay(np.arange(10.0), np.ones(10), window=0.0)
 
     def test_residual_csv_export(self, tmp_path):
         from diffesc.analysis import save_fit_residuals_csv
 
         t = np.linspace(0.0, 10.0, 200)
         omega = 3.0 * np.exp(-0.5 * t)
-        fit = fit_decay(t, omega, window=0.5)
+        fit = fit_decay(t, omega)
         path = tmp_path / "residuals.csv"
         save_fit_residuals_csv(t, omega, fit, path)
         assert path.read_text().splitlines()[0] == "t,log_value,fit,residual"
@@ -232,8 +229,6 @@ class TestResidualScaling:
 
     def test_late_time_window(self):
         rec = synthetic_record(0.1)
-        y_res, th_res = late_time_residuals(rec, self.map_, window=0.2)
+        y_res, th_res = late_time_residuals(rec, self.map_)
         assert y_res == pytest.approx(0.01, abs=1e-12)
         assert th_res == pytest.approx(0.1, abs=1e-12)
-        with pytest.raises(ValueError):
-            late_time_residuals(rec, self.map_, window=0.0)

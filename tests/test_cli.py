@@ -2,6 +2,7 @@
 error paths, and sweep aggregation.  Short horizons keep these fast; the
 physics itself is graded elsewhere.
 """
+import importlib.util
 import json
 import math
 import os
@@ -270,6 +271,27 @@ class TestGainContract:
         assert "singular value" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_singular_gain_beyond_kappa_100_is_usage_error(self, tmp_path, capsys):
+        # K*H = -301^2*pi^2/4 is the singular value at kappa = 150
+        cfg = write_cfg(tmp_path, K=301**2 * math.pi**2 / 8.0)
+        out = tmp_path / "o"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == EXIT_USAGE
+        assert "singular value" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_singular_override_is_usage_error_under_allow_unstable(self, tmp_path, capsys):
+        # allow_unstable skips only the sign gate; the kernel normalization
+        # still vanishes at K_bar = -pi^2/4
+        text = (_resolve_config("gain_probe").read_text()
+                .replace("K_bar = 0.4", f"K_bar = {-math.pi**2 / 4.0!r}")
+                .replace("duration = 20.0", "duration = 1.0"))
+        cfg = tmp_path / "probe.cfg"
+        cfg.write_text(text)
+        out = tmp_path / "o"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == EXIT_USAGE
+        assert "singular value" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_zero_adaptation_runs_without_gain_check(self, tmp_path):
         cfg = write_cfg(tmp_path, extra="initial_theta_hat = 0.5\n")
         cfg.write_text(cfg.read_text().replace("K = 0.2", "K = 0"))
@@ -381,6 +403,15 @@ class TestSweep:
         assert "values_failed: " in report and "none" not in report.split("values_failed:")[1].splitlines()[0]
         assert (out / "K_0.2" / "trajectory.csv").is_file()
 
+    def test_all_members_invalid_is_usage_error_before_any_run(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, extra="initial_theta_hat = nan\n")
+        out = tmp_path / "nan"
+        rc = main(["sweep", "--config", str(cfg), "--param", "a",
+                   "--values", "0.1,0.2", "--out", str(out)])
+        assert rc == EXIT_USAGE
+        assert "initial input estimate" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_values_printing_alike_rejected_before_any_run(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path)
         out = tmp_path / "dup"
@@ -434,3 +465,16 @@ class TestSweep:
 
 def test_usage_without_command_returns_usage_code():
     assert main([]) == EXIT_USAGE
+
+
+def test_digest_script_is_deterministic_and_skips_manifests():
+    # scripts/digest_runs.py is how two checkouts prove byte-identical artifacts
+    spec = importlib.util.spec_from_file_location(
+        "digest_runs", Path(__file__).parents[1] / "scripts" / "digest_runs.py")
+    digest_runs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(digest_runs)
+    first = digest_runs.digest(0.2)
+    assert first == digest_runs.digest(0.2)
+    assert {f"{name}/report.txt" for name in BUNDLED} <= set(first)
+    assert {"sweep/a_0.1/trajectory.csv", "sweep/sweep_report.txt"} <= set(first)
+    assert not any(path.endswith("manifest.json") for path in first)

@@ -9,7 +9,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from diffesc.controller import (
@@ -18,7 +18,6 @@ from diffesc.controller import (
     GainConfig,
     average_control,
     check_gain,
-    forbidden_gains,
     ideal_control,
     integrate_theta_hat,
     make_kernel,
@@ -67,27 +66,52 @@ class TestCheckGain:
             check_gain(first + 1e-7, 1.0)
         check_gain(first * (1.0 + 1e-3), 1.0)
 
-    def test_kappa_max_respected(self):
-        far = forbidden_gains(1.0, 50)[-1]
-        with pytest.raises(ForbiddenGainError):
-            check_gain(far, 1.0, kappa_max=50)
-        check_gain(far, 1.0, kappa_max=10)
-
     @settings(max_examples=60, deadline=None)
     @given(
         L=st.floats(0.5, 3.0),
-        kappa_max=st.integers(0, 30),
-        tol_scale=st.floats(1e-9, 1e-3),
-        offset=st.floats(-0.99, 0.99),
+        kappa=st.integers(0, 10_000),
+        offset=st.floats(-0.9, 0.9),
     )
-    def test_forbidden_band_property(self, L, kappa_max, tol_scale, offset):
-        tol = tol_scale * math.pi**2 / (4.0 * L**3)
-        for kappa, bad in enumerate(forbidden_gains(L, kappa_max)):
-            with pytest.raises(ForbiddenGainError) as err:
-                check_gain(bad + offset * tol, L, kappa_max=kappa_max, tol=tol)
-            assert err.value.kappa == kappa
-            check_gain(bad + 2.0 * tol, L, kappa_max=kappa_max, tol=tol)
-            check_gain(bad - 2.0 * tol, L, kappa_max=kappa_max, tol=tol)
+    @example(L=0.5, kappa=10_000, offset=0.9)
+    @example(L=3.0, kappa=10_000, offset=-0.9)
+    def test_forbidden_band_property(self, L, kappa, offset):
+        # |offset| <= 0.9 leaves room for the rounding of bad + offset*tol:
+        # half an ulp of the singular gain is 0.045*tol at kappa = 10^4
+        tol = 1e-6 * math.pi**2 / (4.0 * L**3)
+        bad = -((2 * kappa + 1) ** 2) * math.pi**2 / (4.0 * L**3)
+        with pytest.raises(ForbiddenGainError) as err:
+            check_gain(bad + offset * tol, L)
+        assert err.value.kappa == kappa
+        check_gain(bad + 2.0 * tol, L)
+        check_gain(bad - 2.0 * tol, L)
+
+    @pytest.mark.parametrize("L", [0.1, 0.37, 1.0, 2.5, 3.0])
+    def test_closed_form_matches_array_scan(self, L):
+        # the array scan over kappa = 0..100 that the closed form replaced:
+        # every gain gets the same decision and the same kappa, at and
+        # around each band edge and between the bands
+        unit = math.pi**2 / (4.0 * L**3)
+        bad = -((2 * np.arange(101) + 1) ** 2) * math.pi**2 / (4.0 * L**3)
+        tol = 1e-6 * math.pi**2 / (4.0 * L**3)
+        edges = np.concatenate([bad - tol, bad + tol])
+        gains = np.concatenate([
+            edges, np.nextafter(edges, -np.inf), np.nextafter(edges, np.inf),
+            *(bad + f * tol for f in (0.0, -0.5, 0.999999, -1.000001, 2.0, -10.0, 50.0)),
+            -unit * np.linspace(0.01, 201.0**2, 4001),
+        ])
+        for K_bar in gains.tolist():
+            hits = np.flatnonzero(np.abs(K_bar - bad) < tol)
+            try:
+                check_gain(K_bar, L)
+                kappa = None
+            except ForbiddenGainError as err:
+                kappa = err.kappa
+            assert kappa == (int(hits[0]) if hits.size else None), K_bar
+
+    def test_singular_gain_beyond_kappa_100_rejected(self):
+        with pytest.raises(ForbiddenGainError) as err:
+            check_gain(-(301**2) * math.pi**2 / 4.0, 1.0)
+        assert err.value.kappa == 150
 
     def test_invalid_length(self):
         with pytest.raises(ValueError):

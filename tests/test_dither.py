@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq
 
+from diffesc import dither
 from diffesc.dither import (
     DitherParams,
     design_dither,
@@ -71,7 +72,7 @@ def test_integral_identity(a, omega, L):
     p = DitherParams(a, omega, L)
     d = design_dither(p)
     ts = np.linspace(0.0, p.period, 200, endpoint=False)
-    report = verify_integral_identity(d, ts, tol=1e-6)
+    report = verify_integral_identity(d, ts)
     assert report.passed
     assert report.max_residual < 1e-12 * max(1.0, a)
 
@@ -107,7 +108,7 @@ def test_perturbed_amplitude_breaks_identity():
     bad = type(d)(params=p, amplitude=1.1 * d.amplitude, phase=d.phase,
                   norm_const=d.norm_const, psi=d.psi, psi1=d.psi1, psi2=d.psi2)
     ts = np.linspace(0.0, p.period, 400, endpoint=False)
-    report = verify_integral_identity(bad, ts, tol=1e-6)
+    report = verify_integral_identity(bad, ts)
     assert not report.passed
     assert 0.099 * p.a < report.max_residual < 0.101 * p.a
 
@@ -116,7 +117,7 @@ def test_zero_amplitude_design_is_degenerate():
     p = DitherParams(0.0, 10.0, 1.0)
     d = design_dither(p)
     assert d.amplitude == 0.0
-    report = verify_integral_identity(d, np.linspace(0, p.period, 50), tol=1e-6)
+    report = verify_integral_identity(d, np.linspace(0, p.period, 50))
     assert report.passed and report.max_residual == 0.0
 
 
@@ -218,10 +219,12 @@ def test_demodulation_signals():
                                hessian_demod(p, ts), atol=1e-10)
 
 
-def test_phase_branch_selection():
+def test_phase_branch_selection(monkeypatch):
     p = DitherParams(0.2, 10.0, 1.0)
     # huge zero tolerance forces the degenerate branch: sign(psi1) * pi/2
-    assert phase_constant(p, zero_tol=1e12) == pytest.approx(math.pi / 2)
+    with monkeypatch.context() as patch:
+        patch.setattr(dither, "PSI2_ZERO_TOL", 1e12)
+        assert phase_constant(p) == pytest.approx(math.pi / 2)
 
     # at the actual sign change of the cosine component the phase passes
     # continuously through pi/2
@@ -238,8 +241,4 @@ def test_phase_branch_selection():
 def test_identity_report_validation():
     d = design_dither(DitherParams(0.2, 10.0, 1.0))
     with pytest.raises(ValueError):
-        verify_integral_identity(d, [], tol=1e-6)
-    with pytest.raises(ValueError):
-        verify_integral_identity(d, [0.1], tol=-1.0)
-    with pytest.raises(ValueError):
-        verify_integral_identity(d, [0.1], nodes=8)
+        verify_integral_identity(d, [])

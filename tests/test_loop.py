@@ -230,7 +230,7 @@ class TestRunEsc:
         res = {}
         for omega in (10.0, 20.0):
             rec = run_esc(scenario(T=30.0, dither=DitherParams(0.2, omega, 1.0)))
-            res[omega] = late_time_residuals(rec, MAP, window=0.2)
+            res[omega] = late_time_residuals(rec, MAP)
         assert res[20.0][0] <= res[10.0][0] * 1.05
         assert res[20.0][1] <= res[10.0][1] * 1.05
 
