@@ -75,7 +75,11 @@ def check_gain(K_bar: float, L: float) -> int | None:
     """
     if L <= 0.0:
         raise ValueError(f"domain length must be > 0, got {L}")
-    scaled = -4.0 * L**3 * K_bar        # (2k+1)^2 * pi^2 at the singular gains
+    try:
+        scaled = -4.0 * L**3 * K_bar    # (2k+1)^2 * pi^2 at the singular gains
+    except OverflowError:               # L**3 beyond the float range
+        raise ForbiddenGainError(f"compensator gain out of range: L^3 overflows "
+                                 f"for L = {L}") from None
     if not math.isfinite(scaled):
         raise ForbiddenGainError(f"compensator gain out of range: 4*L^3*K_bar = {-scaled}")
     if K_bar >= 0.0:

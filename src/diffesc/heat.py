@@ -7,14 +7,32 @@ ghost node) and a driven right end (Dirichlet value at x=L), stepped by one
 theta-method (explicit Euler theta=0, Crank-Nicolson 1/2, implicit Euler 1).
 The discrete Laplacian on the m = n-1 non-Dirichlet nodes has eigenvectors
 cos(beta_k j), beta_k = (2k+1)pi/(2m), and eigenvalues -4 sin^2(beta_k/2)/dx^2.
-A field is held in these modal coordinates: a step is elementwise and a
-fixed linear functional (the integral the map sees) is one dot product.
+A field is held in these modal coordinates, where a step is elementwise:
+z+ = lam*z + f*u with the modal input u = (1-theta)*b_old + theta*b_new.
+
+The recurrence is advanced in blocks of ``BLOCK`` steps (its standard
+lifting).  A field keeps the anchor z0, its state at the block's start, and
+the block's inputs u_0, u_1, ...; after j of them
+
+    z = lam**j * z0 + sum_{i<j} lam**(j-1-i) * f * u_i,
+
+so a step only records u, and every ``BLOCK``-th step moves the anchor with
+one (m, BLOCK) product.  A linear functional c @ z + w * b (the integral the
+map sees is one) is then  P[j] + sum_{i<j} h[j-1-i] * u_i + w * b,  where the
+free response P[j] = (c * lam**j) @ z0 is refreshed once per block and the
+impulse response h[l] = c @ (lam**l * f) once per propagator: a sum of at
+most BLOCK - 1 float products per read.  Blocks start every ``BLOCK`` steps
+from ``make_field`` and reads never move the anchor, so when and how often a
+field is read cannot change its trajectory, and a rerun is bit-identical.
+The lifted sums round differently from the per-step recurrence, by a few
+ulp of the state's scale.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import mul
 
 import numpy as np
 
@@ -37,6 +55,11 @@ __all__ = [
 THETAS = {"crank_nicolson": 0.5, "implicit_euler": 1.0, "explicit_euler": 0.0}
 SCHEMES = tuple(THETAS)
 ERROR_FLOOR = 1e-12     # refinement errors all below it sit at the rounding floor
+# steps per lifted block: a longer block spreads its NumPy calls over more
+# steps but lengthens the per-read sum (run_esc, 14 s at n = 101 and 801,
+# medians of 12 interleaved rounds: 7.0 and 8.0 us/step at 4, 5.9 and 6.7 at
+# 8, 5.4 and 6.2 at 16)
+BLOCK = 16
 
 
 @dataclass(frozen=True)
@@ -84,34 +107,49 @@ def _modes(m: int) -> np.ndarray:
 
 @dataclass
 class ActuatorField:
-    """Diffusion state: modal coordinates ``z`` and the applied ``boundary`` value.
+    """Diffusion state over the current block of at most ``BLOCK`` steps.
 
-    ``alpha``, the nodal profile (boundary value last), is built on each read,
-    read-only.  Everything else is fixed by ``make_field`` for the field's
-    life: the propagator ``(lam, f, theta)`` of its solver config, which
-    ``step`` applies, and the modal weights ``(coef, w_end)`` of the auto-rule
-    spatial integral, which ``spatial_integral`` applies.
+    ``anchor`` is the modal state at the block's start (a new read-only
+    array at every block), ``inputs`` the block's modal inputs
+    (1-theta)*b_old + theta*b_new so far, newest first, and ``boundary`` the
+    applied boundary value.  ``z``, the current modal state, and ``alpha``,
+    the nodal profile (boundary value last), are built on each read,
+    read-only, and reading them changes nothing.  Everything else is fixed by
+    ``make_field`` for the field's life: the implicit weight ``theta`` of its
+    solver config, the lifted propagator ``powers`` (row j is lam**j, j =
+    0..BLOCK) and ``forcing`` (row i is lam**i * f), and the readout
+    ``integral`` of the auto-rule spatial integral.
     """
 
     grid: Grid
-    z: np.ndarray
+    anchor: np.ndarray
+    inputs: list
     boundary: float
-    lam: np.ndarray
-    f: np.ndarray
     theta: float
-    coef: np.ndarray
-    w_end: float
+    powers: np.ndarray
+    forcing: np.ndarray
+    integral: "_Readout"
+
+    @property
+    def z(self) -> np.ndarray:
+        j = len(self.inputs)
+        z = self.powers[j] * self.anchor
+        if j:
+            z += np.dot(self.inputs, self.forcing[:j])
+        z.flags.writeable = False
+        return z
 
     @property
     def alpha(self) -> np.ndarray:
-        alpha = np.append(_modes(self.z.size) @ self.z, self.boundary)
+        z = self.z
+        alpha = np.append(_modes(z.size) @ z, self.boundary)
         alpha.flags.writeable = False
         return alpha
 
 
 def make_field(grid: Grid, solver: SolverConfig, initial=None) -> ActuatorField:
     """Build a field stepped by ``solver``; ``initial`` is a profile array, a
-    callable of x, or None (zeros)."""
+    callable of x, or None (zeros).  Its first block starts here."""
     if initial is None:
         alpha = np.zeros(grid.n)
     elif callable(initial):
@@ -127,9 +165,10 @@ def make_field(grid: Grid, solver: SolverConfig, initial=None) -> ActuatorField:
     m = grid.n - 1
     alpha[0] *= 0.5
     z = (2.0 / m) * (alpha[:-1] @ _modes(m))
-    lam, f, theta = _propagator(m, grid.dx, solver.dt, solver.scheme)
-    coef, w_end = _modal_weights(grid, integration_weights(grid.n, grid.dx))
-    return ActuatorField(grid, z, float(alpha[-1]), lam, f, theta, coef, w_end)
+    z.flags.writeable = False
+    theta, powers, forcing = _lifted(m, grid.dx, solver.dt, solver.scheme)
+    integral = _Readout(*_modal_weights(grid, integration_weights(grid.n, grid.dx)))
+    return ActuatorField(grid, z, [], float(alpha[-1]), theta, powers, forcing, integral)
 
 
 @lru_cache(maxsize=64)
@@ -153,21 +192,41 @@ def _propagator(m: int, dx: float, dt: float, scheme: str):
     return lam, f, theta
 
 
+@lru_cache(maxsize=64)
+def _lifted(m: int, dx: float, dt: float, scheme: str):
+    """The validated propagator lifted over a block: theta, ``powers``
+    (BLOCK+1, m), row j lam**j, and ``forcing`` (BLOCK, m), row i lam**i * f."""
+    lam, f, theta = _propagator(m, dx, dt, scheme)
+    powers = lam ** np.arange(BLOCK + 1)[:, None]
+    forcing = powers[:BLOCK] * f
+    powers.flags.writeable = forcing.flags.writeable = False
+    return theta, powers, forcing
+
+
 def step(field: ActuatorField, boundary_theta: float) -> ActuatorField:
     """Advance the field by one theta-method step, applying the new boundary value.
 
     The Dirichlet value enters with weight (1-theta) at the old time level
     and theta at the new one, which keeps Crank-Nicolson second-order
-    accurate.  The field is updated in place and returned; it stays finite
-    because ``make_field`` and this function reject non-finite input.
+    accurate.  The step records that modal input; the ``BLOCK``-th input of
+    a block moves the anchor to  lam**BLOCK * anchor + inputs @ forcing  and
+    starts the next block.  The field is updated in place and returned; it
+    stays finite because ``make_field`` and this function reject non-finite
+    input.
     """
     if not math.isfinite(boundary_theta):
         raise ValueError(f"boundary value is not finite: {boundary_theta}")
+    boundary = float(boundary_theta)
     theta = field.theta
-    z = field.z
-    z *= field.lam
-    z += field.f * ((1.0 - theta) * field.boundary + theta * boundary_theta)
-    field.boundary = float(boundary_theta)
+    inputs = field.inputs
+    inputs.insert(0, (1.0 - theta) * field.boundary + theta * boundary)
+    field.boundary = boundary
+    if len(inputs) == BLOCK:
+        anchor = np.dot(inputs, field.forcing)
+        anchor += field.powers[BLOCK] * field.anchor
+        anchor.flags.writeable = False      # readouts key their free response on it
+        field.anchor = anchor
+        inputs.clear()
     return field
 
 
@@ -176,10 +235,44 @@ def _modal_weights(grid: Grid, weights) -> tuple[np.ndarray, float]:
     return weights[:-1] @ _modes(grid.n - 1), float(weights[-1])
 
 
+class _Readout:
+    """The functional field -> coef @ field.z + w_end * field.boundary.
+
+    Over a block it is  free[j] + sum_i impulse[i] * inputs[i] + w_end * boundary
+    after j inputs: ``free`` (row j: (coef * lam**j) @ anchor) is refreshed
+    once per anchor, ``impulse`` (coef @ lam**i * f) once per propagator.
+    """
+
+    __slots__ = ("coef", "w_end", "forcing", "rows", "impulse", "anchor", "free")
+
+    def __init__(self, coef: np.ndarray, w_end: float):
+        self.coef, self.w_end = coef, w_end
+        self.forcing = self.anchor = None
+
+    def __call__(self, fld: ActuatorField) -> float:
+        if fld.anchor is not self.anchor:
+            self._refresh(fld)
+        u = fld.inputs
+        return sum(map(mul, u, self.impulse), self.free[len(u)]) + self.w_end * fld.boundary
+
+    def _refresh(self, fld: ActuatorField) -> None:
+        if fld.forcing is not self.forcing:
+            self.rows = fld.powers[:BLOCK] * self.coef
+            self.impulse = (fld.forcing @ self.coef).tolist()
+            self.forcing = fld.forcing
+        self.free = (self.rows @ fld.anchor).tolist()
+        self.anchor = fld.anchor
+
+
 def linear_functional(grid: Grid, weights):
-    """The map field -> weights @ field.alpha on ``grid``, one O(n) dot product per call."""
-    coef, w_end = _modal_weights(grid, weights)
-    return lambda fld: float(coef.dot(fld.z)) + w_end * fld.boundary
+    """The map field -> weights @ field.alpha on ``grid``.
+
+    Served from the field's block data: one (BLOCK, m) product per block, then
+    a sum of at most BLOCK - 1 products per call.  The returned readout keeps
+    the free response of the last anchor it read, so reading several fields
+    in turn refreshes it on every call.
+    """
+    return _Readout(*_modal_weights(grid, weights))
 
 
 @lru_cache(maxsize=64)
@@ -214,7 +307,11 @@ def integrate_profile(values: np.ndarray, dx: float, rule: str = "auto") -> floa
 
 def spatial_integral(field: ActuatorField) -> float:
     """Integral of the field over [0, L] (auto rule); this is the input seen by the map."""
-    return float(field.coef.dot(field.z)) + field.w_end * field.boundary
+    readout = field.integral         # _Readout.__call__ inlined: the loop reads it every step
+    if field.anchor is not readout.anchor:
+        readout._refresh(field)
+    u = field.inputs
+    return sum(map(mul, u, readout.impulse), readout.free[len(u)]) + readout.w_end * field.boundary
 
 
 @dataclass(frozen=True)

@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -366,14 +367,14 @@ def save_trajectory_csv(record: TrajectoryRecord, path) -> None:
 
 
 def save_field_csv(history: FieldHistory, path) -> None:
-    """Write field snapshots as long-format (t, x, alpha) rows."""
-    m, n = history.alpha.shape
-    data = np.column_stack([
-        np.repeat(history.t, n),
-        np.tile(history.x, m),
-        history.alpha.reshape(-1),
-    ])
-    _write_csv(path, "t,x,alpha", data)
+    """Write field snapshots as long-format (t, x, alpha) rows, in the ``%.12g``
+    format of ``_write_csv``; each distinct t and x is formatted once."""
+    ts = ["%.12g," % t for t in history.t.tolist()]
+    xs = ["%.12g," % x for x in history.x.tolist()]
+    heads = [t + x for t in ts for x in xs]
+    cells = chain.from_iterable(zip(heads, history.alpha.ravel().tolist()))
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("t,x,alpha\n" + ("%s%.12g\n" * len(heads)) % tuple(cells))
 
 
 def save_average_csv(record: AverageRecord, path) -> None:

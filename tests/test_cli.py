@@ -279,6 +279,15 @@ class TestGainContract:
         assert "singular value" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_length_whose_cube_overflows_is_usage_error(self, tmp_path, capsys):
+        # L**3 overflows a float: the gain check rejects it rather than raising mid-check
+        cfg = write_cfg(tmp_path)
+        cfg.write_text(cfg.read_text().replace("length = 1.0", "length = 1e103"))
+        out = tmp_path / "o"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == EXIT_USAGE
+        assert "out of range" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_singular_override_is_usage_error_under_allow_unstable(self, tmp_path, capsys):
         # allow_unstable skips only the sign gate; the kernel normalization
         # still vanishes at K_bar = -pi^2/4
@@ -467,14 +476,40 @@ def test_usage_without_command_returns_usage_code():
     assert main([]) == EXIT_USAGE
 
 
-def test_digest_script_is_deterministic_and_skips_manifests():
-    # scripts/digest_runs.py is how two checkouts prove byte-identical artifacts
+def load_digest_script():
     spec = importlib.util.spec_from_file_location(
         "digest_runs", Path(__file__).parents[1] / "scripts" / "digest_runs.py")
     digest_runs = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(digest_runs)
-    first = digest_runs.digest(0.2)
+    return digest_runs
+
+
+def test_digest_script_is_deterministic_and_skips_manifests(tmp_path):
+    # scripts/digest_runs.py is how two checkouts prove byte-identical artifacts
+    digest_runs = load_digest_script()
+    first = digest_runs.digest(0.2, save=tmp_path / "kept")
     assert first == digest_runs.digest(0.2)
     assert {f"{name}/report.txt" for name in BUNDLED} <= set(first)
     assert {"sweep/a_0.1/trajectory.csv", "sweep/sweep_report.txt"} <= set(first)
     assert not any(path.endswith("manifest.json") for path in first)
+    # --save keeps the tree it digested
+    assert (tmp_path / "kept" / "baseline" / "manifest.json").is_file()
+    assert set(digest_runs.compare(tmp_path / "kept", tmp_path / "kept")) == set(first)
+
+
+def test_digest_script_compares_saved_trees(tmp_path, capsys):
+    a, b = tmp_path / "a", tmp_path / "b"
+    for root, last, note in ((a, "2.0", "x"), (b, "2.000000000001", "y")):
+        (root / "run").mkdir(parents=True)
+        (root / "run" / "trajectory.csv").write_text(f"t,y\n0,-4\n0.5,{last}\n")
+        (root / "run" / "chart.svg").write_text("<svg/>")
+        (root / "run" / "report.txt").write_text(note)
+        (root / "run" / "manifest.json").write_text(str(root))
+    (a / "run" / "extra.txt").write_text("")
+    (b / "run" / "wide.csv").write_text("t\n1\n")
+    (a / "run" / "wide.csv").write_text("t,y\n1,2\n")
+    assert load_digest_script().main(["--compare", str(a), str(b)]) == 0
+    result = json.loads(capsys.readouterr().out)
+    assert result.pop("run/trajectory.csv") == pytest.approx(0.25e-12, rel=1e-3)
+    assert result == {"run/chart.svg": "identical", "run/report.txt": "differs",
+                      "run/extra.txt": "only in A", "run/wide.csv": "differs"}

@@ -21,6 +21,7 @@ from diffesc.filters import HIGH_PASS, LOW_PASS, FirstOrderFilter
 from diffesc.heat import Grid, SolverConfig, make_field, spatial_integral, step
 from diffesc.loop import (
     TRAJECTORY_COLUMNS,
+    FieldHistory,
     ScenarioConfig,
     SimulationDiverged,
     StaticMap,
@@ -209,6 +210,15 @@ class TestRunEsc:
         fdata = np.loadtxt(fpath, delimiter=",", skiprows=1)
         assert fdata.shape == (m * n, 3)
 
+    def test_snapshots_leave_the_trajectory_bit_identical(self):
+        # field reads never move the actuator's block anchor, so snapshot
+        # cadence cannot change a trajectory
+        plain = run_esc(scenario(T=2.0, snapshot_every=0))
+        snapped = run_esc(scenario(T=2.0, snapshot_every=200))
+        assert snapped.field_history is not None
+        for name in TRAJECTORY_COLUMNS.split(","):
+            assert np.array_equal(getattr(plain, name), getattr(snapped, name)), name
+
     def test_csv_columns_are_the_record_fields(self, tmp_path):
         for rec in (run_esc(scenario(T=0.5)), run_standard_esc(scenario(T=0.5))):
             path = tmp_path / "traj.csv"
@@ -381,4 +391,20 @@ def test_write_csv_matches_savetxt_bytes(data):
         ours, ref = Path(tmp) / "ours.csv", Path(tmp) / "ref.csv"
         _write_csv(ours, header, data)
         np.savetxt(ref, data, delimiter=",", header=header, comments="", fmt="%.12g")
+        assert ours.read_bytes() == ref.read_bytes()
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.tuples(st.integers(1, 6), st.integers(1, 9)).flatmap(lambda shape: st.tuples(
+    arrays(np.float64, shape[0], elements=st.sampled_from(CSV_EDGES) | st.floats()),
+    arrays(np.float64, shape[1], elements=st.sampled_from(CSV_EDGES) | st.floats()),
+    arrays(np.float64, shape, elements=st.sampled_from(CSV_EDGES) | st.floats()))))
+def test_field_csv_matches_savetxt_bytes(case):
+    t, x, alpha = case
+    m, n = alpha.shape
+    long = np.column_stack([np.repeat(t, n), np.tile(x, m), alpha.ravel()])
+    with tempfile.TemporaryDirectory() as tmp:
+        ours, ref = Path(tmp) / "ours.csv", Path(tmp) / "ref.csv"
+        save_field_csv(FieldHistory(t=t, x=x, alpha=alpha), ours)
+        np.savetxt(ref, long, delimiter=",", header="t,x,alpha", comments="", fmt="%.12g")
         assert ours.read_bytes() == ref.read_bytes()
