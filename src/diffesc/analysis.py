@@ -9,7 +9,7 @@ frequency at the predicted orders.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -37,8 +37,7 @@ RESIDUAL_WINDOW = 0.2       # trailing fraction of a run that late_time_residual
 RESIDUAL_FLOOR = 1e-12      # residuals below it sit at the solver error floor
 
 
-@dataclass(frozen=True)
-class TargetState:
+class TargetState(NamedTuple):
     """Transformed coordinates: scalar Z and field w on the grid."""
 
     Z: float
@@ -65,8 +64,7 @@ def from_target(kernel: BacksteppingKernel, target: TargetState, grid: Grid,
     return float(vartheta), u
 
 
-@dataclass(frozen=True)
-class TargetResiduals:
+class TargetResiduals(NamedTuple):
     """How well an averaged run satisfies the target-system equations."""
 
     scalar_residual: float      # max |dZ/dt - A_cl * Z|
@@ -123,8 +121,7 @@ def target_residuals(record: AverageRecord, kernel: BacksteppingKernel,
     )
 
 
-@dataclass(frozen=True)
-class DecayFit:
+class DecayFit(NamedTuple):
     """Exponential fit envelope(t) ~ eta_hat * value(0) * exp(-nu_hat * t)."""
 
     eta_hat: float
@@ -188,8 +185,7 @@ def late_time_residuals(record: TrajectoryRecord, map_: StaticMap) -> tuple[floa
     return y_res, theta_res
 
 
-@dataclass(frozen=True)
-class ScalingFit:
+class ScalingFit(NamedTuple):
     """Log-log fit of late-time residuals against dither amplitude."""
 
     amplitudes: tuple

@@ -21,7 +21,6 @@ import hashlib
 import json
 import math
 import sys
-from dataclasses import replace
 from importlib import resources
 from pathlib import Path
 
@@ -84,9 +83,9 @@ def _get(parser, section, key, cast, default=None, required=False):
         return default
     try:
         if cast is bool:
-            return raw.strip().lower() in ("1", "true", "yes", "on")
+            return configparser.ConfigParser.BOOLEAN_STATES[raw.strip().lower()]
         return cast(raw)
-    except ValueError as exc:
+    except (KeyError, ValueError) as exc:
         raise ConfigError(f"bad value for [{section}] {key}: {raw!r}") from exc
 
 
@@ -281,7 +280,7 @@ def cmd_design_dither(args) -> int:
             raise ValueError(f"dither amplitude must be > 0, got {params.a}")
         design = design_dither(params)      # validates omega and L
     except ValueError as exc:
-        print(f"error: a, omega and L must all be positive ({exc})", file=sys.stderr)
+        print(f"error: a, omega and L must all be positive and in range ({exc})", file=sys.stderr)
         return EXIT_USAGE
     print(f"A   = {design.amplitude:.6f}")
     print(f"phi = {design.phase:.6f} rad")
@@ -305,11 +304,11 @@ def _sweep_member(plan: RunPlan, param: str, value: float) -> RunPlan:
     """The validated plan with one swept value."""
     cfg = plan.config
     if param == "K":
-        changed = {"gains": replace(cfg.gains, K=value)}
+        changed = {"gains": cfg.gains._replace(K=value)}
     else:
-        changed = {"dither": replace(cfg.dither, **{param: value})}
+        changed = {"dither": cfg.dither._replace(**{param: value})}
     member = copy.copy(plan)
-    member.config = replace(cfg, **changed)
+    member.config = cfg._replace(**changed)
     member.validate()
     return member
 

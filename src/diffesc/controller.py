@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -50,8 +50,7 @@ class ForbiddenGainError(ValueError):
         self.kappa = kappa
 
 
-@dataclass(frozen=True)
-class GainConfig:
+class GainConfig(NamedTuple):
     """Loop gains: adaptation gain K >= 0 and the corner frequency c of the
     control smoothing low-pass.  The compensator gain is not configured: it
     is the averaged loop gain K_bar = K*H of the map curvature H."""
@@ -97,8 +96,7 @@ def check_gain(K_bar: float, L: float) -> int | None:
     return kappa if abs(K_bar - singular) < 10.0 * tol else None
 
 
-@dataclass(frozen=True)
-class BacksteppingKernel:
+class BacksteppingKernel(NamedTuple):
     """Kernel data for the error-to-target transformation on [0, L].
 
     A_cl = K_bar * L is the closed-loop rate of the transformed scalar; for
@@ -169,14 +167,14 @@ def average_control(kernel: BacksteppingKernel, G_hat_av: float, H_hat_av: float
     return K * G_hat_av + K * H_hat_av * weighted
 
 
-@dataclass
 class ControllerState:
     """Mutable per-run controller state: integrator, smoothing filter, gains."""
 
-    theta_hat: float
-    T_filter: FirstOrderFilter
-    gains: GainConfig
-    L: float
+    __slots__ = ("theta_hat", "T_filter", "gains", "L")
+
+    def __init__(self, theta_hat: float, T_filter: FirstOrderFilter, gains: GainConfig,
+                 L: float):
+        self.theta_hat, self.T_filter, self.gains, self.L = theta_hat, T_filter, gains, L
 
 
 def realtime_control(state: ControllerState, G_hat: float, H_hat: float, Theta: float,

@@ -16,8 +16,9 @@ array of sample times, and read them per step.
 from __future__ import annotations
 
 import math
+import sys
 import warnings
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -44,10 +45,11 @@ PSI2_ZERO_TOL = 1e-12
 # the quadrature error sits far below IDENTITY_TOL, the largest residual that passes.
 QUADRATURE_NODES = 64
 IDENTITY_TOL = 1e-6
+# The design evaluates exp(L*sqrt(2*omega)); beyond this exponent it overflows a float.
+MAX_EXPONENT = math.log(sys.float_info.max)
 
 
-@dataclass(frozen=True)
-class DitherParams:
+class DitherParams(NamedTuple):
     """Target perturbation: integral of the diffused field = a*sin(omega*t)."""
 
     a: float        # perturbation amplitude at the map input
@@ -61,14 +63,18 @@ class DitherParams:
             raise ValueError(f"dither frequency must be > 0, got {self.omega}")
         if not (self.L > 0.0 and math.isfinite(self.L)):
             raise ValueError(f"domain length must be > 0, got {self.L}")
+        exponent = self.L * math.sqrt(2.0 * self.omega)
+        if exponent > MAX_EXPONENT:
+            raise ValueError(f"domain length L = {self.L} and frequency omega = {self.omega} "
+                             f"are out of range: the probe design's exp(L*sqrt(2*omega)) = "
+                             f"exp({exponent:.6g}) overflows past exp({MAX_EXPONENT:.6g})")
 
     @property
     def period(self) -> float:
         return 2.0 * math.pi / self.omega
 
 
-@dataclass(frozen=True)
-class DitherDesign:
+class DitherDesign(NamedTuple):
     """Computed boundary-signal constants for a given DitherParams."""
 
     params: DitherParams
@@ -199,8 +205,7 @@ def gauss_legendre(n_nodes: int, lo: float, hi: float) -> tuple[np.ndarray, np.n
     return lo + half * (nodes + 1.0), half * weights
 
 
-@dataclass(frozen=True)
-class IdentityReport:
+class IdentityReport(NamedTuple):
     """Result of checking integral(field) == a*sin(omega*t) over samples."""
 
     max_residual: float

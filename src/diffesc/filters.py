@@ -8,7 +8,7 @@ belongs to one loop; separate instances are fully independent.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -31,23 +31,20 @@ HIGH_PASS = "high_pass"
 MIN_DEMOD_AMPLITUDE = 1e-9
 
 
-@dataclass
 class FirstOrderFilter:
     """Low-pass c/(s+c) or washout s/(s+c), exact ZOH discretization."""
 
-    kind: str
-    corner: float
-    dt: float
-    state: float = 0.0
+    __slots__ = ("kind", "corner", "dt", "state", "_gain")
 
-    def __post_init__(self):
-        if self.kind not in (LOW_PASS, HIGH_PASS):
-            raise ValueError(f"kind must be {LOW_PASS!r} or {HIGH_PASS!r}, got {self.kind!r}")
-        if not (self.corner > 0.0 and math.isfinite(self.corner)):
-            raise ValueError(f"corner frequency must be > 0, got {self.corner}")
-        if not (self.dt > 0.0 and math.isfinite(self.dt)):
-            raise ValueError(f"dt must be > 0, got {self.dt}")
-        self._gain = 1.0 - math.exp(-self.corner * self.dt)
+    def __init__(self, kind: str, corner: float, dt: float, state: float = 0.0):
+        if kind not in (LOW_PASS, HIGH_PASS):
+            raise ValueError(f"kind must be {LOW_PASS!r} or {HIGH_PASS!r}, got {kind!r}")
+        if not (corner > 0.0 and math.isfinite(corner)):
+            raise ValueError(f"corner frequency must be > 0, got {corner}")
+        if not (dt > 0.0 and math.isfinite(dt)):
+            raise ValueError(f"dt must be > 0, got {dt}")
+        self.kind, self.corner, self.dt, self.state = kind, corner, dt, state
+        self._gain = 1.0 - math.exp(-corner * dt)
 
     def step(self, u: float) -> float:
         """Advance one sample; returns the filtered (or washed-out) output."""
@@ -55,8 +52,7 @@ class FirstOrderFilter:
         return self.state if self.kind == LOW_PASS else u - self.state
 
 
-@dataclass(frozen=True)
-class EstimatorOutputs:
+class EstimatorOutputs(NamedTuple):
     G_hat: float
     H_hat: float
 

@@ -30,9 +30,9 @@ ulp of the state's scale.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 from operator import mul
+from typing import NamedTuple
 
 import numpy as np
 
@@ -62,18 +62,17 @@ ERROR_FLOOR = 1e-12     # refinement errors all below it sit at the rounding flo
 BLOCK = 16
 
 
-@dataclass(frozen=True)
 class Grid:
     """Uniform grid with n nodes spanning [0, L], both boundaries included."""
 
-    L: float
-    n: int
+    __slots__ = ("L", "n")
 
-    def __post_init__(self):
-        if self.n < 3:
-            raise ValueError(f"grid needs at least 3 nodes, got {self.n}")
-        if not (self.L > 0.0 and math.isfinite(self.L)):
-            raise ValueError(f"domain length must be > 0, got {self.L}")
+    def __init__(self, L: float, n: int):
+        if n < 3:
+            raise ValueError(f"grid needs at least 3 nodes, got {n}")
+        if not (L > 0.0 and math.isfinite(L)):
+            raise ValueError(f"domain length must be > 0, got {L}")
+        self.L, self.n = L, n
 
     @property
     def dx(self) -> float:
@@ -83,8 +82,7 @@ class Grid:
         return np.linspace(0.0, self.L, self.n)
 
 
-@dataclass
-class SolverConfig:
+class SolverConfig(NamedTuple):
     dt: float
     scheme: str = "crank_nicolson"
 
@@ -105,7 +103,6 @@ def _modes(m: int) -> np.ndarray:
     return phi
 
 
-@dataclass
 class ActuatorField:
     """Diffusion state over the current block of at most ``BLOCK`` steps.
 
@@ -121,14 +118,13 @@ class ActuatorField:
     ``integral`` of the auto-rule spatial integral.
     """
 
-    grid: Grid
-    anchor: np.ndarray
-    inputs: list
-    boundary: float
-    theta: float
-    powers: np.ndarray
-    forcing: np.ndarray
-    integral: "_Readout"
+    __slots__ = ("grid", "anchor", "inputs", "boundary", "theta", "powers", "forcing",
+                 "integral")
+
+    def __init__(self, grid: Grid, anchor: np.ndarray, inputs: list, boundary: float,
+                 theta: float, powers: np.ndarray, forcing: np.ndarray, integral: _Readout):
+        self.grid, self.anchor, self.inputs, self.boundary = grid, anchor, inputs, boundary
+        self.theta, self.powers, self.forcing, self.integral = theta, powers, forcing, integral
 
     @property
     def z(self) -> np.ndarray:
@@ -314,8 +310,7 @@ def spatial_integral(field: ActuatorField) -> float:
     return sum(map(mul, u, readout.impulse), readout.free[len(u)]) + readout.w_end * field.boundary
 
 
-@dataclass(frozen=True)
-class OrderEstimate:
+class OrderEstimate(NamedTuple):
     order: float
     dxs: tuple
     errors: tuple

@@ -12,8 +12,8 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
 from itertools import chain
+from typing import NamedTuple
 
 import numpy as np
 
@@ -58,13 +58,16 @@ class SimulationDiverged(RuntimeError):
         self.step_index = step_index
 
 
-@dataclass(frozen=True)
 class StaticMap:
-    """Unknown quadratic objective y = y_star + (H/2)*(Theta - theta_star)^2."""
+    """Unknown quadratic objective y = y_star + (H/2)*(Theta - theta_star)^2.
 
-    y_star: float
-    theta_star: float
-    H: float
+    ``evaluate_map`` reads its fields at every step, where a slot is read
+    faster than a NamedTuple field."""
+
+    __slots__ = ("y_star", "theta_star", "H")
+
+    def __init__(self, y_star: float, theta_star: float, H: float):
+        self.y_star, self.theta_star, self.H = y_star, theta_star, H
 
     def validate(self) -> None:
         if not (self.H < 0.0 and math.isfinite(self.H)):
@@ -85,8 +88,7 @@ def evaluate_map(m: StaticMap, Theta):
     return m.y_star + 0.5 * m.H * (d * d)
 
 
-@dataclass
-class ScenarioConfig:
+class ScenarioConfig(NamedTuple):
     """Everything one closed-loop run needs; the one input of every runner.
 
     ``validate`` is the single gate all three runners call first.  The
@@ -141,8 +143,7 @@ class ScenarioConfig:
             check_gain(self.K_bar, self.grid.L)
 
 
-@dataclass
-class TrajectoryRecord:
+class TrajectoryRecord(NamedTuple):
     """Sampled closed-loop signals, fields in ``TRAJECTORY_COLUMNS`` order."""
 
     t: np.ndarray
@@ -157,8 +158,7 @@ class TrajectoryRecord:
     field_history: "FieldHistory | None" = None
 
 
-@dataclass
-class FieldHistory:
+class FieldHistory(NamedTuple):
     """Field snapshots for surface plots / CSV export."""
 
     t: np.ndarray          # (m,)
@@ -166,8 +166,7 @@ class FieldHistory:
     alpha: np.ndarray      # (m, n)
 
 
-@dataclass
-class AverageRecord:
+class AverageRecord(NamedTuple):
     """Sampled averaged error system: scalar error, field profiles, norms."""
 
     t: np.ndarray
@@ -206,6 +205,8 @@ def run_esc(config: ScenarioConfig) -> TrajectoryRecord:
 
     dith = config.dither
     dt = config.solver.dt
+    # read every step, so bound as locals: a NamedTuple field read is slower than a local
+    map_, record_every, snapshot_every = config.map, config.record_every, config.snapshot_every
     n_steps = round(config.T_final / dt)
     t_all = np.arange(n_steps + 1) * dt
     S_all = dither_signal(design_dither(dith), t_all)
@@ -229,7 +230,7 @@ def run_esc(config: ScenarioConfig) -> TrajectoryRecord:
         S = S_all.item(k)
         probe = probe_all.item(k)
         Theta = spatial_integral(fld)
-        y = evaluate_map(config.map, Theta)
+        y = evaluate_map(map_, Theta)
         if demod_g is None:
             G_hat = H_hat = 0.0
         else:
@@ -241,14 +242,14 @@ def run_esc(config: ScenarioConfig) -> TrajectoryRecord:
                 f"non-finite signal at step {k} (t={t:.6g}): Theta={Theta}, y={y}, U={U}",
                 step_index=k,
             )
-        if k % config.record_every == 0:
+        if k % record_every == 0:
             rows.append((
                 t,
                 ctrl.theta_hat + S,                        # boundary command
                 Theta, y, U, G_hat, H_hat, S,
-                Theta - probe - config.map.theta_star,
+                Theta - probe - map_.theta_star,
             ))
-        if config.snapshot_every and k % config.snapshot_every == 0:
+        if snapshot_every and k % snapshot_every == 0:
             snaps_t.append(t)
             snaps_alpha.append(fld.alpha.copy())
         if k == n_steps:
@@ -283,7 +284,7 @@ def run_average_system(
         K_bar = config.K_bar
     grid = config.grid
     kernel = make_kernel(K_bar, grid.L, check=check_admissible)
-    dt = config.solver.dt
+    dt, record_every = config.solver.dt, config.record_every
     n_steps = round(config.T_final / dt)
 
     fld = make_field(grid, config.solver, initial=config.initial_alpha)
@@ -301,7 +302,7 @@ def run_average_system(
                 f"non-finite averaged state at step {k}: vartheta={vartheta}, U={U}",
                 step_index=k,
             )
-        if k % config.record_every == 0:
+        if k % record_every == 0:
             consistent = fld.alpha.copy()
             consistent[-1] = U
             u_sq = integrate_profile(consistent**2, grid.dx)
@@ -332,7 +333,8 @@ def run_standard_esc(config: ScenarioConfig) -> TrajectoryRecord:
     scheme are validated but not simulated.
     """
     config.validate()
-    map_, K, dt = config.map, config.gains.K, config.solver.dt
+    map_, K, dt, record_every = (config.map, config.gains.K, config.solver.dt,
+                                 config.record_every)
     n_steps = round(config.T_final / dt)
     probe_all, demod_g, demod_h = _time_signals(config.dither, np.arange(n_steps + 1) * dt)
     theta_hat = float(config.initial_theta_hat)
@@ -345,7 +347,7 @@ def run_standard_esc(config: ScenarioConfig) -> TrajectoryRecord:
         G_hat = demod_g.item(k) * y if demod_g is not None else 0.0
         H_hat = demod_h.item(k) * y if demod_h is not None else 0.0
         U = K * G_hat
-        if k % config.record_every == 0:
+        if k % record_every == 0:
             rows.append((t, Theta, Theta, y, U, G_hat, H_hat, S,
                          theta_hat - map_.theta_star))
         theta_hat += dt * U

@@ -190,10 +190,8 @@ class TestTargetResiduals:
 
     def test_inconclusive_for_short_trajectory(self, short_average_run):
         rec = short_average_run
-        import dataclasses
-        tiny = dataclasses.replace(rec, t=rec.t[:4], vartheta=rec.vartheta[:4],
-                                   U=rec.U[:4], Z=rec.Z[:4], u_norm=rec.u_norm[:4],
-                                   Omega=rec.Omega[:4], u=rec.u[:4])
+        tiny = rec._replace(t=rec.t[:4], vartheta=rec.vartheta[:4], U=rec.U[:4], Z=rec.Z[:4],
+                            u_norm=rec.u_norm[:4], Omega=rec.Omega[:4], u=rec.u[:4])
         res = target_residuals(tiny, KERNEL)
         assert res.inconclusive
 

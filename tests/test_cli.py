@@ -86,6 +86,12 @@ class TestDesignDither:
         err = capsys.readouterr().err
         assert "positive" in err and "nan" in err
 
+    def test_rejects_overflowing_design(self, capsys):
+        # L*sqrt(2*omega) = 894 overflows the exponential of the probe design
+        assert main(["design-dither", "--a", "0.2", "--omega", "10", "--L", "200"]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "L = 200" in err and "omega = 10" in err and "Traceback" not in err
+
 
 class TestRun:
     def test_empty_config_is_usage_error(self, tmp_path, capsys):
@@ -216,6 +222,26 @@ class TestRunValidation:
         out = tmp_path / "o"
         assert main(["run", "--config", str(cfg), "--out", str(out)]) == EXIT_USAGE
         assert "initial input estimate" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_length_that_overflows_the_probe_design_is_usage_error(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path)
+        cfg.write_text(cfg.read_text().replace("length = 1.0", "length = 200"))
+        out = tmp_path / "o"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "L = 200" in err and "omega = 10" in err
+        assert not out.exists()
+
+    def test_unknown_boolean_word_is_usage_error(self, tmp_path, capsys):
+        text = (_resolve_config("average_system").read_text()
+                .replace("allow_unstable = false", "allow_unstable = tru")
+                .replace("duration = 20.0", "duration = 1.0"))
+        cfg = tmp_path / "avg.cfg"
+        cfg.write_text(text)
+        out = tmp_path / "o"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == EXIT_USAGE
+        assert "[average] allow_unstable: 'tru'" in capsys.readouterr().err
         assert not out.exists()
 
     def test_non_finite_initial_average_error_is_usage_error_before_run(self, tmp_path, capsys):
@@ -411,6 +437,21 @@ class TestSweep:
         assert "values_completed: 0.2" in report
         assert "values_failed: " in report and "none" not in report.split("values_failed:")[1].splitlines()[0]
         assert (out / "K_0.2" / "trajectory.csv").is_file()
+
+    def test_overflowing_frequency_fails_only_its_member(self, tmp_path):
+        # at L = 1, omega = 3e5 puts L*sqrt(2*omega) = 775 beyond the exponent
+        # the probe design can take; validation rejects it before its run
+        cfg = write_cfg(tmp_path, duration=1.0)
+        out = tmp_path / "omega"
+        rc = main(["sweep", "--config", str(cfg), "--param", "omega",
+                   "--values", "10,3e5", "--out", str(out)])
+        assert rc == EXIT_OK
+        report = (out / "sweep_report.txt").read_text()
+        assert "values_completed: 10\n" in report
+        assert "values_failed: 300000\n" in report
+        assert "failure_300000: ValueError: " in report and "omega = 300000" in report
+        assert (out / "omega_10" / "trajectory.csv").is_file()
+        assert not (out / "omega_300000").exists()
 
     def test_all_members_invalid_is_usage_error_before_any_run(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, extra="initial_theta_hat = nan\n")

@@ -60,6 +60,10 @@ class TestCheckGain:
             check_gain(first, L)
         check_gain(first * 1.5, L)
 
+    def test_length_whose_cube_overflows_is_rejected(self):
+        with pytest.raises(ForbiddenGainError, match="out of range"):
+            check_gain(-0.4, 1e103)
+
     def test_tolerance_band(self):
         first = -math.pi**2 / 4.0
         with pytest.raises(ForbiddenGainError):
