@@ -38,9 +38,6 @@ from .dither import (
     dither_signal,
     gradient_demod,
     hessian_demod,
-    norm_constant,
-    phase_components,
-    phase_constant,
     verify_integral_identity,
 )
 from .filters import (

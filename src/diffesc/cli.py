@@ -284,8 +284,6 @@ def cmd_design_dither(args) -> int:
         return EXIT_USAGE
     print(f"A   = {design.amplitude:.6f}")
     print(f"phi = {design.phase:.6f} rad")
-    print(f"B   = {design.norm_const:.6f}")
-    print(f"psi = {design.psi:.6f} rad")
     print()
     print(f"{'t':>10} {'dither':>12} {'a*sin(wt)':>12} {'integral':>12}")
     x, w = gauss_legendre(QUADRATURE_NODES, 0.0, params.L)

@@ -15,9 +15,9 @@ array of sample times, and read them per step.
 """
 from __future__ import annotations
 
+import cmath
 import math
 import sys
-import warnings
 from typing import NamedTuple
 
 import numpy as np
@@ -27,9 +27,6 @@ __all__ = [
     "DitherDesign",
     "IdentityReport",
     "design_dither",
-    "norm_constant",
-    "phase_components",
-    "phase_constant",
     "dither_signal",
     "dither_field",
     "dither_envelope",
@@ -38,14 +35,12 @@ __all__ = [
     "verify_integral_identity",
 ]
 
-# Relative threshold under which the cosine phasor component counts as zero
-# and the phase falls back to +-pi/2.
-PSI2_ZERO_TOL = 1e-12
 # Gauss-Legendre nodes over the field or one period: the integrands are analytic, so
 # the quadrature error sits far below IDENTITY_TOL, the largest residual that passes.
 QUADRATURE_NODES = 64
 IDENTITY_TOL = 1e-6
-# The design evaluates exp(L*sqrt(2*omega)); beyond this exponent it overflows a float.
+# Input gate on the probe's size: past this exponent exp(L*sqrt(2*omega)) overflows a
+# float; below it the field's exp(k*x) and the design's exp(q) stay finite.
 MAX_EXPONENT = math.log(sys.float_info.max)
 
 
@@ -79,11 +74,7 @@ class DitherDesign(NamedTuple):
 
     params: DitherParams
     amplitude: float    # A, amplitude of the planned reference at x=0
-    phase: float        # phi = -psi, rad
-    norm_const: float   # B, phasor magnitude normalizing the amplitude
-    psi: float          # phase of the integrated-field phasor, rad
-    psi1: float         # sine (imaginary) component of the phasor sum
-    psi2: float         # cosine (real) component of the phasor sum
+    phase: float        # phi = -arg of the integrated-field phasor, rad, in (-pi, pi]
 
 
 def _wavenumber(params: DitherParams) -> float:
@@ -91,72 +82,25 @@ def _wavenumber(params: DitherParams) -> float:
     return math.sqrt(params.omega / 2.0)
 
 
-def norm_constant(params: DitherParams) -> float:
-    """Magnitude B of the phasor sum of the two integrated components.
+def design_dither(params: DitherParams) -> DitherDesign:
+    """Compute the boundary-signal constants from the integrated-field phasor.
 
     Integrating the planned field gives a growing component e^q at phase
     q - pi/4 and a decaying component entering with a NEGATIVE amplitude
-    -e^{-q} at phase -q - pi/4 (q = L*sqrt(omega/2)).  The squared magnitude
-    of that sum is
+    -e^{-q} at phase -q - pi/4 (q = L*sqrt(omega/2)).  Their sum is the
+    phasor P = e^q * Pt with the scaled phasor
 
-        B**2 = exp(2q) + exp(-2q) - 2*cos(2q),
+        Pt = e^{j(q - pi/4)} - e^{-2q} * e^{j(-q - pi/4)},
 
-    strictly positive for omega, L > 0, with the correct static limit
-    B -> 2*L*sqrt(omega) (so the designed amplitude tends to a/L).
+    so A = 2*a*sqrt(omega) / (e^q * |Pt|) and phi = -arg(Pt), in (-pi, pi].
+    As omega -> 0, |P| -> 2*L*sqrt(omega), so A tends to a/L.
     """
     params.validate()
-    z = params.L * math.sqrt(2.0 * params.omega)
-    val = math.exp(z) + math.exp(-z) - 2.0 * math.cos(z)
-    if val <= 0.0:
-        # analytically impossible; can only happen through catastrophic rounding
-        warnings.warn("norm_constant argument clamped at positive floor", RuntimeWarning)
-        val = 1e-300
-    return math.sqrt(val)
-
-
-def phase_components(params: DitherParams) -> tuple[float, float]:
-    """Sine/cosine components (psi1, psi2) of the integrated-field phasor.
-
-    psi1 is the imaginary part and psi2 the real part of
-    e^q * e^{j(q - pi/4)} - e^{-q} * e^{j(-q - pi/4)}.
-    """
     q = params.L * _wavenumber(params)
     quarter = math.pi / 4.0
-    psi1 = math.exp(q) * math.sin(q - quarter) - math.exp(-q) * math.sin(-q - quarter)
-    psi2 = math.exp(q) * math.cos(q - quarter) - math.exp(-q) * math.cos(-q - quarter)
-    return psi1, psi2
-
-
-def phase_constant(params: DitherParams) -> float:
-    """Phase psi of the phasor sum, resolved over the full circle.
-
-    Branches on the sign of the cosine component; |psi2| below
-    ``PSI2_ZERO_TOL*max(1, |psi1|)`` counts as zero and returns +-pi/2.
-    """
-    psi1, psi2 = phase_components(params)
-    if abs(psi2) < PSI2_ZERO_TOL * max(1.0, abs(psi1)):
-        return math.copysign(math.pi / 2.0, psi1)
-    if psi2 > 0.0:
-        return math.atan(psi1 / psi2)
-    return math.pi + math.atan(psi1 / psi2)
-
-
-def design_dither(params: DitherParams) -> DitherDesign:
-    """Compute the boundary-signal constants: A = 2*a*sqrt(omega)/B, phi = -psi."""
-    params.validate()
-    norm = norm_constant(params)
-    psi1, psi2 = phase_components(params)
-    psi = phase_constant(params)
-    amplitude = 2.0 * params.a * math.sqrt(params.omega) / norm
-    return DitherDesign(
-        params=params,
-        amplitude=amplitude,
-        phase=-psi,
-        norm_const=norm,
-        psi=psi,
-        psi1=psi1,
-        psi2=psi2,
-    )
+    scaled = cmath.exp(1j * (q - quarter)) - math.exp(-2.0 * q) * cmath.exp(-1j * (q + quarter))
+    amplitude = 2.0 * params.a * math.sqrt(params.omega) / (math.exp(q) * abs(scaled))
+    return DitherDesign(params=params, amplitude=amplitude, phase=-cmath.phase(scaled))
 
 
 def dither_field(design: DitherDesign, x, t):

@@ -48,6 +48,10 @@ __all__ = [
 ]
 
 TRAJECTORY_COLUMNS = "t,theta,Theta,y,U,G_hat,H_hat,S,vartheta"
+# Largest k*dx = sqrt(omega/2)*dx at which the grid resolves the planned probe field:
+# with K = 0 the map-input probe is off by 1.6e-3 in amplitude and 0.043 rad in phase
+# at k*dx = 0.71, and by 3.8e-2 and 0.19 rad at 0.89.
+MAX_K_DX = 0.75
 
 
 class SimulationDiverged(RuntimeError):
@@ -56,6 +60,11 @@ class SimulationDiverged(RuntimeError):
     def __init__(self, message: str, step_index: int):
         super().__init__(message)
         self.step_index = step_index
+
+
+def _diverged(k: int, t: float, Theta: float, y: float, U: float) -> SimulationDiverged:
+    return SimulationDiverged(
+        f"non-finite signal at step {k} (t={t:.6g}): Theta={Theta}, y={y}, U={U}", step_index=k)
 
 
 class StaticMap:
@@ -93,7 +102,8 @@ class ScenarioConfig(NamedTuple):
 
     ``validate`` is the single gate all three runners call first.  The
     compensator gain ``K_bar`` = K*H; ``validate`` rejects it when it is
-    forbidden, unless K = 0 (no adaptation, so no compensated loop).
+    forbidden, unless K = 0 (no adaptation, so no compensated loop), and
+    it rejects a grid too coarse for the probe (k*dx above ``MAX_K_DX``).
     """
 
     map: StaticMap
@@ -141,6 +151,12 @@ class ScenarioConfig(NamedTuple):
                 raise ValueError(f"filter corner frequencies must be > 0, got {corner}")
         if self.gains.K > 0.0:
             check_gain(self.K_bar, self.grid.L)
+        k_dx = math.sqrt(self.dither.omega / 2.0) * self.grid.dx
+        if k_dx > MAX_K_DX:
+            raise ValueError(
+                f"grid too coarse for the probe: omega = {self.dither.omega}, L = {self.grid.L} "
+                f"and nodes = {self.grid.n} give k*dx = sqrt(omega/2)*dx = {k_dx:.3g} > "
+                f"{MAX_K_DX}; use nodes >= {math.ceil(k_dx * (self.grid.n - 1) / MAX_K_DX) + 1}")
 
 
 class TrajectoryRecord(NamedTuple):
@@ -238,10 +254,7 @@ def run_esc(config: ScenarioConfig) -> TrajectoryRecord:
             H_hat = estimate_hessian(washout_h.step(y), demod_h.item(k), smoother)
         U = realtime_control(ctrl, G_hat, H_hat, Theta, probe)
         if not (math.isfinite(Theta) and math.isfinite(y) and math.isfinite(U)):
-            raise SimulationDiverged(
-                f"non-finite signal at step {k} (t={t:.6g}): Theta={Theta}, y={y}, U={U}",
-                step_index=k,
-            )
+            raise _diverged(k, t, Theta, y, U)
         if k % record_every == 0:
             rows.append((
                 t,
@@ -330,7 +343,8 @@ def run_standard_esc(config: ScenarioConfig) -> TrajectoryRecord:
 
     Reads the map, dither, adaptation gain ``K``, duration, step, initial
     estimate and record cadence of ``config``; the grid and the solver
-    scheme are validated but not simulated.
+    scheme are validated but not simulated.  Raises ``SimulationDiverged`` on
+    the first non-finite Theta, y or U, as ``run_esc`` does.
     """
     config.validate()
     map_, K, dt, record_every = (config.map, config.gains.K, config.solver.dt,
@@ -347,6 +361,8 @@ def run_standard_esc(config: ScenarioConfig) -> TrajectoryRecord:
         G_hat = demod_g.item(k) * y if demod_g is not None else 0.0
         H_hat = demod_h.item(k) * y if demod_h is not None else 0.0
         U = K * G_hat
+        if not (math.isfinite(Theta) and math.isfinite(y) and math.isfinite(U)):
+            raise _diverged(k, t, Theta, y, U)
         if k % record_every == 0:
             rows.append((t, Theta, Theta, y, U, G_hat, H_hat, S,
                          theta_hat - map_.theta_star))

@@ -61,6 +61,7 @@ class TestDesignDither:
         assert "A   = 0.134816" in out
         assert "phi = -1.439606" in out
         assert "a*sin(wt)" in out
+        assert "B   =" not in out and "psi" not in out
 
     def test_amplitude_doubles_phase_fixed(self, capsys):
         main(["design-dither", "--a", "0.2", "--omega", "10", "--L", "1"])
@@ -232,6 +233,40 @@ class TestRunValidation:
         err = capsys.readouterr().err
         assert "L = 200" in err and "omega = 10" in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("length", ["100", "150"])
+    def test_long_domain_on_default_grid_is_usage_error(self, tmp_path, capsys, length):
+        # 101 nodes put k*dx = sqrt(omega/2)*dx at 2.24 and 3.35, where the run
+        # would diverge mid-run (exit 1) if validation let it start
+        cfg = tmp_path / "long.cfg"
+        cfg.write_text(_resolve_config("baseline").read_text()
+                       .replace("length = 1.0", f"length = {length}"))
+        out = tmp_path / "o"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert f"L = {length}" in err and "nodes = 101" in err and "k*dx" in err
+        assert not out.exists()
+
+    def test_resolution_bound_sits_between_three_and_four_nodes(self, tmp_path, capsys):
+        # omega = 10, L = 1: k*dx = 1.12 at 3 nodes, 0.745 at 4
+        cfg = write_cfg(tmp_path, duration=1.0)
+        cfg.write_text(cfg.read_text().replace("nodes = 51", "nodes = 3"))
+        out = tmp_path / "o3"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == EXIT_USAGE
+        assert "k*dx = sqrt(omega/2)*dx = 1.12 > 0.75; use nodes >= 4" in capsys.readouterr().err
+        assert not out.exists()
+        cfg.write_text(cfg.read_text().replace("nodes = 3", "nodes = 4"))
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o4")]) == EXIT_OK
+
+    def test_diverging_standard_run_fails_with_marker(self, tmp_path, capsys):
+        cfg = tmp_path / "std.cfg"
+        cfg.write_text(_resolve_config("standard_esc").read_text()
+                       .replace("K = 0.2", "K = 1000").replace("duration = 40.0", "duration = 1.0"))
+        out = tmp_path / "o"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == EXIT_FAILURE
+        assert "non-finite signal" in capsys.readouterr().err
+        assert "Theta=" in (out / ".failed").read_text()
+        assert not (out / "manifest.json").exists()
 
     def test_unknown_boolean_word_is_usage_error(self, tmp_path, capsys):
         text = (_resolve_config("average_system").read_text()
@@ -452,6 +487,20 @@ class TestSweep:
         assert "failure_300000: ValueError: " in report and "omega = 300000" in report
         assert (out / "omega_10" / "trajectory.csv").is_file()
         assert not (out / "omega_300000").exists()
+
+    def test_unresolved_frequency_fails_only_its_member(self, tmp_path):
+        # at 51 nodes on L = 1, omega = 5000 puts k*dx = sqrt(omega/2)*dx at 1.0
+        cfg = write_cfg(tmp_path, duration=1.0)
+        out = tmp_path / "omega"
+        rc = main(["sweep", "--config", str(cfg), "--param", "omega",
+                   "--values", "10,5000", "--out", str(out)])
+        assert rc == EXIT_OK
+        report = (out / "sweep_report.txt").read_text()
+        assert "values_completed: 10\n" in report
+        assert "values_failed: 5000\n" in report
+        assert "failure_5000: ValueError: grid too coarse" in report
+        assert (out / "omega_10" / "trajectory.csv").is_file()
+        assert not (out / "omega_5000").exists()
 
     def test_all_members_invalid_is_usage_error_before_any_run(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, extra="initial_theta_hat = nan\n")

@@ -3,8 +3,8 @@
 The independent oracle is the arbitrary-precision phasor evaluation in
 mpmath: the integrated field is (A / 2 sqrt(omega)) * Im{P e^{j(wt+phi)}}
 with P = e^q e^{j(q-pi/4)} - e^{-q} e^{j(-q-pi/4)}, so the design constants
-must satisfy |P| = B and arg(P) = psi (mod 2pi).  The end-to-end oracle is
-quadrature of the field against a*sin(omega*t).
+must satisfy A = 2 a sqrt(omega) / |P| and phi = -arg(P) (mod 2pi).  The
+end-to-end oracle is quadrature of the field against a*sin(omega*t).
 """
 import math
 
@@ -15,8 +15,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq
 
-from diffesc import dither
 from diffesc.dither import (
+    MAX_EXPONENT,
     DitherParams,
     design_dither,
     dither_envelope,
@@ -25,13 +25,11 @@ from diffesc.dither import (
     gauss_legendre,
     gradient_demod,
     hessian_demod,
-    norm_constant,
-    phase_constant,
     verify_integral_identity,
 )
 
 
-def phasor_oracle(a, omega, L, dps=50):
+def phasor_oracle(a, omega, L, dps=60):
     """High-precision design constants from the complex phasor sum."""
     with mp.workdps(dps):
         a_, omega_, L_ = mp.mpf(a), mp.mpf(omega), mp.mpf(L)
@@ -39,10 +37,7 @@ def phasor_oracle(a, omega, L, dps=50):
         quarter = mp.pi / 4
         P = mp.e**q * mp.expjpi(0) * mp.exp(1j * (q - quarter)) \
             - mp.e**-q * mp.exp(1j * (-q - quarter))
-        B = mp.fabs(P)
-        psi = mp.arg(P)
-        A = 2 * a_ * mp.sqrt(omega_) / B
-        return float(A), float(-psi), float(B), float(psi)
+        return float(2 * a_ * mp.sqrt(omega_) / mp.fabs(P)), float(-mp.arg(P))
 
 
 CASES = [(0.2, 10.0, 1.0), (0.2, 10.0, 2.0), (0.1, 25.0, 1.0), (0.7, 3.0, 0.5)]
@@ -51,12 +46,32 @@ CASES = [(0.2, 10.0, 1.0), (0.2, 10.0, 2.0), (0.1, 25.0, 1.0), (0.7, 3.0, 0.5)]
 @pytest.mark.parametrize("a,omega,L", CASES)
 def test_design_matches_phasor_oracle(a, omega, L):
     d = design_dither(DitherParams(a, omega, L))
-    A_ref, phi_ref, B_ref, psi_ref = phasor_oracle(a, omega, L)
+    A_ref, phi_ref = phasor_oracle(a, omega, L)
     assert d.amplitude == pytest.approx(A_ref, abs=1e-12)
-    assert d.norm_const == pytest.approx(B_ref, abs=1e-12)
     # phases agree modulo 2*pi
-    assert abs(np.exp(1j * (d.psi - psi_ref)) - 1.0) < 1e-12
     assert abs(np.exp(1j * (d.phase - phi_ref)) - 1.0) < 1e-12
+
+
+def test_design_matches_phasor_oracle_on_log_grid():
+    # 25 x 25 log grid over omega in [1e-3, 1e3] and L in [0.01, 30]; at small q
+    # the squared-magnitude form e^{2q} + e^{-2q} - 2 cos 2q loses ~1e-10 to
+    # cancellation, and the 5 cells past MAX_EXPONENT must be rejected
+    in_range = beyond = 0
+    for omega in np.logspace(-3.0, 3.0, 25).tolist():
+        for L in np.logspace(-2.0, math.log10(30.0), 25).tolist():
+            p = DitherParams(0.2, omega, L)
+            if L * math.sqrt(2.0 * omega) > MAX_EXPONENT:
+                beyond += 1
+                with pytest.raises(ValueError, match="out of range"):
+                    design_dither(p)
+                continue
+            in_range += 1
+            d = design_dither(p)
+            A_ref, phi_ref = phasor_oracle(p.a, omega, L)
+            assert abs(d.amplitude / A_ref - 1.0) <= 1e-12, (omega, L)
+            assert abs(np.exp(1j * (d.phase - phi_ref)) - 1.0) <= 1e-12, (omega, L)
+            assert -math.pi < d.phase <= math.pi
+    assert (in_range, beyond) == (620, 5)
 
 
 def test_design_reference_values():
@@ -64,7 +79,6 @@ def test_design_reference_values():
     d = design_dither(DitherParams(0.2, 10.0, 1.0))
     assert d.amplitude == pytest.approx(0.13481635708410036, abs=1e-12)
     assert d.phase == pytest.approx(-1.43960553976457, abs=1e-12)
-    assert d.norm_const == pytest.approx(9.38247473396928, abs=1e-11)
 
 
 @pytest.mark.parametrize("a,omega,L", CASES)
@@ -105,8 +119,7 @@ def test_perturbed_amplitude_breaks_identity():
     # the integral is linear in the amplitude: +10% gives a 0.1*a*|sin| residual
     p = DitherParams(0.2, 10.0, 1.0)
     d = design_dither(p)
-    bad = type(d)(params=p, amplitude=1.1 * d.amplitude, phase=d.phase,
-                  norm_const=d.norm_const, psi=d.psi, psi1=d.psi1, psi2=d.psi2)
+    bad = d._replace(amplitude=1.1 * d.amplitude)
     ts = np.linspace(0.0, p.period, 400, endpoint=False)
     report = verify_integral_identity(bad, ts)
     assert not report.passed
@@ -126,15 +139,12 @@ def test_amplitude_linear_in_a_and_phase_independent():
     p2 = design_dither(DitherParams(0.4, 10.0, 1.0))
     assert p2.amplitude == pytest.approx(2.0 * p1.amplitude, rel=1e-14)
     assert p2.phase == p1.phase
-    assert p2.norm_const == p1.norm_const
-    assert p2.psi == p1.psi
 
 
 def test_static_limit():
-    # omega -> 0: B ~ 2 L sqrt(omega), so the designed amplitude tends to a/L
+    # omega -> 0: |P| ~ 2 L sqrt(omega), so the designed amplitude tends to a/L
     p = DitherParams(0.3, 1e-8, 2.0)
     d = design_dither(p)
-    assert d.norm_const == pytest.approx(2.0 * p.L * math.sqrt(p.omega), rel=1e-6)
     assert d.amplitude == pytest.approx(p.a / p.L, rel=1e-6)
 
 
@@ -219,23 +229,22 @@ def test_demodulation_signals():
                                hessian_demod(p, ts), atol=1e-10)
 
 
-def test_phase_branch_selection(monkeypatch):
-    p = DitherParams(0.2, 10.0, 1.0)
-    # huge zero tolerance forces the degenerate branch: sign(psi1) * pi/2
-    with monkeypatch.context() as patch:
-        patch.setattr(dither, "PSI2_ZERO_TOL", 1e12)
-        assert phase_constant(p) == pytest.approx(math.pi / 2)
+def test_phase_continuous_where_the_phasor_real_part_changes_sign():
+    # at omega = 10 the real part of the phasor changes sign near L = 1.0577,
+    # where phi passes through -pi/2; the phase has no branch there
+    def real_part(L):
+        q = L * math.sqrt(5.0)
+        return math.cos(q - math.pi / 4) - math.exp(-2 * q) * math.cos(q + math.pi / 4)
 
-    # at the actual sign change of the cosine component the phase passes
-    # continuously through pi/2
-    def psi2_of_L(L):
-        from diffesc.dither import phase_components
-        return phase_components(DitherParams(0.2, 10.0, L))[1]
-
-    L_star = brentq(psi2_of_L, 0.9, 1.3)
-    for L in (L_star - 1e-7, L_star + 1e-7):
-        psi = phase_constant(DitherParams(0.2, 10.0, L))
-        assert psi == pytest.approx(math.pi / 2, abs=1e-3)
+    L_star = brentq(real_part, 0.9, 1.3, xtol=1e-14)
+    assert L_star == pytest.approx(1.0577, abs=1e-4)
+    for L in (L_star - 1e-7, L_star, L_star + 1e-7):
+        phase = design_dither(DitherParams(0.2, 10.0, L)).phase
+        assert phase == pytest.approx(-math.pi / 2, abs=1e-6)
+    # phi falls at d(phi)/dL ~ -sqrt(5): steps of 1e-3 in L move it by ~2.2e-3
+    phases = [design_dither(DitherParams(0.2, 10.0, L)).phase
+              for L in np.linspace(0.9, 1.3, 401).tolist()]
+    assert np.max(np.abs(np.diff(phases))) < 0.01
 
 
 def test_identity_report_validation():

@@ -336,6 +336,11 @@ class TestStandardEsc:
         with pytest.raises(ValueError, match="record_every"):
             run_standard_esc(scenario(T=1.0, record_every=0))
 
+    def test_divergence_detected(self):
+        with pytest.raises(SimulationDiverged, match="non-finite signal") as err:
+            run_standard_esc(scenario(T=1.0, gains=GainConfig(K=1000.0, c=10.0)))
+        assert 0 < err.value.step_index < 1000
+
 
 class TestScenarioValidation:
     def test_bad_record_every(self):
@@ -367,6 +372,20 @@ class TestScenarioValidation:
     def test_negative_or_non_finite_adaptation_gain_rejected(self, K):
         with pytest.raises(ValueError, match="adaptation gain"):
             scenario(gains=GainConfig(K=K, c=10.0)).validate()
+
+    @pytest.mark.parametrize("omega,L", [(10.0, 1.0), (10.0, 100.0), (1000.0, 1.0),
+                                         (2000.0, 3.0)])
+    def test_coarse_grid_rejected_and_suggested_node_count_passes(self, omega, L):
+        def config(n):
+            return scenario(dither=DitherParams(0.2, omega, L), grid=Grid(L, n),
+                            gains=GainConfig(K=0.0, c=10.0))
+
+        with pytest.raises(ValueError, match="too coarse") as err:
+            config(3).validate()
+        n_min = int(str(err.value).rsplit("nodes >= ", 1)[1])
+        config(n_min).validate()
+        with pytest.raises(ValueError, match="too coarse"):
+            config(n_min - 1).validate()
 
     def test_amplitude_below_demodulation_minimum_rejected(self):
         with pytest.raises(ValueError, match="demodulation"):
