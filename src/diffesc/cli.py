@@ -17,14 +17,24 @@ from __future__ import annotations
 import argparse
 import configparser
 import copy
-import hashlib
 import json
 import math
+import os
 import sys
 from importlib import resources
 from pathlib import Path
 
 import numpy as np
+
+# the interpreter's own SHA-256: importing hashlib loads OpenSSL's libcrypto,
+# ~3.6 MiB of resident memory for one digest per file
+try:
+    from _sha2 import sha256            # Python 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256      # Python 3.10-3.11
+    except ImportError:
+        from hashlib import sha256      # builds without the built-in module
 
 from . import analysis, svgplot
 from .controller import GainConfig, make_kernel
@@ -156,7 +166,7 @@ def _execute_run(out_dir: Path, scenario: str, config_path: str, write):
 
     try:
         record = write(out)
-        files = [{"name": n, "sha256": hashlib.sha256((out_dir / n).read_bytes()).hexdigest()}
+        files = [{"name": n, "sha256": sha256((out_dir / n).read_bytes()).hexdigest()}
                  for n in sorted(names)]
         manifest = {"scenario": scenario, "config": config_path, "out_dir": str(out_dir),
                     "determinism": "fixed-step, seed-free simulation; identical config "
@@ -436,7 +446,15 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
-    return args.func(args)
+    try:
+        return args.func(args)
+    except BrokenPipeError:
+        # the reader closed stdout early (``| head``): stop quietly, and point stdout at
+        # devnull so the interpreter's final flush cannot raise again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_OK
 
 
 if __name__ == "__main__":

@@ -15,7 +15,6 @@ array of sample times, and read them per step.
 """
 from __future__ import annotations
 
-import cmath
 import math
 import sys
 from typing import NamedTuple
@@ -98,9 +97,13 @@ def design_dither(params: DitherParams) -> DitherDesign:
     params.validate()
     q = params.L * _wavenumber(params)
     quarter = math.pi / 4.0
-    scaled = cmath.exp(1j * (q - quarter)) - math.exp(-2.0 * q) * cmath.exp(-1j * (q + quarter))
+    # built from math alone: loading cmath costs every CLI command ~0.3 MiB of memory
+    grow, decay = q - quarter, -(q + quarter)
+    scaled = (complex(math.cos(grow), math.sin(grow))
+              - math.exp(-2.0 * q) * complex(math.cos(decay), math.sin(decay)))
     amplitude = 2.0 * params.a * math.sqrt(params.omega) / (math.exp(q) * abs(scaled))
-    return DitherDesign(params=params, amplitude=amplitude, phase=-cmath.phase(scaled))
+    return DitherDesign(params=params, amplitude=amplitude,
+                        phase=-math.atan2(scaled.imag, scaled.real))
 
 
 def dither_field(design: DitherDesign, x, t):

@@ -173,41 +173,43 @@ def heatmap(path, title: str, xlabel: str, ylabel: str,
     ml, mr, mt, mb = 64, 80, 34, 44
     pw, ph = WIDTH - ml - mr, HEATMAP_HEIGHT - mt - mb
     cw, ch = pw / xi.size, ph / yi.size
-    parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH}" height="{HEATMAP_HEIGHT}" '
-        f'viewBox="0 0 {WIDTH} {HEATMAP_HEIGHT}" font-family="sans-serif" font-size="12">',
-        f'<rect width="{WIDTH}" height="{HEATMAP_HEIGHT}" fill="white"/>',
-        f'<text x="{WIDTH/2:.1f}" y="20" text-anchor="middle" font-size="14">{title}</text>',
-    ]
-    # cell (i, j) is at x = ml + i*cw, y = (mt + ph) - (j+1)*ch; each x and y is formatted once
-    xs = [f'<rect x="{px:.2f}" y="' for px in (ml + np.arange(xi.size) * cw).tolist()]
+    r, g, b = _ramp_rgb((sub - v_lo) / (v_hi - v_lo))
+    # cell (i, j) is at x = ml + i*cw, y = (mt + ph) - (j+1)*ch; each x and y is formatted
+    # once, and the cells go to the file one column at a time, never all in memory at once
     ys = [f'{py:.2f}" width="{cw+0.5:.2f}" height="{ch+0.5:.2f}" fill="rgb('
           for py in ((mt + ph) - np.arange(1, yi.size + 1) * ch).tolist()]
-    heads = [col + row for col in xs for row in ys]
-    rgb = _ramp_rgb((sub - v_lo) / (v_hi - v_lo))
-    parts.extend('%s%d,%d,%d)"/>' % cell for cell in zip(heads, *rgb))
-    parts.append(f'<rect x="{ml}" y="{mt}" width="{pw}" height="{ph}" fill="none" stroke="#333333"/>')
-    for frac, anchor in ((0.0, "start"), (0.5, "middle"), (1.0, "end")):
-        px = ml + frac * pw
-        parts.append(
-            f'<text x="{px:.1f}" y="{mt+ph+16}" text-anchor="{anchor}">{_fmt(x[xi[0]] + frac*(x[xi[-1]]-x[xi[0]]))}</text>'
-        )
-    for frac in (0.0, 0.5, 1.0):
-        py = mt + ph - frac * ph
-        parts.append(f'<text x="{ml-6}" y="{py+4:.1f}" text-anchor="end">{_fmt(y[yi[0]] + frac*(y[yi[-1]]-y[yi[0]]))}</text>')
-    # color bar
-    bx = ml + pw + 18
-    r, g, b = _ramp_rgb(np.arange(60) / 59.0)
-    for k in range(60):
-        py = mt + ph - (k + 1) * ph / 60.0
-        parts.append(f'<rect x="{bx}" y="{py:.2f}" width="14" height="{ph/60+0.5:.2f}" fill="rgb({r[k]},{g[k]},{b[k]})"/>')
-    parts.append(f'<text x="{bx+18}" y="{mt+ph+4:.1f}">{_fmt(v_lo)}</text>')
-    parts.append(f'<text x="{bx+18}" y="{mt+10:.1f}">{_fmt(v_hi)}</text>')
-    parts.append(f'<text x="{ml+pw/2:.1f}" y="{HEATMAP_HEIGHT-8}" text-anchor="middle">{xlabel}</text>')
-    parts.append(
-        f'<text x="16" y="{mt+ph/2:.1f}" text-anchor="middle" '
-        f'transform="rotate(-90 16 {mt+ph/2:.1f})">{ylabel}</text>'
-    )
-    parts.append("</svg>")
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(parts))
+        fh.write(
+            f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH}" height="{HEATMAP_HEIGHT}" '
+            f'viewBox="0 0 {WIDTH} {HEATMAP_HEIGHT}" font-family="sans-serif" font-size="12">\n'
+            f'<rect width="{WIDTH}" height="{HEATMAP_HEIGHT}" fill="white"/>\n'
+            f'<text x="{WIDTH/2:.1f}" y="20" text-anchor="middle" font-size="14">{title}</text>'
+        )
+        for i, px in enumerate((ml + np.arange(xi.size) * cw).tolist()):
+            cell = f'\n<rect x="{px:.2f}" y="%s%d,%d,%d)"/>'
+            col = slice(i * yi.size, (i + 1) * yi.size)
+            fh.write("".join([cell % c for c in zip(ys, r[col], g[col], b[col])]))
+        parts = [f'<rect x="{ml}" y="{mt}" width="{pw}" height="{ph}" fill="none" stroke="#333333"/>']
+        for frac, anchor in ((0.0, "start"), (0.5, "middle"), (1.0, "end")):
+            px = ml + frac * pw
+            parts.append(
+                f'<text x="{px:.1f}" y="{mt+ph+16}" text-anchor="{anchor}">{_fmt(x[xi[0]] + frac*(x[xi[-1]]-x[xi[0]]))}</text>'
+            )
+        for frac in (0.0, 0.5, 1.0):
+            py = mt + ph - frac * ph
+            parts.append(f'<text x="{ml-6}" y="{py+4:.1f}" text-anchor="end">{_fmt(y[yi[0]] + frac*(y[yi[-1]]-y[yi[0]]))}</text>')
+        # color bar
+        bx = ml + pw + 18
+        r, g, b = _ramp_rgb(np.arange(60) / 59.0)
+        for k in range(60):
+            py = mt + ph - (k + 1) * ph / 60.0
+            parts.append(f'<rect x="{bx}" y="{py:.2f}" width="14" height="{ph/60+0.5:.2f}" fill="rgb({r[k]},{g[k]},{b[k]})"/>')
+        parts.append(f'<text x="{bx+18}" y="{mt+ph+4:.1f}">{_fmt(v_lo)}</text>')
+        parts.append(f'<text x="{bx+18}" y="{mt+10:.1f}">{_fmt(v_hi)}</text>')
+        parts.append(f'<text x="{ml+pw/2:.1f}" y="{HEATMAP_HEIGHT-8}" text-anchor="middle">{xlabel}</text>')
+        parts.append(
+            f'<text x="16" y="{mt+ph/2:.1f}" text-anchor="middle" '
+            f'transform="rotate(-90 16 {mt+ph/2:.1f})">{ylabel}</text>'
+        )
+        parts.append("</svg>")
+        fh.write("\n" + "\n".join(parts))

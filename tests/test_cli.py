@@ -2,6 +2,7 @@
 error paths, and sweep aggregation.  Short horizons keep these fast; the
 physics itself is graded elsewhere.
 """
+import hashlib
 import importlib.util
 import json
 import math
@@ -93,6 +94,27 @@ class TestDesignDither:
         err = capsys.readouterr().err
         assert "L = 200" in err and "omega = 10" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("unbuffered", [True, False])
+    def test_reader_closing_early_ends_quietly(self, unbuffered):
+        # as `diffesc design-dither ... | head -1`: the table is far larger than the
+        # pipe's buffer, so the writer meets the closed pipe mid-table
+        env = {**os.environ, "PYTHONPATH": str(Path(diffesc.__file__).parents[1])}
+        env.pop("PYTHONUNBUFFERED", None)
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        code = "import sys; from diffesc.cli import main; sys.exit(main(sys.argv[1:]))"
+        proc = subprocess.Popen(
+            [sys.executable, "-c", code, "design-dither", "--a", "0.2", "--omega", "10",
+             "--L", "1", "--samples", "20000"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+        try:
+            assert proc.stdout.readline().startswith(b"A   = 0.134816")
+            proc.stdout.close()
+            _, err = proc.communicate(timeout=120)
+        finally:
+            proc.kill()
+        assert (proc.returncode, err) == (EXIT_OK, b"")
+
 
 class TestRun:
     def test_empty_config_is_usage_error(self, tmp_path, capsys):
@@ -138,6 +160,22 @@ class TestRun:
                              check=True, env=env)
         assert res.stdout.splitlines()[-1] == f"{EXIT_OK} False"
         assert (out / "field.svg").is_file() and (out / "field.csv").is_file()
+
+    @pytest.mark.skipif(not any(importlib.util.find_spec(m) for m in ("_sha2", "_sha256")),
+                        reason="no built-in SHA-256 module: hashlib is the only digest")
+    def test_run_loads_neither_openssl_nor_cmath(self, tmp_path):
+        # _hashlib maps OpenSSL's libcrypto (~3.6 MiB resident) and cmath adds ~0.3 MiB
+        # to every command's peak memory; neither is needed
+        cfg = write_cfg(tmp_path, duration=1.0, snapshot=100)
+        out = tmp_path / "out"
+        probe = ("import sys; from diffesc.cli import main; "
+                 f"code = main(['run', '--config', {str(cfg)!r}, '--out', {str(out)!r}]); "
+                 "print(code, [m for m in ('_hashlib', 'cmath') if m in sys.modules])")
+        env = {**os.environ, "PYTHONPATH": str(Path(diffesc.__file__).parents[1])}
+        res = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                             check=True, env=env)
+        assert res.stdout.splitlines()[-1] == f"{EXIT_OK} []"
+        assert (out / "manifest.json").is_file() and (out / "field.svg").is_file()
 
     def test_rerun_reproduces_identical_checksums(self, tmp_path):
         cfg = write_cfg(tmp_path)
@@ -415,6 +453,16 @@ class TestRunDirectory:
                      "--out", str(out)]) == EXIT_OK
         assert not {"field.csv", "field.svg"} & manifest_names(out)
         assert (out / "field.csv").is_file()  # left alone, just not listed
+
+    def test_manifest_digests_are_sha256_of_the_files(self, tmp_path):
+        out = tmp_path / "o"
+        assert main(["run", "--config", str(write_cfg(tmp_path, snapshot=200)),
+                     "--out", str(out)]) == EXIT_OK
+        files = json.loads((out / "manifest.json").read_text())["files"]
+        assert len(files) == 8
+        for entry in files:
+            data = (out / entry["name"]).read_bytes()
+            assert entry["sha256"] == hashlib.sha256(data).hexdigest(), entry["name"]
 
     def test_foreign_file_neither_listed_nor_deleted(self, tmp_path):
         out = tmp_path / "o"

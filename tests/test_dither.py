@@ -6,6 +6,7 @@ with P = e^q e^{j(q-pi/4)} - e^{-q} e^{j(-q-pi/4)}, so the design constants
 must satisfy A = 2 a sqrt(omega) / |P| and phi = -arg(P) (mod 2pi).  The
 end-to-end oracle is quadrature of the field against a*sin(omega*t).
 """
+import cmath
 import math
 
 import mpmath as mp
@@ -72,6 +73,34 @@ def test_design_matches_phasor_oracle_on_log_grid():
             assert abs(np.exp(1j * (d.phase - phi_ref)) - 1.0) <= 1e-12, (omega, L)
             assert -math.pi < d.phase <= math.pi
     assert (in_range, beyond) == (620, 5)
+
+
+def cmath_design(p):
+    """A and phi with the phasor built by cmath, the form the design must reproduce
+    bit for bit when it builds the same phasor from math alone."""
+    q = p.L * math.sqrt(p.omega / 2.0)
+    quarter = math.pi / 4.0
+    scaled = cmath.exp(1j * (q - quarter)) - math.exp(-2.0 * q) * cmath.exp(-1j * (q + quarter))
+    return 2.0 * p.a * math.sqrt(p.omega) / (math.exp(q) * abs(scaled)), -cmath.phase(scaled)
+
+
+def test_design_bit_equal_to_cmath_phasor():
+    # the 25 x 25 log grid at a = 0.2, then 5000 seeded draws over the same ranges
+    cells = [(0.2, omega, L) for omega in np.logspace(-3.0, 3.0, 25).tolist()
+             for L in np.logspace(-2.0, math.log10(30.0), 25).tolist()]
+    rng = np.random.default_rng(0)
+    cells += zip(rng.uniform(0.01, 0.5, 5000).tolist(),
+                 (10.0 ** rng.uniform(-3.0, 3.0, 5000)).tolist(),
+                 (10.0 ** rng.uniform(-2.0, math.log10(30.0), 5000)).tolist())
+    checked = 0
+    for a, omega, L in cells:
+        if L * math.sqrt(2.0 * omega) > MAX_EXPONENT:
+            continue
+        p = DitherParams(a, omega, L)
+        d = design_dither(p)
+        assert (d.amplitude, d.phase) == cmath_design(p), (a, omega, L)
+        checked += 1
+    assert checked == 5604          # 620 grid cells and 4984 draws in range
 
 
 def test_design_reference_values():
