@@ -151,6 +151,16 @@ class RunPlan:
                         check=not self.allow_unstable)
 
 
+def _file_sha256(path: Path) -> str:
+    """SHA-256 of a file read in 64 KiB blocks: reading the run's largest
+    file whole set the command's peak memory."""
+    digest = sha256()
+    with open(path, "rb") as fh:
+        for block in iter(lambda: fh.read(1 << 16), b""):
+            digest.update(block)
+    return digest.hexdigest()
+
+
 def _execute_run(out_dir: Path, scenario: str, config_path: str, write):
     """Call ``write(out)``, which takes each output path from ``out(name)`` and
     returns its record, then write a manifest of exactly those files.  Other
@@ -166,8 +176,7 @@ def _execute_run(out_dir: Path, scenario: str, config_path: str, write):
 
     try:
         record = write(out)
-        files = [{"name": n, "sha256": sha256((out_dir / n).read_bytes()).hexdigest()}
-                 for n in sorted(names)]
+        files = [{"name": n, "sha256": _file_sha256(out_dir / n)} for n in sorted(names)]
         manifest = {"scenario": scenario, "config": config_path, "out_dir": str(out_dir),
                     "determinism": "fixed-step, seed-free simulation; identical config "
                                    "reproduces identical checksums",

@@ -10,8 +10,9 @@ phase, obtained from the phasor sum of the two travelling components of
 that solution.
 
 All functions here are pure and accept scalars or numpy arrays for the
-(x, t) arguments.  The loops evaluate the signals once per run, over the
-array of sample times, and read them per step.
+(x, t) arguments.  The loops evaluate the signals over arrays of
+``loop.CHUNK`` consecutive sample times, one chunk at a time, and read them
+per step as Python floats.
 """
 from __future__ import annotations
 

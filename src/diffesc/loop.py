@@ -12,7 +12,8 @@ from __future__ import annotations
 
 import math
 import warnings
-from itertools import chain
+from array import array
+from itertools import chain, repeat
 from typing import NamedTuple
 
 import numpy as np
@@ -52,6 +53,9 @@ TRAJECTORY_COLUMNS = "t,theta,Theta,y,U,G_hat,H_hat,S,vartheta"
 # with K = 0 the map-input probe is off by 1.6e-3 in amplitude and 0.043 rad in phase
 # at k*dx = 0.71, and by 3.8e-2 and 0.19 rad at 0.89.
 MAX_K_DX = 0.75
+# Samples per array evaluation of the time signals: a run holds one chunk of
+# them, never the whole run's.
+CHUNK = 1024
 
 
 class SimulationDiverged(RuntimeError):
@@ -196,13 +200,28 @@ class AverageRecord(NamedTuple):
     K_bar: float
 
 
-def _time_signals(dither: DitherParams, t_all: np.ndarray):
-    """The run's probe a*sin(omega t) and its gradient and curvature demodulation
-    signals at every sample time; the demodulation signals are None when a = 0."""
-    probe = dither.a * np.sin(dither.omega * t_all)
-    if dither.a == 0.0:
-        return probe, None, None
-    return probe, gradient_demod(dither, t_all), hessian_demod(dither, t_all)
+def _samples(dither: DitherParams, dt: float, n: int):
+    """(t, S, probe, g, h) at each sample k*dt, k < n, as Python floats: the
+    boundary dither S, the probe a*sin(omega t) and the demodulation signals
+    g and h (None when a = 0).
+
+    The signals are evaluated as arrays of ``CHUNK`` samples at a time, and
+    one ``chain`` yields the zipped columns, so a step reads its sample
+    without a Python frame and no whole-run array is ever held."""
+    design = design_dither(dither)
+
+    def chunks():
+        for k0 in range(0, n, CHUNK):
+            t = np.arange(k0, min(k0 + CHUNK, n)) * dt
+            probe = dither.a * np.sin(dither.omega * t)
+            if dither.a == 0.0:
+                # two iterators: zip would drain one shared iterator twice per sample
+                g, h = repeat(None, t.size), repeat(None, t.size)
+            else:
+                g, h = gradient_demod(dither, t).tolist(), hessian_demod(dither, t).tolist()
+            yield zip(t.tolist(), dither_signal(design, t).tolist(), probe.tolist(), g, h)
+
+    return chain.from_iterable(chunks())
 
 
 def run_esc(config: ScenarioConfig) -> TrajectoryRecord:
@@ -210,7 +229,8 @@ def run_esc(config: ScenarioConfig) -> TrajectoryRecord:
 
     Step ordering: measure -> estimate -> control -> integrate the input
     estimate -> apply boundary -> advance the PDE; the control at time t is
-    a function of signals at time t only.
+    a function of signals at time t only.  Iteration k first advances the
+    loop from sample k-1 with this sample's boundary dither.
     """
     config.validate()
     if config.dither.a == 0.0:
@@ -219,14 +239,10 @@ def run_esc(config: ScenarioConfig) -> TrajectoryRecord:
             "excitation", RuntimeWarning,
         )
 
-    dith = config.dither
     dt = config.solver.dt
     # read every step, so bound as locals: a NamedTuple field read is slower than a local
     map_, record_every, snapshot_every = config.map, config.record_every, config.snapshot_every
     n_steps = round(config.T_final / dt)
-    t_all = np.arange(n_steps + 1) * dt
-    S_all = dither_signal(design_dither(dith), t_all)
-    probe_all, demod_g, demod_h = _time_signals(dith, t_all)
 
     fld = make_field(config.grid, config.solver, initial=config.initial_alpha)
     washout_g = FirstOrderFilter(HIGH_PASS, config.washout_corner, dt)
@@ -239,24 +255,24 @@ def run_esc(config: ScenarioConfig) -> TrajectoryRecord:
         L=config.grid.L,
     )
 
-    rows = []
+    rows = array("d")
     snaps_t, snaps_alpha = [], []
-    for k in range(n_steps + 1):
-        t = k * dt                                 # == t_all[k], as a Python float
-        S = S_all.item(k)
-        probe = probe_all.item(k)
+    for k, (t, S, probe, g, h) in enumerate(_samples(config.dither, dt, n_steps + 1)):
+        if k:
+            integrate_theta_hat(ctrl, U, dt)
+            step(fld, ctrl.theta_hat + S)
         Theta = spatial_integral(fld)
         y = evaluate_map(map_, Theta)
-        if demod_g is None:
+        if g is None:
             G_hat = H_hat = 0.0
         else:
-            G_hat = estimate_gradient(y, demod_g.item(k), washout_g)
-            H_hat = estimate_hessian(washout_h.step(y), demod_h.item(k), smoother)
+            G_hat = estimate_gradient(y, g, washout_g)
+            H_hat = estimate_hessian(washout_h.step(y), h, smoother)
         U = realtime_control(ctrl, G_hat, H_hat, Theta, probe)
         if not (math.isfinite(Theta) and math.isfinite(y) and math.isfinite(U)):
             raise _diverged(k, t, Theta, y, U)
         if k % record_every == 0:
-            rows.append((
+            rows.extend((
                 t,
                 ctrl.theta_hat + S,                        # boundary command
                 Theta, y, U, G_hat, H_hat, S,
@@ -264,17 +280,13 @@ def run_esc(config: ScenarioConfig) -> TrajectoryRecord:
             ))
         if snapshot_every and k % snapshot_every == 0:
             snaps_t.append(t)
-            snaps_alpha.append(fld.alpha.copy())
-        if k == n_steps:
-            break
-        integrate_theta_hat(ctrl, U, dt)
-        step(fld, ctrl.theta_hat + S_all.item(k + 1))
+            snaps_alpha.append(fld.alpha)              # a fresh array at each read
 
     history = None
     if snaps_t:
         history = FieldHistory(t=np.array(snaps_t), x=config.grid.nodes(),
                                alpha=np.array(snaps_alpha))
-    return TrajectoryRecord(*np.array(rows).T, field_history=history)
+    return TrajectoryRecord(*np.frombuffer(rows).reshape(-1, 9).T, field_history=history)
 
 
 def run_average_system(
@@ -350,24 +362,22 @@ def run_standard_esc(config: ScenarioConfig) -> TrajectoryRecord:
     map_, K, dt, record_every = (config.map, config.gains.K, config.solver.dt,
                                  config.record_every)
     n_steps = round(config.T_final / dt)
-    probe_all, demod_g, demod_h = _time_signals(config.dither, np.arange(n_steps + 1) * dt)
     theta_hat = float(config.initial_theta_hat)
-    rows = []
-    for k in range(n_steps + 1):
-        t = k * dt
-        S = probe_all.item(k)
+    rows = array("d")
+    # the map input is perturbed by the probe itself, which the record's S column holds
+    for k, (t, _, S, g, h) in enumerate(_samples(config.dither, dt, n_steps + 1)):
         Theta = theta_hat + S
         y = evaluate_map(map_, Theta)
-        G_hat = demod_g.item(k) * y if demod_g is not None else 0.0
-        H_hat = demod_h.item(k) * y if demod_h is not None else 0.0
+        G_hat = g * y if g is not None else 0.0
+        H_hat = h * y if h is not None else 0.0
         U = K * G_hat
         if not (math.isfinite(Theta) and math.isfinite(y) and math.isfinite(U)):
             raise _diverged(k, t, Theta, y, U)
         if k % record_every == 0:
-            rows.append((t, Theta, Theta, y, U, G_hat, H_hat, S,
+            rows.extend((t, Theta, Theta, y, U, G_hat, H_hat, S,
                          theta_hat - map_.theta_star))
         theta_hat += dt * U
-    return TrajectoryRecord(*np.array(rows).T)
+    return TrajectoryRecord(*np.frombuffer(rows).reshape(-1, 9).T)
 
 
 def _write_csv(path, header: str, data: np.ndarray) -> None:

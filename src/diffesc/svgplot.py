@@ -142,13 +142,24 @@ _RAMP = np.array([(33, 102, 172), (247, 247, 247), (178, 24, 43)], dtype=float)
 
 
 def _ramp_rgb(frac: np.ndarray) -> list[list[int]]:
-    """[r, g, b] int lists for flat fractions clipped to [0, 1]; NaN is red; round half-even."""
-    frac = np.clip(np.ravel(frac), 0.0, 1.0)[:, None]
+    """[r, g, b] int lists for flat fractions clipped to [0, 1]; NaN is red; round half-even.
+
+    One channel at a time, in place: the largest temporaries are a few flat arrays."""
+    frac = np.clip(np.ravel(frac), 0.0, 1.0)
     lower = frac <= 0.5
-    lo, hi = np.where(lower, _RAMP[0], _RAMP[1]), np.where(lower, _RAMP[1], _RAMP[2])
-    rgb = np.rint(lo + np.where(lower, frac / 0.5, (frac - 0.5) / 0.5) * (hi - lo))
-    rgb[np.isnan(frac[:, 0])] = _RAMP[2]
-    return rgb.astype(int).T.tolist()
+    nan = np.isnan(frac)
+    s = np.where(lower, frac, frac - 0.5)          # position within the anchors' half
+    s /= 0.5
+    channels = []
+    for c0, c1, c2 in _RAMP.T.tolist():
+        lo, hi = np.where(lower, c0, c1), np.where(lower, c1, c2)
+        hi -= lo
+        hi *= s
+        lo += hi
+        np.rint(lo, out=lo)
+        lo[nan] = c2
+        channels.append(lo.astype(int).tolist())
+    return channels
 
 
 def _sample_index(size: int, count: int) -> np.ndarray:

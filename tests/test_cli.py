@@ -14,8 +14,8 @@ from pathlib import Path
 import pytest
 
 import diffesc
-from diffesc.cli import (EXIT_FAILURE, EXIT_OK, EXIT_USAGE, RunPlan, _parse_ini, _resolve_config,
-                         main)
+from diffesc.cli import (EXIT_FAILURE, EXIT_OK, EXIT_USAGE, RunPlan, _file_sha256, _parse_ini,
+                         _resolve_config, main)
 
 SHORT_ESC = """
 [scenario]
@@ -463,6 +463,13 @@ class TestRunDirectory:
         for entry in files:
             data = (out / entry["name"]).read_bytes()
             assert entry["sha256"] == hashlib.sha256(data).hexdigest(), entry["name"]
+
+    @pytest.mark.parametrize("size", [0, 1, (1 << 16) - 1, 1 << 16, (1 << 16) + 1, 200_000])
+    def test_file_digest_across_block_boundaries(self, tmp_path, size):
+        # files are hashed in 64 KiB blocks
+        data = os.urandom(size)
+        (tmp_path / "f").write_bytes(data)
+        assert _file_sha256(tmp_path / "f") == hashlib.sha256(data).hexdigest()
 
     def test_foreign_file_neither_listed_nor_deleted(self, tmp_path):
         out = tmp_path / "o"

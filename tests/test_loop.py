@@ -6,6 +6,7 @@ tests cover wiring, invariants, edge cases, and the short-horizon physics
 """
 import math
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -14,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from diffesc import loop
 from diffesc.controller import (ControllerState, ForbiddenGainError, GainConfig,
                                 integrate_theta_hat, realtime_control)
 from diffesc.dither import DitherParams, design_dither, dither_signal
@@ -167,6 +169,10 @@ class TestRunEsc:
             rec = run_esc(cfg)
         assert np.all(rec.G_hat == 0.0)
         assert np.max(np.abs((rec.theta - rec.S))) == 0.0  # theta_hat stays 0
+        # every sample is stepped and recorded, with and without excitation
+        for run in (rec, run_esc(scenario(T=1.0))):
+            assert len(run.t) == 1000 // cfg.record_every + 1
+            assert run.t[-1] == cfg.T_final
 
     def test_rejects_forbidden_gain(self):
         bad = GainConfig(K=math.pi**2 / 8.0, c=10.0)     # K*H = -pi^2/4
@@ -243,6 +249,57 @@ class TestRunEsc:
             res[omega] = late_time_residuals(rec, MAP)
         assert res[20.0][0] <= res[10.0][0] * 1.05
         assert res[20.0][1] <= res[10.0][1] * 1.05
+
+
+RUNNERS = [run_esc, run_standard_esc]
+
+
+def quiet(runner, cfg):
+    """``runner(cfg)`` without the zero-amplitude warning."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        return runner(cfg)
+
+
+@pytest.mark.parametrize("runner", RUNNERS)
+@pytest.mark.parametrize("a", [0.0, 0.2])
+@pytest.mark.parametrize("record_every", [7, 10])
+def test_run_keeps_every_sample(runner, a, record_every):
+    # 2501 samples span three CHUNK-sample arrays of the time signals
+    cfg = scenario(T=2.5, record_every=record_every, dither=DitherParams(a, 10.0, 1.0))
+    rec = quiet(runner, cfg)
+    n_steps = round(cfg.T_final / cfg.solver.dt)
+    assert len(rec.t) == n_steps // record_every + 1
+    assert np.array_equal(rec.t, np.arange(0, n_steps + 1, record_every) * cfg.solver.dt)
+    if n_steps % record_every == 0:
+        assert rec.t[-1] == cfg.T_final
+
+
+@pytest.mark.parametrize("runner", RUNNERS)
+def test_run_shorter_than_half_a_step_returns_one_row(runner):
+    cfg = scenario(T=4e-4)                  # round(T_final / dt) == 0
+    rec = runner(cfg)
+    assert [len(col) for col in rec[:9]] == [1] * 9
+    assert rec.t[0] == 0.0
+
+
+@pytest.mark.parametrize("runner", RUNNERS)
+@pytest.mark.parametrize("a", [0.0, 0.2])
+def test_chunk_size_leaves_the_run_bit_identical(monkeypatch, runner, a):
+    # the time signals are evaluated CHUNK samples at a time; where the chunks
+    # end must not change a column or a snapshot
+    cfg = scenario(T=2.5, record_every=3, snapshot_every=250,
+                   dither=DitherParams(a, 10.0, 1.0))
+    n_steps = round(cfg.T_final / cfg.solver.dt)
+    ref = quiet(runner, cfg)
+    for chunk in (1, 7, n_steps, n_steps + 1, loop.CHUNK):
+        monkeypatch.setattr(loop, "CHUNK", chunk)
+        rec = quiet(runner, cfg)
+        for name in TRAJECTORY_COLUMNS.split(","):
+            assert np.array_equal(getattr(rec, name), getattr(ref, name)), (chunk, name)
+        if runner is run_esc:
+            assert np.array_equal(rec.field_history.t, ref.field_history.t), chunk
+            assert np.array_equal(rec.field_history.alpha, ref.field_history.alpha), chunk
 
 
 class TestAverageSystem:
