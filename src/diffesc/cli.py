@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import copy
+import gc
 import json
 import math
 import os
@@ -450,6 +451,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    # Move the imported heap (~22k GC-tracked objects, mostly NumPy's) into the
+    # permanent generation, once per process: it lives until exit, and unfrozen the
+    # interpreter's final collections walk it (a `run` took 38 ms to exit, now 10).
+    # No gc.collect() first: it costs ~9 ms and did not lower peak RSS.
+    if not gc.get_freeze_count():
+        gc.freeze()
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

@@ -381,11 +381,15 @@ def run_standard_esc(config: ScenarioConfig) -> TrajectoryRecord:
 
 
 def _write_csv(path, header: str, data: np.ndarray) -> None:
-    """Write a 2-D array as ``%.12g`` comma-delimited rows under a header, in one format."""
+    """Write a 2-D array as ``%.12g`` comma-delimited rows under a header, formatted
+    ``CHUNK`` rows at a time."""
     rows, cols = data.shape
     row = ",".join(["%.12g"] * cols) + "\n"
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(header + "\n" + (row * rows) % tuple(data.ravel().tolist()))
+        fh.write(header + "\n")
+        for r0 in range(0, rows, CHUNK):
+            block = data[r0:r0 + CHUNK]
+            fh.write((row * len(block)) % tuple(block.ravel().tolist()))
 
 
 def save_trajectory_csv(record: TrajectoryRecord, path) -> None:
@@ -396,13 +400,18 @@ def save_trajectory_csv(record: TrajectoryRecord, path) -> None:
 
 def save_field_csv(history: FieldHistory, path) -> None:
     """Write field snapshots as long-format (t, x, alpha) rows, in the ``%.12g``
-    format of ``_write_csv``; each distinct t and x is formatted once."""
-    ts = ["%.12g," % t for t in history.t.tolist()]
+    format of ``_write_csv``, a block of snapshot times (about ``CHUNK`` rows) at a
+    time; each distinct t and x is formatted once."""
     xs = ["%.12g," % x for x in history.x.tolist()]
-    heads = [t + x for t in ts for x in xs]
-    cells = chain.from_iterable(zip(heads, history.alpha.ravel().tolist()))
+    ts = history.t.tolist()
+    per = max(1, CHUNK // max(1, len(xs)))
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("t,x,alpha\n" + ("%s%.12g\n" * len(heads)) % tuple(cells))
+        fh.write("t,x,alpha\n")
+        for i0 in range(0, len(ts), per):
+            block_ts = ["%.12g," % t for t in ts[i0:i0 + per]]
+            heads = [t + x for t in block_ts for x in xs]
+            cells = chain.from_iterable(zip(heads, history.alpha[i0:i0 + per].ravel().tolist()))
+            fh.write(("%s%.12g\n" * len(heads)) % tuple(cells))
 
 
 def save_average_csv(record: AverageRecord, path) -> None:

@@ -116,6 +116,37 @@ class TestDesignDither:
         assert (proc.returncode, err) == (EXIT_OK, b"")
 
 
+FREEZE_PROBE = """
+import contextlib, gc, io, json
+state = lambda: [gc.get_freeze_count(), gc.isenabled(), gc.get_threshold()]
+before = state()
+import diffesc, diffesc.cli
+imported = state()
+args = ["design-dither", "--a", "0.2", "--omega", "10", "--L", "1"]
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [diffesc.cli.main(args)]
+    first = state()
+    kept = [[] for _ in range(1000)]     # a second freeze would add these
+    codes.append(diffesc.cli.main(args))
+print(json.dumps([before, imported, first, state(), codes]))
+"""
+
+
+class TestGcFreeze:
+    def test_main_freezes_the_imported_heap_once_and_import_does_not(self):
+        # in a subprocess: the first main() call would freeze the pytest process's heap
+        env = {**os.environ, "PYTHONPATH": str(Path(diffesc.__file__).parents[1])}
+        res = subprocess.run([sys.executable, "-c", FREEZE_PROBE], capture_output=True,
+                             text=True, check=True, env=env)
+        before, imported, first, second, codes = json.loads(res.stdout.splitlines()[-1])
+        assert codes == [EXIT_OK, EXIT_OK]
+        assert before[0] == 0 and imported == before        # importing leaves the GC alone
+        assert first[0] > 0 and first[1:] == before[1:]     # frozen, still enabled
+        # only the first call freezes; frozen objects can still be freed, which lowers
+        # the count, but a second freeze would add the 1000 lists kept between the calls
+        assert second[0] <= first[0] and second[1:] == first[1:]
+
+
 class TestRun:
     def test_empty_config_is_usage_error(self, tmp_path, capsys):
         cfg = tmp_path / "empty.cfg"

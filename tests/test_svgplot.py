@@ -1,15 +1,20 @@
 """SVG chart tests: the heatmap color ramp against its per-value reference,
-both writers against per-point reference copies, byte for byte, and the
-heatmap's peak memory."""
+both writers against per-point reference copies, byte for byte, the
+heatmap's peak memory, and the tick loop against its former unbounded form."""
 import math
+import os
 import re
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from diffesc.svgplot import (MAX_POINTS, PALETTE, _fmt, _ramp_rgb, _sample_index, _stride,
-                             _ticks, heatmap, line_chart)
+import diffesc
+from diffesc.svgplot import (MAX_POINTS, PALETTE, _fmt, _nice_step, _ramp_rgb, _sample_index,
+                             _stride, _ticks, heatmap, line_chart)
 
 
 def scalar_ramp(frac):
@@ -267,3 +272,53 @@ def test_sample_index_matches_unique():
         for count in (1, 2, 3, 50, 199, 200, 201, 600):
             ref = np.unique(np.linspace(0, size - 1, min(size, count)).astype(int))
             np.testing.assert_array_equal(_sample_index(size, count), ref)
+
+
+def _unbounded_ticks(lo, hi, cap=1000):
+    """The former tick loop, with only its end condition; None where it runs past cap."""
+    if not (math.isfinite(lo) and math.isfinite(hi)) or hi <= lo:
+        return [lo]
+    step = _nice_step(hi - lo)
+    out, v = [], math.ceil(lo / step) * step
+    while v <= hi + 1e-9 * step:
+        out.append(0.0 if abs(v) < 1e-12 * step else v)
+        v += step
+        if len(out) > cap:
+            return None
+    return out
+
+
+def test_ticks_match_the_unbounded_loop_wherever_it_ends():
+    # ranges of every magnitude and span, down to a few ulps, and nice-number endpoints
+    rng = np.random.default_rng(5)
+    checked = 0
+    for _ in range(20000):
+        centre = rng.choice([-1.0, 0.0, 1.0]) * 10.0 ** rng.uniform(-12, 15)
+        span = 10.0 ** rng.uniform(-12, 12)
+        if rng.random() < 0.3:
+            step = _nice_step(span)
+            lo = round(centre / step) * step
+            hi = lo + rng.integers(1, 13) * step * (1 + rng.choice([0.0, 1e-10, -1e-10]))
+        else:
+            lo, hi = centre, centre + span
+        ref = _unbounded_ticks(float(lo), float(hi))
+        if ref is not None:
+            checked += 1
+            assert _ticks(float(lo), float(hi)) == ref, (lo, hi)
+    assert checked > 19000
+
+
+def test_ticks_end_where_the_step_cannot_move_the_value(tmp_path):
+    # near 1e16 an ulp is 2, so the former `v += 1.0` left v unmoved and never ended;
+    # a subprocess with a timeout keeps a regression from hanging the suite
+    probe = ("import sys, numpy as np; from diffesc.svgplot import _ticks, line_chart; "
+             "print(len(_ticks(1e16 - 4.2, 1e16 + 0.2))); "
+             "t = np.linspace(0.0, 1.0, 50); "
+             "line_chart(sys.argv[1], 'near 1e16', 't', 'y', [('y', t, 1e16 - 4.2 + 4.4 * t)])")
+    env = {**os.environ, "PYTHONPATH": str(Path(diffesc.__file__).parents[1])}
+    path = tmp_path / "near.svg"
+    res = subprocess.run([sys.executable, "-c", probe, str(path)], capture_output=True,
+                         text=True, check=True, env=env, timeout=60)
+    step = _nice_step(4.4)
+    assert 1 <= int(res.stdout) <= 2 * math.floor(4.4 / step) + 2
+    assert path.read_text().rstrip().endswith("</svg>")
