@@ -20,13 +20,10 @@ from .controller import (
     ControllerState,
     ForbiddenGainError,
     GainConfig,
-    average_control,
     check_gain,
-    ideal_control,
     integrate_theta_hat,
     make_kernel,
     realtime_control,
-    transform_scalar,
 )
 from .dither import (
     DitherDesign,

@@ -13,8 +13,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .controller import BacksteppingKernel, transform_scalar
-from .heat import Grid, integrate_profile, integration_weights
+from .controller import BacksteppingKernel
+from .heat import Grid, integrate_profile
 from .loop import AverageRecord, StaticMap, TrajectoryRecord, _write_csv
 
 __all__ = [
@@ -38,17 +38,20 @@ RESIDUAL_FLOOR = 1e-12      # residuals below it sit at the solver error floor
 
 
 class TargetState(NamedTuple):
-    """Transformed coordinates: scalar Z and field w on the grid."""
+    """Transformed coordinates: scalar Z and field w on the grid, or a stack of them."""
 
     Z: float
     w: np.ndarray
 
 
-def to_target(kernel: BacksteppingKernel, vartheta: float, u_profile: np.ndarray,
+def to_target(kernel: BacksteppingKernel, vartheta: float | np.ndarray, u_profile: np.ndarray,
               grid: Grid, rule: str = "auto") -> TargetState:
-    """Forward transformation (vartheta, u) -> (Z, w = u - gamma*Z)."""
-    Z = transform_scalar(kernel, vartheta, u_profile, grid, rule)
-    return TargetState(Z=Z, w=u_profile - kernel.gamma(grid.nodes()) * Z)
+    """Forward transformation (vartheta, u) -> (Z = vartheta + integral of g*u,
+    w = u - gamma*Z), the one nodal form; ``u_profile`` may be a stack of
+    profiles along the last axis, with a ``vartheta`` for each."""
+    x = grid.nodes()
+    Z = vartheta + integrate_profile(kernel.g(x) * u_profile, grid.dx, rule)
+    return TargetState(Z=Z, w=u_profile - np.multiply.outer(Z, kernel.gamma(x)))
 
 
 def from_target(kernel: BacksteppingKernel, target: TargetState, grid: Grid,
@@ -93,13 +96,7 @@ def target_residuals(record: AverageRecord, kernel: BacksteppingKernel,
                                "too few samples for finite differencing")
     dt_s = float(t[1] - t[0])
     grid = record.grid
-    x = grid.nodes()
-    gamma_x = kernel.gamma(x)
-    g_x = kernel.g(x)
-
-    weights = integration_weights(grid.n, grid.dx)
-    Z = record.vartheta + record.u @ (weights * g_x)
-    w = record.u - gamma_x[None, :] * Z[:, None]
+    Z, w = to_target(kernel, record.vartheta, record.u, grid)
 
     inner = sel[1:-1]  # central differences exist for samples 1..m-2
     Zdot = (Z[2:] - Z[:-2]) / (2.0 * dt_s)
@@ -210,7 +207,7 @@ def residual_scaling(runs, map_: StaticMap) -> ScalingFit:
     amps = np.array([a for a, _ in entries], dtype=float)
     if amps.size < 3:
         return ScalingFit(tuple(amps), (), (), math.nan, math.nan, math.nan, math.nan,
-                          True, "need at least 3 amplitudes")
+                          True, "need at least 3 completed runs")
     y_res, th_res = [], []
     for _, rec in entries:
         yr, tr = late_time_residuals(rec, map_)

@@ -294,6 +294,9 @@ def cmd_run(args) -> int:
 
 
 def cmd_design_dither(args) -> int:
+    if args.samples < 1:
+        print(f"error: --samples must be at least 1, got {args.samples}", file=sys.stderr)
+        return EXIT_USAGE
     params = DitherParams(a=args.a, omega=args.omega, L=args.L)
     try:
         if not params.a > 0.0:
@@ -390,7 +393,7 @@ def cmd_sweep(args) -> int:
         lines[f"failure_{v:g}"] = f"{type(failures[v]).__name__}: {failures[v]}"
 
     map_ = plan.config.map
-    if args.param == "a" and results:
+    if args.param == "a":
         fit = analysis.residual_scaling(list(results.items()), map_)
         lines.update({
             "output_residual_exponent": fit.y_exponent,
@@ -403,13 +406,10 @@ def cmd_sweep(args) -> int:
             lines["scaling_note"] = fit.note
         for amp, yr, tr in zip(fit.amplitudes, fit.y_residuals, fit.theta_residuals):
             lines[f"residuals_a_{amp:g}"] = f"y={yr:.6g} theta={tr:.6g}"
-    elif results:
+    else:
         for v, rec in sorted(results.items()):
             yr, tr = analysis.late_time_residuals(rec, map_)
             lines[f"residuals_{args.param}_{v:g}"] = f"y={yr:.6g} theta={tr:.6g}"
-    if len(results) < 3 and args.param == "a":
-        lines["scaling_inconclusive"] = True
-        lines.setdefault("scaling_note", "need at least 3 completed runs")
 
     (out_root / "sweep_report.txt").write_text(analysis.format_report(lines))
     print(f"wrote {out_root}/sweep_report.txt "

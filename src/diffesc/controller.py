@@ -1,14 +1,10 @@
 """Compensation controller for the diffusion actuator.
 
-Three forms of the same law:
-
-* ``ideal_control``    - state feedback on the transformed scalar Z built
-  from the tracking error and the weighted field integral (needs the full
-  field state; analysis/reference use).
-* ``average_control``  - the same law written in terms of period-averaged
-  gradient/curvature estimates.
-* ``realtime_control`` - the implementable form: only the measurable map
-  input enters, and the output is smoothed by a first-order low-pass.
+The one implementable law is ``realtime_control``: only the measurable map
+input enters, and the output is smoothed by a first-order low-pass.  Its
+average is the state feedback U = K_bar * Z on the backstepping scalar
+Z = vartheta + integral of g*u, which ``analysis.to_target`` computes from the
+field and ``loop.run_average_system`` simulates.
 
 The backstepping kernel maps the error cascade onto an exponentially stable
 target system; its normalization vanishes at the singular gains
@@ -25,7 +21,6 @@ from typing import NamedTuple
 import numpy as np
 
 from .filters import FirstOrderFilter
-from .heat import Grid, integrate_profile
 
 __all__ = [
     "GainConfig",
@@ -34,9 +29,6 @@ __all__ = [
     "ForbiddenGainError",
     "check_gain",
     "make_kernel",
-    "transform_scalar",
-    "ideal_control",
-    "average_control",
     "realtime_control",
     "integrate_theta_hat",
 ]
@@ -141,32 +133,6 @@ def make_kernel(K_bar: float, L: float, check: bool = True) -> BacksteppingKerne
     return BacksteppingKernel(L=L, K_bar=K_bar, A_cl=K_bar * L)
 
 
-def transform_scalar(kernel: BacksteppingKernel, vartheta: float, u_profile: np.ndarray,
-                     grid: Grid, rule: str = "auto") -> float:
-    """Transformed scalar Z = vartheta + integral of g*u over the domain."""
-    x = grid.nodes()
-    return vartheta + integrate_profile(kernel.g(x) * u_profile, grid.dx, rule)
-
-
-def ideal_control(kernel: BacksteppingKernel, vartheta: float, u_profile: np.ndarray,
-                  grid: Grid, rule: str = "auto") -> float:
-    """State-feedback law U = K_bar * Z; needs the full field profile."""
-    return kernel.K_bar * transform_scalar(kernel, vartheta, u_profile, grid, rule)
-
-
-def average_control(kernel: BacksteppingKernel, G_hat_av: float, H_hat_av: float,
-                    u_av_profile: np.ndarray, grid: Grid, K: float,
-                    rule: str = "auto") -> float:
-    """Averaged law K*G_av + K*H_av * integral(g*u_av).
-
-    With exact averages G_av = H*vartheta_av and H_av = H this coincides
-    with ``ideal_control`` at K_bar = K*H.
-    """
-    x = grid.nodes()
-    weighted = integrate_profile(kernel.g(x) * u_av_profile, grid.dx, rule)
-    return K * G_hat_av + K * H_hat_av * weighted
-
-
 class ControllerState:
     """Mutable per-run controller state: integrator, smoothing filter, gains."""
 
@@ -182,10 +148,10 @@ def realtime_control(state: ControllerState, G_hat: float, H_hat: float, Theta: 
     """Implementable law: smooth K*[G_hat + H_hat*(L*theta_hat - Theta + probe)].
 
     ``probe`` is this sample's target perturbation a*sin(omega t) at the map
-    input.  The bracketed term reconstructs the field integral of the ideal
-    law from the measured map input alone (integration by parts against the
-    weight g eliminates the distributed state), so no field sensing is
-    required.  Advances the smoothing filter by one sample.
+    input.  The bracketed term reconstructs the field integral of the averaged
+    law U = K_bar * Z from the measured map input alone (integration by parts
+    against the weight g eliminates the distributed state), so no field
+    sensing is required.  Advances the smoothing filter by one sample.
     """
     feedback = state.L * state.theta_hat - Theta + probe
     bracket = state.gains.K * (G_hat + H_hat * feedback)

@@ -295,10 +295,12 @@ def integration_weights(n: int, dx: float, rule: str = "auto") -> np.ndarray:
     return w
 
 
-def integrate_profile(values: np.ndarray, dx: float, rule: str = "auto") -> float:
-    """Integral of grid values over the domain with the selected rule."""
+def integrate_profile(values: np.ndarray, dx: float, rule: str = "auto"):
+    """Integral of grid values along the last axis by the selected rule: a float,
+    or an array for a stack of profiles."""
     values = np.asarray(values, dtype=float)
-    return float(integration_weights(values.size, dx, rule) @ values)
+    total = values @ integration_weights(values.shape[-1], dx, rule)
+    return float(total) if values.ndim == 1 else total
 
 
 def spatial_integral(field: ActuatorField) -> float:

@@ -318,7 +318,7 @@ def run_average_system(
     transformed = linear_functional(grid, weights * kernel.g(grid.nodes()))
     w_end = float(weights[-1])
 
-    ts, vths, Us, Zs, unorms, omegas, profiles = [], [], [], [], [], [], []
+    rows, profiles = array("d"), []
     for k in range(n_steps + 1):
         Z = vartheta + transformed(fld)
         U = K_bar * Z
@@ -331,23 +331,15 @@ def run_average_system(
             consistent = fld.alpha.copy()
             consistent[-1] = U
             u_sq = integrate_profile(consistent**2, grid.dx)
-            ts.append(k * dt)
-            vths.append(vartheta)
-            Us.append(U)
-            Zs.append(Z)
-            unorms.append(math.sqrt(u_sq))
-            omegas.append(vartheta**2 + u_sq)
+            rows.extend((k * dt, vartheta, U, Z, math.sqrt(u_sq), vartheta**2 + u_sq))
             profiles.append(consistent)
         if k == n_steps:
             break
         vartheta += dt * (spatial_integral(fld) + w_end * (U - fld.boundary))
         step(fld, U)
 
-    return AverageRecord(
-        t=np.array(ts), vartheta=np.array(vths), U=np.array(Us), Z=np.array(Zs),
-        u_norm=np.array(unorms), Omega=np.array(omegas), u=np.array(profiles),
-        grid=grid, K_bar=K_bar,
-    )
+    return AverageRecord(*np.frombuffer(rows).reshape(-1, 6).T, u=np.array(profiles),
+                         grid=grid, K_bar=K_bar)
 
 
 def run_standard_esc(config: ScenarioConfig) -> TrajectoryRecord:

@@ -34,15 +34,14 @@ def _ticks(lo: float, hi: float) -> list[float]:
     if not (math.isfinite(lo) and math.isfinite(hi)) or hi <= lo:
         return [lo]
     step = _nice_step(hi - lo)
-    first = math.ceil(lo / step) * step
-    # bound the loop: a step below half an ulp of v (a span of a few units near 1e16)
-    # leaves v unmoved.  Rounding can shorten each increment by at most a third, so
-    # twice the exact count never cuts a sequence that ends on its own.
-    count = 2 * math.floor((hi - first) / step) + 2
     out = []
-    v = first
-    while v <= hi + 1e-9 * step and len(out) < count:
+    v = math.ceil(lo / step) * step
+    while v <= hi + 1e-9 * step:
         out.append(0.0 if abs(v) < 1e-12 * step else v)
+        if v + step == v:
+            # a step below half an ulp of v (a span of a few units near 1e16) cannot
+            # move it; one that can moves it at least half a step, so the loop ends
+            break
         v += step
     return out
 

@@ -81,9 +81,23 @@ class TestTransform:
         u = data.draw(arrays(np.float64, n, elements=st.floats(-2.0, 2.0)))
         ts = to_target(kernel, vartheta, u, grid)
         back_vartheta, back_u = from_target(kernel, ts, grid)
-        scale = 1.0 + abs(ts.Z) * float(np.max(np.abs(kernel.gamma(grid.nodes()))))
+        gamma_max = float(np.max(np.abs(kernel.gamma(grid.nodes()))))
+        scale = 1.0 + abs(ts.Z) * gamma_max
         assert back_vartheta == pytest.approx(vartheta, abs=1e-13 * scale)
         assert np.max(np.abs(back_u - u)) <= 1e-13 * scale
+        # a stack of profiles, one vartheta each, transforms as its rows do
+        rows = data.draw(st.integers(1, 4))
+        stack = np.vstack([u, data.draw(arrays(np.float64, (rows, n),
+                                                elements=st.floats(-2.0, 2.0)))])
+        varthetas = np.append(vartheta, data.draw(arrays(np.float64, rows,
+                                                         elements=st.floats(-3.0, 3.0))))
+        both = to_target(kernel, varthetas, stack, grid)
+        assert both.Z.shape == (rows + 1,) and both.w.shape == stack.shape
+        for vth, profile, Z, w in zip(varthetas, stack, both.Z, both.w):
+            one = to_target(kernel, vth, profile, grid)
+            scale = 1.0 + abs(one.Z) * gamma_max
+            assert abs(Z - one.Z) <= 1e-13 * scale
+            assert np.max(np.abs(w - one.w)) <= 1e-13 * scale
 
     def test_zero_target_maps_to_origin(self):
         vartheta, u = from_target(KERNEL, TargetState(Z=0.0, w=np.zeros(GRID.n)), GRID)

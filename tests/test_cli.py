@@ -88,6 +88,20 @@ class TestDesignDither:
         err = capsys.readouterr().err
         assert "positive" in err and "nan" in err
 
+    @pytest.mark.parametrize("samples", ["0", "-3"])
+    def test_rejects_fewer_than_one_sample(self, capsys, samples):
+        argv = ["design-dither", "--a", "0.2", "--omega", "10", "--L", "1", "--samples", samples]
+        assert main(argv) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert f"--samples must be at least 1, got {samples}" in captured.err
+        assert captured.out == ""
+
+    def test_one_sample_prints_one_row(self, capsys):
+        argv = ["design-dither", "--a", "0.2", "--omega", "10", "--L", "1", "--samples", "1"]
+        assert main(argv) == EXIT_OK
+        table = capsys.readouterr().out.split("a*sin(wt)")[1].split("max |integral")[0]
+        assert len(table.split()) == 1 + 4      # the header's last word, then one row
+
     def test_rejects_overflowing_design(self, capsys):
         # L*sqrt(2*omega) = 894 overflows the exponential of the probe design
         assert main(["design-dither", "--a", "0.2", "--omega", "10", "--L", "200"]) == EXIT_USAGE
@@ -627,6 +641,11 @@ class TestSweep:
         for a in ("0.2", "0.1"):
             assert "non-finite" in (out / f"a_{a}" / ".failed").read_text()
             assert not (out / f"a_{a}" / "manifest.json").exists()
+        # the scaling fit runs on no completed member and says why it is inconclusive
+        report = (out / "sweep_report.txt").read_text()
+        assert "values_completed: \nvalues_failed: 0.1,0.2\n" in report
+        assert "output_residual_exponent: nan\n" in report
+        assert "scaling_inconclusive: True\nscaling_note: need at least 3 completed runs\n" in report
 
     def test_member_lists_only_its_trajectory(self, tmp_path):
         cfg = write_cfg(tmp_path, snapshot=200)

@@ -12,17 +12,15 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from diffesc.analysis import to_target
 from diffesc.controller import (
     ControllerState,
     ForbiddenGainError,
     GainConfig,
-    average_control,
     check_gain,
-    ideal_control,
     integrate_theta_hat,
     make_kernel,
     realtime_control,
-    transform_scalar,
 )
 from diffesc.filters import LOW_PASS, FirstOrderFilter
 from diffesc.heat import Grid, integrate_profile
@@ -157,37 +155,31 @@ class TestKernel:
 
 
 class TestControlLaws:
+    # the averaged law U = K_bar * Z on the backstepping scalar that to_target computes
     grid = Grid(1.0, 101)
     kern = make_kernel(-0.4, 1.0)
 
+    def control(self, vartheta, profile, grid=None, rule="auto"):
+        grid = grid or self.grid
+        return self.kern.K_bar * to_target(self.kern, vartheta, profile, grid, rule).Z
+
     def test_ideal_control_zero_field(self):
-        assert ideal_control(self.kern, 0.7, np.zeros(101), self.grid) == pytest.approx(
-            -0.4 * 0.7, abs=1e-15)
+        assert self.control(0.7, np.zeros(101)) == pytest.approx(-0.4 * 0.7, abs=1e-15)
 
     def test_ideal_control_uniform_field(self):
         # integral of (1 - y^2)/2 over [0,1] is 1/3
-        got = ideal_control(self.kern, 0.0, np.ones(101), self.grid)
-        assert got == pytest.approx(-0.4 / 3.0, abs=1e-12)
+        assert self.control(0.0, np.ones(101)) == pytest.approx(-0.4 / 3.0, abs=1e-12)
 
     def test_ideal_control_against_fine_quadrature(self):
         profile_fn = lambda x: np.sin(3 * x) + 0.2 * x**2 - 0.5 * x
-        coarse = ideal_control(self.kern, 0.3, profile_fn(self.grid.nodes()), self.grid)
+        coarse = self.control(0.3, profile_fn(self.grid.nodes()))
         fine = Grid(1.0, 4001)
-        ref = ideal_control(self.kern, 0.3, profile_fn(fine.nodes()), fine)
+        ref = self.control(0.3, profile_fn(fine.nodes()), fine)
         assert coarse == pytest.approx(ref, abs=1e-8)
 
-    def test_average_control_equals_ideal_with_exact_averages(self):
-        H, K = -2.0, 0.2
-        rng = np.random.default_rng(5)
-        profile = np.cos(2 * self.grid.nodes()) + 0.1 * rng.standard_normal(101)
-        vartheta = -0.8
-        avg = average_control(self.kern, H * vartheta, H, profile, self.grid, K)
-        ideal = ideal_control(self.kern, vartheta, profile, self.grid)
-        assert avg == pytest.approx(ideal, abs=1e-12)
-
     def test_transform_scalar_quadrature_rule(self):
-        z_simpson = transform_scalar(self.kern, 0.0, np.ones(101), self.grid)
-        z_trap = transform_scalar(self.kern, 0.0, np.ones(101), self.grid, rule="trapezoid")
+        z_simpson = to_target(self.kern, 0.0, np.ones(101), self.grid).Z
+        z_trap = to_target(self.kern, 0.0, np.ones(101), self.grid, rule="trapezoid").Z
         assert z_simpson == pytest.approx(1.0 / 3.0, abs=1e-12)
         assert z_trap == pytest.approx(1.0 / 3.0, abs=1e-4)
 
@@ -237,8 +229,8 @@ class TestRealtimeControl:
         state = make_state(c=1e7, theta_hat=theta_hat)
         for _ in range(3):
             u_rt = realtime_control(state, H * vartheta, H, Theta, 0.2 * math.sin(10.0 * t))
-        # with exact averages the bracket reduces to K_bar * (vartheta + weighted)
-        u_avg = average_control(kern, H * vartheta, H, u_profile, grid, K)
+        # with exact averages the bracket reduces to K_bar * Z, K_bar = K*H
+        u_avg = K * H * to_target(kern, vartheta, u_profile, grid).Z
         assert u_rt == pytest.approx(u_avg, rel=1e-3)
 
 

@@ -18,11 +18,13 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from diffesc import loop
+from diffesc.analysis import to_target
 from diffesc.controller import (ControllerState, ForbiddenGainError, GainConfig,
-                                integrate_theta_hat, realtime_control)
+                                integrate_theta_hat, make_kernel, realtime_control)
 from diffesc.dither import DitherParams, design_dither, dither_signal
 from diffesc.filters import HIGH_PASS, LOW_PASS, FirstOrderFilter
-from diffesc.heat import Grid, SolverConfig, make_field, spatial_integral, step
+from diffesc.heat import (Grid, SolverConfig, integrate_profile, make_field, spatial_integral,
+                          step)
 from diffesc.loop import (
     TRAJECTORY_COLUMNS,
     FieldHistory,
@@ -324,6 +326,21 @@ class TestAverageSystem:
     def test_boundary_entry_carries_same_time_control(self):
         rec = run_average_system(scenario(T=2.0), initial_vartheta=1.0)
         np.testing.assert_allclose(rec.u[:, -1], rec.U, atol=0.0)
+
+    def test_modal_transform_matches_nodal_to_target(self):
+        # the runner reads Z through the modal readout; to_target is the nodal form
+        rec = run_average_system(scenario(T=2.0, initial_alpha=lambda x: np.sin(math.pi * x)),
+                                 initial_vartheta=1.0)
+        assert np.array_equal(rec.U, rec.K_bar * rec.Z)
+        nodal = to_target(make_kernel(rec.K_bar, rec.grid.L), rec.vartheta, rec.u, rec.grid)
+        assert np.max(np.abs(nodal.Z - rec.Z)) <= 1e-12 * np.max(np.abs(rec.Z))
+
+    def test_norms_are_the_quadrature_of_each_recorded_profile(self):
+        rec = run_average_system(scenario(T=2.0, initial_alpha=lambda x: np.cos(3.0 * x)),
+                                 initial_vartheta=0.5)
+        u_sq = [integrate_profile(profile**2, rec.grid.dx) for profile in rec.u]
+        assert rec.u_norm.tolist() == [math.sqrt(v) for v in u_sq]
+        assert rec.Omega.tolist() == [vth**2 + v for vth, v in zip(rec.vartheta.tolist(), u_sq)]
 
     def test_csv_export(self, tmp_path):
         rec = run_average_system(scenario(T=1.0), initial_vartheta=1.0)

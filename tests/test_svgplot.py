@@ -1,6 +1,7 @@
 """SVG chart tests: the heatmap color ramp against its per-value reference,
 both writers against per-point reference copies, byte for byte, the
 heatmap's peak memory, and the tick loop against its former unbounded form."""
+import json
 import math
 import os
 import re
@@ -312,7 +313,7 @@ def test_ticks_end_where_the_step_cannot_move_the_value(tmp_path):
     # near 1e16 an ulp is 2, so the former `v += 1.0` left v unmoved and never ended;
     # a subprocess with a timeout keeps a regression from hanging the suite
     probe = ("import sys, numpy as np; from diffesc.svgplot import _ticks, line_chart; "
-             "print(len(_ticks(1e16 - 4.2, 1e16 + 0.2))); "
+             "print(_ticks(1e16 - 4.2, 1e16 + 0.2)); "
              "t = np.linspace(0.0, 1.0, 50); "
              "line_chart(sys.argv[1], 'near 1e16', 't', 'y', [('y', t, 1e16 - 4.2 + 4.4 * t)])")
     env = {**os.environ, "PYTHONPATH": str(Path(diffesc.__file__).parents[1])}
@@ -320,5 +321,7 @@ def test_ticks_end_where_the_step_cannot_move_the_value(tmp_path):
     res = subprocess.run([sys.executable, "-c", probe, str(path)], capture_output=True,
                          text=True, check=True, env=env, timeout=60)
     step = _nice_step(4.4)
-    assert 1 <= int(res.stdout) <= 2 * math.floor(4.4 / step) + 2
+    ticks = json.loads(res.stdout)
+    assert 1 <= len(ticks) <= 2 * math.floor(4.4 / step) + 2
+    assert all(a < b for a, b in zip(ticks, ticks[1:])), ticks     # no repeated labels
     assert path.read_text().rstrip().endswith("</svg>")
