@@ -28,6 +28,7 @@ __all__ = [
     "fit_decay",
     "late_time_residuals",
     "residual_scaling",
+    "save_fit_residuals_csv",
     "format_report",
 ]
 

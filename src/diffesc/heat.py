@@ -17,15 +17,18 @@ the block's inputs u_0, u_1, ...; after j of them
     z = lam**j * z0 + sum_{i<j} lam**(j-1-i) * f * u_i,
 
 so a step only records u, and every ``BLOCK``-th step moves the anchor with
-one (m, BLOCK) product.  A linear functional c @ z + w * b (the integral the
-map sees is one) is then  P[j] + sum_{i<j} h[j-1-i] * u_i + w * b,  where the
+one (m, BLOCK) product.  ``_propagator``, cached per (m, dx, dt, scheme),
+is the one copy of this lifting; ``SolverConfig.validate`` holds its rules
+and builds nothing.  A linear functional c @ z + w * b (the integral the map
+sees is one) is then  P[j] + sum_{i<j} h[j-1-i] * u_i + w * b,  where the
 free response P[j] = (c * lam**j) @ z0 is refreshed once per block and the
 impulse response h[l] = c @ (lam**l * f) once per propagator: a sum of at
 most BLOCK - 1 float products per read.  Blocks start every ``BLOCK`` steps
 from ``make_field`` and reads never move the anchor, so when and how often a
 field is read cannot change its trajectory, and a rerun is bit-identical.
 The lifted sums round differently from the per-step recurrence, by a few
-ulp of the state's scale.
+ulp of the state's scale.  The eigenbasis is a dense m x m matrix, so
+``MAX_NODES`` caps the grid a scenario may use.
 """
 from __future__ import annotations
 
@@ -60,6 +63,9 @@ ERROR_FLOOR = 1e-12     # refinement errors all below it sit at the rounding flo
 # medians of 12 interleaved rounds: 7.0 and 8.0 us/step at 4, 5.9 and 6.7 at
 # 8, 5.4 and 6.2 at 16)
 BLOCK = 16
+# largest scenario grid: make_field plus a step peaks near 16*m^2 B, 256 MiB here;
+# a probe that passes loop.MAX_K_DX and dither.MAX_EXPONENT needs <= ~475 nodes
+MAX_NODES = 4097
 
 
 class Grid:
@@ -86,11 +92,15 @@ class SolverConfig(NamedTuple):
     dt: float
     scheme: str = "crank_nicolson"
 
-    def validate(self) -> None:
+    def validate(self, dx: float) -> None:
+        """Reject a bad dt or scheme, and an explicit step above dx^2/2 (unstable)."""
         if not (self.dt > 0.0 and math.isfinite(self.dt)):
             raise ValueError(f"dt must be > 0, got {self.dt}")
         if self.scheme not in SCHEMES:
             raise ValueError(f"unknown scheme {self.scheme!r}, expected one of {SCHEMES}")
+        if THETAS[self.scheme] == 0.0 and self.dt > dx * dx / 2.0:
+            raise ValueError(f"explicit step unstable: dt={self.dt:.3g} exceeds "
+                             f"dx^2/2={dx*dx/2:.3g}")
 
 
 @lru_cache(maxsize=8)
@@ -109,11 +119,11 @@ class ActuatorField:
     ``anchor`` is the modal state at the block's start (a new read-only
     array at every block), ``inputs`` the block's modal inputs
     (1-theta)*b_old + theta*b_new so far, newest first, and ``boundary`` the
-    applied boundary value.  ``z``, the current modal state, and ``alpha``,
-    the nodal profile (boundary value last), are built on each read,
-    read-only, and reading them changes nothing.  Everything else is fixed by
+    applied boundary value.  ``alpha``, the nodal profile (boundary value
+    last), is built from the current modal state on each read, read-only,
+    and reading it changes nothing.  Everything else is fixed by
     ``make_field`` for the field's life: the implicit weight ``theta`` of its
-    solver config, the lifted propagator ``powers`` (row j is lam**j, j =
+    solver config, the propagator's ``powers`` (row j is lam**j, j =
     0..BLOCK) and ``forcing`` (row i is lam**i * f), and the readout
     ``integral`` of the auto-rule spatial integral.
     """
@@ -127,17 +137,11 @@ class ActuatorField:
         self.theta, self.powers, self.forcing, self.integral = theta, powers, forcing, integral
 
     @property
-    def z(self) -> np.ndarray:
+    def alpha(self) -> np.ndarray:
         j = len(self.inputs)
         z = self.powers[j] * self.anchor
         if j:
             z += np.dot(self.inputs, self.forcing[:j])
-        z.flags.writeable = False
-        return z
-
-    @property
-    def alpha(self) -> np.ndarray:
-        z = self.z
         alpha = np.append(_modes(z.size) @ z, self.boundary)
         alpha.flags.writeable = False
         return alpha
@@ -162,37 +166,28 @@ def make_field(grid: Grid, solver: SolverConfig, initial=None) -> ActuatorField:
     alpha[0] *= 0.5
     z = (2.0 / m) * (alpha[:-1] @ _modes(m))
     z.flags.writeable = False
-    theta, powers, forcing = _lifted(m, grid.dx, solver.dt, solver.scheme)
-    integral = _Readout(*_modal_weights(grid, integration_weights(grid.n, grid.dx)))
+    theta, powers, forcing = _propagator(m, grid.dx, solver.dt, solver.scheme)
+    integral = _Readout(grid, integration_weights(grid.n, grid.dx))
     return ActuatorField(grid, z, [], float(alpha[-1]), theta, powers, forcing, integral)
 
 
 @lru_cache(maxsize=64)
 def _propagator(m: int, dx: float, dt: float, scheme: str):
-    """Validated modal theta-step z+ = lam*z + f*((1-theta)*b_old + theta*b_new).
+    """The validated modal theta-step z+ = lam*z + f*((1-theta)*b_old + theta*b_new),
+    lifted over a block: theta, ``powers`` (BLOCK+1, m), row j lam**j, and
+    ``forcing`` (BLOCK, m), row i lam**i * f.
 
     With r = dt/dx^2, lam = (1 + (1-theta)*r*nu)/(1 - theta*r*nu) and f is
     the modal projection of the boundary coupling r*e_{m-1} over the same
-    denominator.  The one home of the explicit stability bound.
+    denominator.
     """
-    SolverConfig(dt, scheme).validate()
+    SolverConfig(dt, scheme).validate(dx)
     theta = THETAS[scheme]
-    if theta == 0.0 and dt > dx * dx / 2.0:
-        raise ValueError(f"explicit step unstable: dt={dt:.3g} exceeds dx^2/2={dx*dx/2:.3g}")
     r = dt / (dx * dx)
     nu = -4.0 * np.sin((2 * np.arange(m) + 1) * (math.pi / (4 * m))) ** 2
     denom = 1.0 - theta * r * nu
     lam = (1.0 + (1.0 - theta) * r * nu) / denom
     f = (2.0 / m) * _modes(m)[m - 1] * r / denom
-    lam.flags.writeable = f.flags.writeable = False
-    return lam, f, theta
-
-
-@lru_cache(maxsize=64)
-def _lifted(m: int, dx: float, dt: float, scheme: str):
-    """The validated propagator lifted over a block: theta, ``powers``
-    (BLOCK+1, m), row j lam**j, and ``forcing`` (BLOCK, m), row i lam**i * f."""
-    lam, f, theta = _propagator(m, dx, dt, scheme)
     powers = lam ** np.arange(BLOCK + 1)[:, None]
     forcing = powers[:BLOCK] * f
     powers.flags.writeable = forcing.flags.writeable = False
@@ -226,13 +221,9 @@ def step(field: ActuatorField, boundary_theta: float) -> ActuatorField:
     return field
 
 
-def _modal_weights(grid: Grid, weights) -> tuple[np.ndarray, float]:
-    """Modal coefficients and boundary weight of field -> weights @ field.alpha."""
-    return weights[:-1] @ _modes(grid.n - 1), float(weights[-1])
-
-
 class _Readout:
-    """The functional field -> coef @ field.z + w_end * field.boundary.
+    """The functional field -> weights @ field.alpha = coef @ z + w_end * boundary,
+    with ``coef`` its modal coefficients and ``w_end`` its boundary weight.
 
     Over a block it is  free[j] + sum_i impulse[i] * inputs[i] + w_end * boundary
     after j inputs: ``free`` (row j: (coef * lam**j) @ anchor) is refreshed
@@ -241,8 +232,8 @@ class _Readout:
 
     __slots__ = ("coef", "w_end", "forcing", "rows", "impulse", "anchor", "free")
 
-    def __init__(self, coef: np.ndarray, w_end: float):
-        self.coef, self.w_end = coef, w_end
+    def __init__(self, grid: Grid, weights):
+        self.coef, self.w_end = weights[:-1] @ _modes(grid.n - 1), float(weights[-1])
         self.forcing = self.anchor = None
 
     def __call__(self, fld: ActuatorField) -> float:
@@ -268,7 +259,7 @@ def linear_functional(grid: Grid, weights):
     the free response of the last anchor it read, so reading several fields
     in turn refreshes it on every call.
     """
-    return _Readout(*_modal_weights(grid, weights))
+    return _Readout(grid, weights)
 
 
 @lru_cache(maxsize=64)

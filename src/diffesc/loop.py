@@ -29,7 +29,7 @@ from .controller import (
 from .dither import DitherParams, design_dither, dither_signal, gradient_demod, hessian_demod
 from .filters import (HIGH_PASS, LOW_PASS, MIN_DEMOD_AMPLITUDE, FirstOrderFilter,
                       estimate_gradient, estimate_hessian)
-from .heat import (Grid, SolverConfig, _propagator, integrate_profile, integration_weights,
+from .heat import (MAX_NODES, Grid, SolverConfig, integrate_profile, integration_weights,
                    linear_functional, make_field, spatial_integral, step)
 
 __all__ = [
@@ -107,7 +107,8 @@ class ScenarioConfig(NamedTuple):
     ``validate`` is the single gate all three runners call first.  The
     compensator gain ``K_bar`` = K*H; ``validate`` rejects it when it is
     forbidden, unless K = 0 (no adaptation, so no compensated loop), and
-    it rejects a grid too coarse for the probe (k*dx above ``MAX_K_DX``).
+    it rejects a grid too coarse for the probe (k*dx above ``MAX_K_DX``) or
+    finer than ``heat.MAX_NODES``.  It builds no array.
     """
 
     map: StaticMap
@@ -131,7 +132,10 @@ class ScenarioConfig(NamedTuple):
     def validate(self) -> None:
         self.map.validate()
         self.dither.validate()
-        _propagator(self.grid.n - 1, self.grid.dx, self.solver.dt, self.solver.scheme)
+        if self.grid.n > MAX_NODES:
+            raise ValueError(f"nodes = {self.grid.n} exceeds the cap of {MAX_NODES} of the "
+                             "dense modal basis (ROADMAP item 10, an FFT transform, lifts it)")
+        self.solver.validate(self.grid.dx)
         if 0.0 < self.dither.a < MIN_DEMOD_AMPLITUDE:
             raise ValueError(f"dither amplitude {self.dither.a:.3g} is below the demodulation "
                              f"minimum {MIN_DEMOD_AMPLITUDE:.0e} (0 runs without excitation)")

@@ -1,5 +1,6 @@
 """Every name a module exports through ``__all__`` must exist on it, so that
-``from diffesc.<module> import *`` keeps working after names are deleted;
+``from diffesc.<module> import *`` keeps working after names are deleted, and
+the package must export it;
 every function the benchmark traces must still exist where it looks and be
 called by the commands it benchmarks; and the package's import stays cheap."""
 import ast
@@ -52,6 +53,14 @@ def test_all_names_resolve(name):
     module = importlib.import_module(f"diffesc.{name}")
     missing = [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)]
     assert missing == []
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_package_exports_every_public_name(name):
+    # the package re-exports each module's __all__: one list declares the API
+    module = importlib.import_module(f"diffesc.{name}")
+    assert [n for n in getattr(module, "__all__", ())
+            if getattr(diffesc, n, None) is not getattr(module, n)] == []
 
 
 def test_cli_import_loads_no_scipy():

@@ -16,6 +16,7 @@ import pytest
 import diffesc
 from diffesc.cli import (EXIT_FAILURE, EXIT_OK, EXIT_USAGE, RunPlan, _file_sha256, _parse_ini,
                          _resolve_config, main)
+from diffesc.heat import MAX_NODES
 
 SHORT_ESC = """
 [scenario]
@@ -340,6 +341,16 @@ class TestRunValidation:
         assert not out.exists()
         cfg.write_text(cfg.read_text().replace("nodes = 3", "nodes = 4"))
         assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o4")]) == EXIT_OK
+
+    @pytest.mark.parametrize("nodes", [MAX_NODES + 1, 20001])
+    def test_grid_beyond_the_node_cap_is_usage_error_before_run(self, tmp_path, capsys, nodes):
+        cfg = write_cfg(tmp_path)
+        cfg.write_text(cfg.read_text().replace("nodes = 51", f"nodes = {nodes}"))
+        out = tmp_path / "o"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert f"nodes = {nodes} exceeds the cap of {MAX_NODES}" in err and "FFT" in err
+        assert not out.exists()
 
     def test_diverging_standard_run_fails_with_marker(self, tmp_path, capsys):
         cfg = tmp_path / "std.cfg"

@@ -27,7 +27,7 @@ from diffesc.heat import (
     spatial_integral,
     step,
 )
-from diffesc.heat import BLOCK, _lifted, _modes, _propagator
+from diffesc.heat import BLOCK, THETAS, _modes, _propagator
 
 
 @pytest.fixture(scope="module")
@@ -84,6 +84,11 @@ def test_explicit_scheme_and_stability_gate(reference_field):
     bad = SolverConfig(dt=0.6 * dx * dx, scheme="explicit_euler")
     with pytest.raises(ValueError, match="unstable"):
         make_field(grid, bad)
+    with pytest.raises(ValueError, match="unstable"):
+        bad.validate(dx)
+    SolverConfig(dt=0.5 * dx * dx, scheme="explicit_euler").validate(dx)   # the bound itself
+    for scheme in ("crank_nicolson", "implicit_euler"):    # unconditionally stable
+        SolverConfig(dt=0.6 * dx * dx, scheme=scheme).validate(dx)
 
 
 def test_rejects_non_finite_state_with_node_index():
@@ -210,9 +215,9 @@ def test_grid_and_config_validation():
     with pytest.raises(ValueError):
         Grid(-1.0, 11)
     with pytest.raises(ValueError):
-        SolverConfig(dt=-1e-3).validate()
+        SolverConfig(dt=-1e-3).validate(0.1)
     with pytest.raises(ValueError):
-        SolverConfig(dt=1e-3, scheme="rk4").validate()
+        SolverConfig(dt=1e-3, scheme="rk4").validate(0.1)
     with pytest.raises(ValueError):
         make_field(Grid(1.0, 11), CN, initial=np.ones(7))
 
@@ -300,13 +305,38 @@ def test_step_factors_built_once_and_read_only():
     misses = _propagator.cache_info().misses
     fld = march(make_field(grid, cfg), lambda t: math.sin(t), cfg.dt, 50)
     assert _propagator.cache_info().misses == misses + 1
-    lam, f, _ = _propagator(grid.n - 1, grid.dx, cfg.dt, cfg.scheme)
-    _, powers, forcing = _lifted(grid.n - 1, grid.dx, cfg.dt, cfg.scheme)
-    assert fld.powers is powers and fld.forcing is forcing
+    theta, powers, forcing = _propagator(grid.n - 1, grid.dx, cfg.dt, cfg.scheme)
+    assert fld.theta == theta and fld.powers is powers and fld.forcing is forcing
     assert _modes(grid.n - 1) is _modes(grid.n - 1)
-    for arr in (lam, f, powers, forcing, _modes(grid.n - 1)):
+    for arr in (powers, forcing, _modes(grid.n - 1)):
         with pytest.raises(ValueError, match="read-only"):
             arr[0] = 1.0
+
+
+def _former_propagator(m, dx, dt, scheme):
+    """Reference: the per-step factors (lam, f, theta), then their block
+    lifting (powers, forcing) computed from them."""
+    theta = THETAS[scheme]
+    r = dt / (dx * dx)
+    nu = -4.0 * np.sin((2 * np.arange(m) + 1) * (math.pi / (4 * m))) ** 2
+    denom = 1.0 - theta * r * nu
+    lam = (1.0 + (1.0 - theta) * r * nu) / denom
+    f = (2.0 / m) * _modes(m)[m - 1] * r / denom
+    powers = lam ** np.arange(BLOCK + 1)[:, None]
+    return lam, f, theta, powers, powers[:BLOCK] * f
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+@pytest.mark.parametrize("m", [2, 10, 100, 800])
+def test_one_propagator_holds_the_per_step_factors_bit_for_bit(m, scheme):
+    dx = 1.0 / m
+    dt = 0.45 * dx * dx if scheme == "explicit_euler" else 1e-3
+    lam, f, theta, powers, forcing = _former_propagator(m, dx, dt, scheme)
+    got_theta, got_powers, got_forcing = _propagator(m, dx, dt, scheme)
+    assert got_theta == theta
+    assert got_powers[1].tobytes() == lam.tobytes() and got_forcing[0].tobytes() == f.tobytes()
+    assert got_powers.tobytes() == powers.tobytes()
+    assert got_forcing.tobytes() == forcing.tobytes()
 
 
 def test_field_profile_is_read_only():
@@ -418,7 +448,8 @@ def test_block_reads_match_per_step_modal_reference(case):
     fld = make_field(grid, solver, initial=initial)
     unread = make_field(grid, solver, initial=initial)
     functional = linear_functional(grid, weights)
-    lam, f, theta = _propagator(m, grid.dx, dt, scheme)
+    theta, powers, forcing = _propagator(m, grid.dx, dt, scheme)
+    lam, f = powers[1], forcing[0]
     half = initial.copy()
     half[0] *= 0.5
     z, b = (2.0 / m) * (half[:-1] @ _modes(m)), initial[-1]

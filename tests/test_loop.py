@@ -23,8 +23,8 @@ from diffesc.controller import (ControllerState, ForbiddenGainError, GainConfig,
                                 integrate_theta_hat, make_kernel, realtime_control)
 from diffesc.dither import DitherParams, design_dither, dither_signal
 from diffesc.filters import HIGH_PASS, LOW_PASS, FirstOrderFilter
-from diffesc.heat import (Grid, SolverConfig, integrate_profile, make_field, spatial_integral,
-                          step)
+from diffesc.heat import (MAX_NODES, Grid, SolverConfig, _propagator, integrate_profile,
+                          make_field, spatial_integral, step)
 from diffesc.loop import (
     TRAJECTORY_COLUMNS,
     FieldHistory,
@@ -470,6 +470,20 @@ class TestScenarioValidation:
     def test_zero_gain_and_zero_amplitude_accepted(self):
         scenario(gains=GainConfig(K=0.0, c=10.0)).validate()
         scenario(dither=DitherParams(0.0, 10.0, 1.0)).validate()
+
+    def test_validation_builds_nothing_at_the_node_cap(self):
+        # the solver rules need only dx: validating the largest allowed grid
+        # allocates no modal basis and builds no propagator
+        config = scenario(n=MAX_NODES, dt=1.2345e-3)
+        cache = _propagator.cache_info()
+        tracemalloc.start()
+        try:
+            config.validate()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+        assert _propagator.cache_info() == cache
 
 
 # values %.12g renders in every form: non-finite, signed zero, subnormal, near overflow
