@@ -134,13 +134,12 @@ def make_kernel(K_bar: float, L: float, check: bool = True) -> BacksteppingKerne
 
 
 class ControllerState:
-    """Mutable per-run controller state: integrator, smoothing filter, gains."""
+    """Mutable per-run controller state: integrator, smoothing filter, K and L."""
 
-    __slots__ = ("theta_hat", "T_filter", "gains", "L")
+    __slots__ = ("theta_hat", "T_filter", "K", "L")
 
-    def __init__(self, theta_hat: float, T_filter: FirstOrderFilter, gains: GainConfig,
-                 L: float):
-        self.theta_hat, self.T_filter, self.gains, self.L = theta_hat, T_filter, gains, L
+    def __init__(self, theta_hat: float, T_filter: FirstOrderFilter, K: float, L: float):
+        self.theta_hat, self.T_filter, self.K, self.L = theta_hat, T_filter, K, L
 
 
 def realtime_control(state: ControllerState, G_hat: float, H_hat: float, Theta: float,
@@ -154,7 +153,7 @@ def realtime_control(state: ControllerState, G_hat: float, H_hat: float, Theta: 
     sensing is required.  Advances the smoothing filter by one sample.
     """
     feedback = state.L * state.theta_hat - Theta + probe
-    bracket = state.gains.K * (G_hat + H_hat * feedback)
+    bracket = state.K * (G_hat + H_hat * feedback)
     return state.T_filter.step(bracket)
 
 

@@ -1,9 +1,10 @@
-"""First-order filters and demodulation-based derivative estimators.
+"""The first-order low-pass and the demodulation-based derivative estimators.
 
-Filters use the exact zero-order-hold discretization of c/(s+c): the update
-is unconditionally stable and matches the continuous step response exactly
-at the sample instants.  A filter instance owns its state, so one instance
-belongs to one loop; separate instances are fully independent.
+``FirstOrderFilter`` is the exact zero-order-hold discretization of c/(s+c):
+unconditionally stable, and exact at the sample instants for a step input.
+The washout s/(s+c) is the input minus its low-pass; ``run_esc`` washes the
+map output once and both estimators demodulate that one signal.  A filter
+instance owns its state, so one instance belongs to one loop.
 """
 from __future__ import annotations
 
@@ -15,8 +16,6 @@ import numpy as np
 from .dither import QUADRATURE_NODES, DitherParams, gauss_legendre, gradient_demod, hessian_demod
 
 __all__ = [
-    "LOW_PASS",
-    "HIGH_PASS",
     "FirstOrderFilter",
     "EstimatorOutputs",
     "estimate_gradient",
@@ -24,32 +23,28 @@ __all__ = [
     "period_average_estimates",
 ]
 
-LOW_PASS = "low_pass"
-HIGH_PASS = "high_pass"
-
 # Demodulation divides by the dither amplitude; below this it is meaningless.
 MIN_DEMOD_AMPLITUDE = 1e-9
 
 
 class FirstOrderFilter:
-    """Low-pass c/(s+c) or washout s/(s+c), exact ZOH discretization."""
+    """Low-pass c/(s+c), exact ZOH discretization; the washout s/(s+c) of u is
+    ``u - f.step(u)``."""
 
-    __slots__ = ("kind", "corner", "dt", "state", "_gain")
+    __slots__ = ("state", "_gain")
 
-    def __init__(self, kind: str, corner: float, dt: float, state: float = 0.0):
-        if kind not in (LOW_PASS, HIGH_PASS):
-            raise ValueError(f"kind must be {LOW_PASS!r} or {HIGH_PASS!r}, got {kind!r}")
+    def __init__(self, corner: float, dt: float, state: float = 0.0):
         if not (corner > 0.0 and math.isfinite(corner)):
             raise ValueError(f"corner frequency must be > 0, got {corner}")
         if not (dt > 0.0 and math.isfinite(dt)):
             raise ValueError(f"dt must be > 0, got {dt}")
-        self.kind, self.corner, self.dt, self.state = kind, corner, dt, state
+        self.state = state
         self._gain = 1.0 - math.exp(-corner * dt)
 
     def step(self, u: float) -> float:
-        """Advance one sample; returns the filtered (or washed-out) output."""
+        """Advance one sample; returns the low-pass output."""
         self.state += self._gain * (u - self.state)
-        return self.state if self.kind == LOW_PASS else u - self.state
+        return self.state
 
 
 class EstimatorOutputs(NamedTuple):
@@ -57,22 +52,22 @@ class EstimatorOutputs(NamedTuple):
     H_hat: float
 
 
-def estimate_gradient(y_signal: float, demod: float, washout: FirstOrderFilter) -> float:
-    """Gradient estimate: the washed-out output times this sample's gradient
-    demodulation signal (``dither.gradient_demod``).
+def estimate_gradient(washed: float, demod: float) -> float:
+    """Gradient estimate: the washed-out map output times this sample's
+    gradient demodulation signal (``dither.gradient_demod``).
 
     The washout removes the unknown DC level of the map output before the
     sinusoidal demodulation, which otherwise injects a large zero-mean
     carrier into the estimate.  The amplitude the signal divides by is
     checked where the run is validated, not here.
     """
-    return demod * washout.step(y_signal)
+    return demod * washed
 
 
-def estimate_hessian(y_signal: float, demod: float, smoother: FirstOrderFilter) -> float:
-    """Curvature estimate: low-pass the output times this sample's curvature
-    demodulation signal (``dither.hessian_demod``)."""
-    return smoother.step(demod * y_signal)
+def estimate_hessian(washed: float, demod: float, smoother: FirstOrderFilter) -> float:
+    """Curvature estimate: low-pass the washed-out map output times this
+    sample's curvature demodulation signal (``dither.hessian_demod``)."""
+    return smoother.step(demod * washed)
 
 
 def period_average_estimates(params: DitherParams, y_star: float, H: float,

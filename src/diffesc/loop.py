@@ -20,6 +20,7 @@ import numpy as np
 
 from .controller import (
     ControllerState,
+    ForbiddenGainError,
     GainConfig,
     check_gain,
     integrate_theta_hat,
@@ -27,8 +28,7 @@ from .controller import (
     realtime_control,
 )
 from .dither import DitherParams, design_dither, dither_signal, gradient_demod, hessian_demod
-from .filters import (HIGH_PASS, LOW_PASS, MIN_DEMOD_AMPLITUDE, FirstOrderFilter,
-                      estimate_gradient, estimate_hessian)
+from .filters import MIN_DEMOD_AMPLITUDE, FirstOrderFilter, estimate_gradient, estimate_hessian
 from .heat import (MAX_NODES, Grid, SolverConfig, integrate_profile, integration_weights,
                    linear_functional, make_field, spatial_integral, step)
 
@@ -106,9 +106,9 @@ class ScenarioConfig(NamedTuple):
 
     ``validate`` is the single gate all three runners call first.  The
     compensator gain ``K_bar`` = K*H; ``validate`` rejects it when it is
-    forbidden, unless K = 0 (no adaptation, so no compensated loop), and
-    it rejects a grid too coarse for the probe (k*dx above ``MAX_K_DX``) or
-    finer than ``heat.MAX_NODES``.  It builds no array.
+    forbidden, naming K and H, unless K = 0 (no adaptation, so no compensated
+    loop), and it rejects a grid too coarse for the probe (k*dx above
+    ``MAX_K_DX``) or finer than ``heat.MAX_NODES``.  It builds no array.
     """
 
     map: StaticMap
@@ -158,7 +158,11 @@ class ScenarioConfig(NamedTuple):
             if not (corner > 0.0 and math.isfinite(corner)):
                 raise ValueError(f"filter corner frequencies must be > 0, got {corner}")
         if self.gains.K > 0.0:
-            check_gain(self.K_bar, self.grid.L)
+            try:
+                check_gain(self.K_bar, self.grid.L)
+            except ForbiddenGainError as exc:      # name where the gain comes from
+                raise ForbiddenGainError(f"design gain K*H = {self.gains.K:.6g} * "
+                                         f"{self.map.H:.6g}: {exc}", kappa=exc.kappa) from None
         k_dx = math.sqrt(self.dither.omega / 2.0) * self.grid.dx
         if k_dx > MAX_K_DX:
             raise ValueError(
@@ -249,13 +253,12 @@ def run_esc(config: ScenarioConfig) -> TrajectoryRecord:
     n_steps = round(config.T_final / dt)
 
     fld = make_field(config.grid, config.solver, initial=config.initial_alpha)
-    washout_g = FirstOrderFilter(HIGH_PASS, config.washout_corner, dt)
-    washout_h = FirstOrderFilter(HIGH_PASS, config.washout_corner, dt)
-    smoother = FirstOrderFilter(LOW_PASS, config.hessian_corner, dt)
+    washout = FirstOrderFilter(config.washout_corner, dt)
+    smoother = FirstOrderFilter(config.hessian_corner, dt)
     ctrl = ControllerState(
         theta_hat=config.initial_theta_hat,
-        T_filter=FirstOrderFilter(LOW_PASS, config.gains.c, dt),
-        gains=config.gains,
+        T_filter=FirstOrderFilter(config.gains.c, dt),
+        K=config.gains.K,
         L=config.grid.L,
     )
 
@@ -270,8 +273,9 @@ def run_esc(config: ScenarioConfig) -> TrajectoryRecord:
         if g is None:
             G_hat = H_hat = 0.0
         else:
-            G_hat = estimate_gradient(y, g, washout_g)
-            H_hat = estimate_hessian(washout_h.step(y), h, smoother)
+            washed = y - washout.step(y)           # the washout s/(s+c) of y
+            G_hat = estimate_gradient(washed, g)
+            H_hat = estimate_hessian(washed, h, smoother)
         U = realtime_control(ctrl, G_hat, H_hat, Theta, probe)
         if not (math.isfinite(Theta) and math.isfinite(y) and math.isfinite(U)):
             raise _diverged(k, t, Theta, y, U)

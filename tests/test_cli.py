@@ -417,6 +417,20 @@ class TestGainContract:
         assert "K_bar" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_average_override_does_not_exempt_the_design_gain(self, tmp_path, capsys):
+        # the bundled average_system with K*H = -pi^2/4 and K_bar = -0.4: the run
+        # would use -0.4, but validation checks the config's K*H and names it
+        text = (_resolve_config("average_system").read_text()
+                .replace("K = 0.2", "K = 1.2337005501361697")
+                .replace("allow_unstable = false", "allow_unstable = false\nK_bar = -0.4"))
+        assert "K_bar = -0.4" in text and "K = 1.2337005501361697" in text
+        cfg = tmp_path / "override.cfg"
+        cfg.write_text(text)
+        out = tmp_path / "o"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == EXIT_USAGE
+        assert "K*H" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_standard_run_on_singular_gain_is_usage_error(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path)
         cfg.write_text(cfg.read_text().replace("kind = esc", "kind = standard")

@@ -16,13 +16,12 @@ from diffesc.analysis import to_target
 from diffesc.controller import (
     ControllerState,
     ForbiddenGainError,
-    GainConfig,
     check_gain,
     integrate_theta_hat,
     make_kernel,
     realtime_control,
 )
-from diffesc.filters import LOW_PASS, FirstOrderFilter
+from diffesc.filters import FirstOrderFilter
 from diffesc.heat import Grid, integrate_profile
 
 
@@ -187,8 +186,8 @@ class TestControlLaws:
 def make_state(c=10.0, dt=1e-3, K=0.2, theta_hat=0.0):
     return ControllerState(
         theta_hat=theta_hat,
-        T_filter=FirstOrderFilter(LOW_PASS, c, dt),
-        gains=GainConfig(K=K, c=c),
+        T_filter=FirstOrderFilter(c, dt),
+        K=K,
         L=1.0,
     )
 

@@ -1,18 +1,19 @@
 """Filter and estimator tests.
 
 The exact discretization makes the discrete step responses closed-form:
-low-pass output after k samples of a unit step is 1 - exp(-c k dt), washout
-output is exp(-c k dt).  Averaging identities are checked by quadrature.
+low-pass output after k samples of a unit step is 1 - exp(-c k dt), and the
+washout u - low-pass(u) is exp(-c k dt).  Averaging identities are checked
+by quadrature.
 """
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from diffesc.dither import DitherParams, gradient_demod, hessian_demod
 from diffesc.filters import (
-    HIGH_PASS,
-    LOW_PASS,
     FirstOrderFilter,
     estimate_gradient,
     estimate_hessian,
@@ -22,7 +23,7 @@ from diffesc.filters import (
 
 def test_low_pass_step_response_exact():
     c, dt = 3.7, 0.01
-    f = FirstOrderFilter(LOW_PASS, c, dt)
+    f = FirstOrderFilter(c, dt)
     for k in range(1, 400):
         out = f.step(1.0)
         assert out == pytest.approx(1.0 - math.exp(-c * k * dt), abs=1e-12)
@@ -30,9 +31,9 @@ def test_low_pass_step_response_exact():
 
 def test_high_pass_rejects_dc_exactly():
     c, dt = 2.0, 0.02
-    f = FirstOrderFilter(HIGH_PASS, c, dt)
+    f = FirstOrderFilter(c, dt)
     for k in range(1, 400):
-        out = f.step(5.0)
+        out = 5.0 - f.step(5.0)
         assert out == pytest.approx(5.0 * math.exp(-c * k * dt), abs=1e-11)
     assert abs(out) < 1e-6
 
@@ -41,7 +42,7 @@ def test_low_pass_frequency_response_at_corner():
     # driving at the corner frequency: gain 1/sqrt(2), phase -pi/4
     c = omega = 10.0
     dt = 1e-4
-    f = FirstOrderFilter(LOW_PASS, c, dt)
+    f = FirstOrderFilter(c, dt)
     ts = np.arange(0.0, 6.0, dt)
     out = np.array([f.step(math.sin(omega * t)) for t in ts])
     sel = ts > 4.0
@@ -57,23 +58,29 @@ def test_filters_are_linear():
     u = rng.standard_normal(300)
     v = rng.standard_normal(300)
     a, b = 1.7, -0.6
-    for kind in (LOW_PASS, HIGH_PASS):
-        f1 = FirstOrderFilter(kind, 4.0, 0.01)
-        f2 = FirstOrderFilter(kind, 4.0, 0.01)
-        f3 = FirstOrderFilter(kind, 4.0, 0.01)
-        for uu, vv in zip(u, v):
-            combined = f3.step(a * uu + b * vv)
-            assert combined == pytest.approx(a * f1.step(uu) + b * f2.step(vv), abs=1e-12)
+    f1, f2, f3 = (FirstOrderFilter(4.0, 0.01) for _ in range(3))
+    for uu, vv in zip(u, v):
+        combined = f3.step(a * uu + b * vv)
+        assert combined == pytest.approx(a * f1.step(uu) + b * f2.step(vv), abs=1e-12)
+
+
+@given(c=st.floats(1e-3, 1e3), dt=st.floats(1e-5, 1.0),
+       u=st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=50))
+def test_washout_matches_its_zoh_recurrence_bit_for_bit(c, dt, u):
+    # the washout s/(s+c) written out: state += gain*(u - state), output u - state
+    f = FirstOrderFilter(c, dt)
+    gain, state = 1.0 - math.exp(-c * dt), 0.0
+    for uu in u:
+        state += gain * (uu - state)
+        assert uu - f.step(uu) == uu - state
 
 
 def test_filter_validation_and_reset():
     with pytest.raises(ValueError):
-        FirstOrderFilter("band_pass", 1.0, 0.01)
+        FirstOrderFilter(-1.0, 0.01)
     with pytest.raises(ValueError):
-        FirstOrderFilter(LOW_PASS, -1.0, 0.01)
-    with pytest.raises(ValueError):
-        FirstOrderFilter(LOW_PASS, 1.0, 0.0)
-    f = FirstOrderFilter(LOW_PASS, 1.0, 0.01, state=0.3)
+        FirstOrderFilter(1.0, 0.0)
+    f = FirstOrderFilter(1.0, 0.01, state=0.3)
     f.step(1.0)
     f.state = 0.0
     assert f.step(1.0) == pytest.approx(1.0 - math.exp(-0.01), abs=1e-15)
@@ -84,19 +91,19 @@ def test_gradient_estimate_of_constant_output_averages_out():
     # is zero-mean over a period
     p = DitherParams(0.2, 10.0, 1.0)
     dt = 1e-3
-    washout = FirstOrderFilter(HIGH_PASS, 1.0, dt)
+    washout = FirstOrderFilter(1.0, dt)
     period_samples = round(p.period / dt)
     demod = gradient_demod(p, np.arange(12_000) * dt)
     values = []
     for k in range(12_000):
-        values.append(estimate_gradient(5.0, demod.item(k), washout))
+        values.append(estimate_gradient(5.0 - washout.step(5.0), demod.item(k)))
     late = np.array(values[-period_samples:])
     assert abs(late.mean()) < 1e-3
 
 
 def test_hessian_estimate_of_zero_output_is_zero():
     p = DitherParams(0.2, 10.0, 1.0)
-    smoother = FirstOrderFilter(LOW_PASS, 1.0, 1e-3)
+    smoother = FirstOrderFilter(1.0, 1e-3)
     for demod in hessian_demod(p, np.arange(100) * 1e-3):
         out = estimate_hessian(0.0, demod.item(), smoother)
     assert out == 0.0

@@ -22,7 +22,7 @@ from diffesc.analysis import to_target
 from diffesc.controller import (ControllerState, ForbiddenGainError, GainConfig,
                                 integrate_theta_hat, make_kernel, realtime_control)
 from diffesc.dither import DitherParams, design_dither, dither_signal
-from diffesc.filters import HIGH_PASS, LOW_PASS, FirstOrderFilter
+from diffesc.filters import FirstOrderFilter
 from diffesc.heat import (MAX_NODES, Grid, SolverConfig, _propagator, integrate_profile,
                           make_field, spatial_integral, step)
 from diffesc.loop import (
@@ -80,28 +80,30 @@ def numpy_scalar_loop(config):
 
     The reference for the precomputed time signals: time from the sample
     array, the map squared by ``**``, and the probe and both demodulation
-    signals through ``np.sin`` / ``np.cos`` at each step.  Returns the
-    recorded rows as columns.
+    signals through ``np.sin`` / ``np.cos`` at each step.  The washout is its
+    ZOH recurrence written out here, so it shares no filter code with
+    ``run_esc``.  Returns the recorded rows as columns.
     """
     dith, dt, m = config.dither, config.solver.dt, config.map
     n_steps = round(config.T_final / dt)
     t_all = np.arange(n_steps + 1) * dt
     S_all = dither_signal(design_dither(dith), t_all)
     fld = make_field(config.grid, config.solver, initial=config.initial_alpha)
-    washout_g = FirstOrderFilter(HIGH_PASS, config.washout_corner, dt)
-    washout_h = FirstOrderFilter(HIGH_PASS, config.washout_corner, dt)
-    smoother = FirstOrderFilter(LOW_PASS, config.hessian_corner, dt)
+    gw, w = 1.0 - math.exp(-config.washout_corner * dt), 0.0
+    smoother = FirstOrderFilter(config.hessian_corner, dt)
     ctrl = ControllerState(theta_hat=config.initial_theta_hat,
-                           T_filter=FirstOrderFilter(LOW_PASS, config.gains.c, dt),
-                           gains=config.gains, L=config.grid.L)
+                           T_filter=FirstOrderFilter(config.gains.c, dt),
+                           K=config.gains.K, L=config.grid.L)
     rows = []
     for k in range(n_steps + 1):
         t = t_all[k]
         Theta = spatial_integral(fld)
         y = float(m.y_star + 0.5 * m.H * (np.asarray(Theta) - m.theta_star) ** 2)
-        G_hat = float((2.0 / dith.a) * np.sin(dith.omega * np.asarray(t))) * washout_g.step(y)
+        w += gw * (y - w)
+        washed = y - w
+        G_hat = float((2.0 / dith.a) * np.sin(dith.omega * np.asarray(t))) * washed
         demod_h = float((-8.0 / dith.a**2) * np.cos(2.0 * dith.omega * np.asarray(t)))
-        H_hat = smoother.step(demod_h * washout_h.step(y))
+        H_hat = smoother.step(demod_h * washed)
         probe = float(dith.a * np.sin(dith.omega * np.asarray(t)))
         U = realtime_control(ctrl, G_hat, H_hat, Theta, probe)
         if k % config.record_every == 0:
@@ -148,6 +150,21 @@ class TestRunEsc:
         rec = run_esc(cfg)
         for name, ref in zip(TRAJECTORY_COLUMNS.split(","), numpy_scalar_loop(cfg)):
             assert np.max(np.abs(getattr(rec, name) - ref)) <= 1e-12, name
+
+    def test_three_filter_steps_per_sample(self, monkeypatch):
+        # one washout, the curvature smoother and the control smoother: a
+        # second washout on the same map output would show as a fourth call
+        calls = 0
+        original = FirstOrderFilter.step
+
+        def counted(self, u):
+            nonlocal calls
+            calls += 1
+            return original(self, u)
+
+        monkeypatch.setattr(FirstOrderFilter, "step", counted)
+        run_esc(scenario(T=0.5))
+        assert calls == 3 * 501
 
     def test_deterministic(self):
         r1 = run_esc(scenario(T=2.0))
