@@ -101,45 +101,60 @@ def _get(parser, section, key, cast, default=None, required=False):
 
 
 class RunPlan:
-    """Parsed scenario: its kind, one ScenarioConfig, and the averaged-run options."""
+    """Parsed scenario: its kind, one ScenarioConfig, and the averaged-run options.
+
+    The keys read here are the config's only keys: a section or key that
+    nothing reads (a misspelling) is a ``ConfigError`` that names it."""
 
     def __init__(self, parser: configparser.ConfigParser):
-        self.kind = _get(parser, "scenario", "kind", str, required=True)
+        read = set()
+
+        def get(section, key, cast, default=None, required=False):
+            read.add((section, parser.optionxform(key)))    # folded as the parser folds
+            return _get(parser, section, key, cast, default, required)
+
+        self.kind = get("scenario", "kind", str, required=True)
         if self.kind not in ("esc", "average", "standard"):
             raise ConfigError(f"unknown scenario kind {self.kind!r}")
         map_ = StaticMap(
-            y_star=_get(parser, "map", "y_star", float, required=True),
-            theta_star=_get(parser, "map", "theta_star", float, required=True),
-            H=_get(parser, "map", "curvature", float, required=True),
+            y_star=get("map", "y_star", float, required=True),
+            theta_star=get("map", "theta_star", float, required=True),
+            H=get("map", "curvature", float, required=True),
         )
-        length = _get(parser, "actuator", "length", float, required=True)
+        length = get("actuator", "length", float, required=True)
         self.config = ScenarioConfig(
             map=map_,
-            dither=DitherParams(a=_get(parser, "dither", "amplitude", float, required=True),
-                                omega=_get(parser, "dither", "frequency", float, required=True),
+            dither=DitherParams(a=get("dither", "amplitude", float, required=True),
+                                omega=get("dither", "frequency", float, required=True),
                                 L=length),
-            gains=GainConfig(K=_get(parser, "gains", "K", float, required=True),
-                             c=_get(parser, "gains", "corner", float, default=10.0)),
-            solver=SolverConfig(dt=_get(parser, "actuator", "dt", float, required=True),
-                                scheme=_get(parser, "actuator", "scheme", str,
+            gains=GainConfig(K=get("gains", "K", float, required=True),
+                             c=get("gains", "corner", float, default=10.0)),
+            solver=SolverConfig(dt=get("actuator", "dt", float, required=True),
+                                scheme=get("actuator", "scheme", str,
                                             default="crank_nicolson")),
-            grid=Grid(L=length, n=_get(parser, "actuator", "nodes", int, default=101)),
-            T_final=_get(parser, "scenario", "duration", float, required=True),
-            initial_theta_hat=_get(parser, "actuator", "initial_theta_hat", float, default=0.0),
-            record_every=_get(parser, "scenario", "record_every", int, default=10),
-            snapshot_every=_get(parser, "scenario", "snapshot_every", int, default=0),
-            washout_corner=_get(parser, "gains", "washout_corner", float, default=1.0),
-            hessian_corner=_get(parser, "gains", "hessian_corner", float, default=1.0),
+            grid=Grid(L=length, n=get("actuator", "nodes", int, default=101)),
+            T_final=get("scenario", "duration", float, required=True),
+            initial_theta_hat=get("actuator", "initial_theta_hat", float, default=0.0),
+            record_every=get("scenario", "record_every", int, default=10),
+            snapshot_every=get("scenario", "snapshot_every", int, default=0),
+            washout_corner=get("gains", "washout_corner", float, default=1.0),
+            hessian_corner=get("gains", "hessian_corner", float, default=1.0),
         )
-        diffusion = _get(parser, "actuator", "diffusion", float, default=1.0)
+        diffusion = get("actuator", "diffusion", float, default=1.0)
         if not abs(diffusion - 1.0) <= 1e-12:
             raise ConfigError(f"[actuator] diffusion must be 1 (got {diffusion}): the probe "
                               "design and the backstepping kernel assume unit diffusion")
-        self.initial_vartheta = _get(parser, "average", "initial_vartheta", float, default=1.0)
-        self.allow_unstable = _get(parser, "average", "allow_unstable", bool, default=False)
-        self.K_bar = _get(parser, "average", "K_bar", float)    # None: K*H
+        self.initial_vartheta = get("average", "initial_vartheta", float, default=1.0)
+        self.allow_unstable = get("average", "allow_unstable", bool, default=False)
+        self.K_bar = get("average", "K_bar", float)    # None: K*H
         if self.K_bar is not None and self.kind != "average":
             raise ConfigError(f"[average] K_bar applies only to kind = average, not {self.kind!r}")
+        sections = {section for section, _ in read}
+        unknown = [f"section [{s}]" for s in parser.sections() if s not in sections]
+        unknown += [f"key [{s}] {k}" for s in parser.sections() if s in sections
+                    for k in parser.options(s) if (s, k) not in read]
+        if unknown:
+            raise ConfigError(f"unknown config {', '.join(unknown)}")
 
     def validate(self) -> None:
         cfg = self.config

@@ -15,6 +15,7 @@ closed form and rejects a band around it; ``make_kernel`` applies it.
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 from typing import NamedTuple
 
@@ -62,7 +63,8 @@ def check_gain(K_bar: float, L: float) -> int | None:
 
     Every k = 0, 1, 2, ... is covered: the k nearest K_bar is found in closed
     form.  Returns that k when K_bar lies within ten such bands (admissible
-    but badly conditioned), else None.
+    but badly conditioned), else None.  An L whose cube overflows or
+    underflows is rejected as out of range.
     """
     if L <= 0.0:
         raise ValueError(f"domain length must be > 0, got {L}")
@@ -71,6 +73,9 @@ def check_gain(K_bar: float, L: float) -> int | None:
     except OverflowError:               # L**3 beyond the float range
         raise ForbiddenGainError(f"compensator gain out of range: L^3 overflows "
                                  f"for L = {L}") from None
+    if L**3 < sys.float_info.min:       # subnormal or 0: pi^2/(4 L^3) leaves the float range
+        raise ForbiddenGainError(f"compensator gain out of range: L^3 underflows "
+                                 f"for L = {L}")
     if not math.isfinite(scaled):
         raise ForbiddenGainError(f"compensator gain out of range: 4*L^3*K_bar = {-scaled}")
     if K_bar >= 0.0:

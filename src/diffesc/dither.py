@@ -6,8 +6,9 @@ plain ``a*sin(omega*t)`` perturbation at the boundary does not produce an
 to be motion-planned instead: we pick the boundary trace of an exact
 space-time solution of the heat equation whose spatial integral is the
 desired sinusoid.  The design reduces to two constants, an amplitude and a
-phase, obtained from the phasor sum of the two travelling components of
-that solution.
+phase.  The two travelling components of that solution integrate to one
+phasor proportional to sinh(q(1+j)), q = L*sqrt(omega/2), so both constants
+follow from the real and imaginary parts sinh(q)cos(q) and cosh(q)sin(q).
 
 All functions here are pure and accept scalars or numpy arrays for the
 (x, t) arguments.  The loops evaluate the signals over arrays of
@@ -40,7 +41,7 @@ __all__ = [
 QUADRATURE_NODES = 64
 IDENTITY_TOL = 1e-6
 # Input gate on the probe's size: past this exponent exp(L*sqrt(2*omega)) overflows a
-# float; below it the field's exp(k*x) and the design's exp(q) stay finite.
+# float; below it the field's exp(k*x) and the design's sinh(q) and cosh(q) stay finite.
 MAX_EXPONENT = math.log(sys.float_info.max)
 
 
@@ -56,8 +57,14 @@ class DitherParams(NamedTuple):
             raise ValueError(f"dither amplitude must be >= 0, got {self.a}")
         if not (self.omega > 0.0 and math.isfinite(self.omega)):
             raise ValueError(f"dither frequency must be > 0, got {self.omega}")
+        if not math.isfinite(self.period):
+            raise ValueError(f"dither frequency {self.omega:.3g} is out of range: its period "
+                             f"2*pi/omega overflows")
         if not (self.L > 0.0 and math.isfinite(self.L)):
             raise ValueError(f"domain length must be > 0, got {self.L}")
+        if not self.L * _wavenumber(self) > 0.0:
+            raise ValueError(f"domain length L = {self.L} and frequency omega = {self.omega} "
+                             f"are out of range: q = L*sqrt(omega/2) underflows to 0")
         exponent = self.L * math.sqrt(2.0 * self.omega)
         if exponent > MAX_EXPONENT:
             raise ValueError(f"domain length L = {self.L} and frequency omega = {self.omega} "
@@ -88,23 +95,35 @@ def design_dither(params: DitherParams) -> DitherDesign:
     Integrating the planned field gives a growing component e^q at phase
     q - pi/4 and a decaying component entering with a NEGATIVE amplitude
     -e^{-q} at phase -q - pi/4 (q = L*sqrt(omega/2)).  Their sum is the
-    phasor P = e^q * Pt with the scaled phasor
+    phasor P = e^q * Pt with
 
-        Pt = e^{j(q - pi/4)} - e^{-2q} * e^{j(-q - pi/4)},
+        Pt = e^{j(q - pi/4)} - e^{-2q} * e^{j(-q - pi/4)}
+           = 2 e^{-q} * e^{-j pi/4} * sinh(q(1+j)),
 
-    so A = 2*a*sqrt(omega) / (e^q * |Pt|) and phi = -arg(Pt), in (-pi, pi].
-    As omega -> 0, |P| -> 2*L*sqrt(omega), so A tends to a/L.
+    so |P| = 2|sinh(q(1+j))| and, with re + j*im = sinh(q(1+j)) =
+    sinh(q)cos(q) + j*cosh(q)sin(q),
+
+        A = a*sqrt(omega) / hypot(re, im),
+        phi = -arg(e^{-j pi/4} * sinh(q(1+j))) = -atan2(im - re, re + im),
+
+    phi in (-pi, pi].  No two nearly equal phasors are subtracted, so A keeps
+    its relative accuracy down to q -> 0, where re = im = q and A tends to
+    a/L; phi tends to -q^2/3 there and keeps its absolute accuracy (im - re,
+    about 2q^3/3, loses relative digits).  A design
+    whose boundary dither would overflow (``dither_envelope`` not finite, as
+    for a/L beyond the float range) is a ValueError.
     """
     params.validate()
     q = params.L * _wavenumber(params)
-    quarter = math.pi / 4.0
-    # built from math alone: loading cmath costs every CLI command ~0.3 MiB of memory
-    grow, decay = q - quarter, -(q + quarter)
-    scaled = (complex(math.cos(grow), math.sin(grow))
-              - math.exp(-2.0 * q) * complex(math.cos(decay), math.sin(decay)))
-    amplitude = 2.0 * params.a * math.sqrt(params.omega) / (math.exp(q) * abs(scaled))
-    return DitherDesign(params=params, amplitude=amplitude,
-                        phase=-math.atan2(scaled.imag, scaled.real))
+    re, im = math.sinh(q) * math.cos(q), math.cosh(q) * math.sin(q)
+    amplitude = params.a * math.sqrt(params.omega) / math.hypot(re, im)
+    design = DitherDesign(params=params, amplitude=amplitude,
+                          phase=-math.atan2(im - re, re + im))
+    if not math.isfinite(dither_envelope(design)):
+        raise ValueError(f"dither amplitude a = {params.a:.3g} is out of range for L = "
+                         f"{params.L:.3g} and omega = {params.omega:.3g}: the boundary "
+                         f"dither overflows")
+    return design
 
 
 def dither_field(design: DitherDesign, x, t):

@@ -18,12 +18,16 @@ the block's inputs u_0, u_1, ...; after j of them
 
 so a step only records u, and every ``BLOCK``-th step moves the anchor with
 one (m, BLOCK) product.  ``_propagator``, cached per (m, dx, dt, scheme),
-is the one copy of this lifting; ``SolverConfig.validate`` holds its rules
-and builds nothing.  A linear functional c @ z + w * b (the integral the map
-sees is one) is then  P[j] + sum_{i<j} h[j-1-i] * u_i + w * b,  where the
-free response P[j] = (c * lam**j) @ z0 is refreshed once per block and the
-impulse response h[l] = c @ (lam**l * f) once per propagator: a sum of at
-most BLOCK - 1 float products per read.  Blocks start every ``BLOCK`` steps
+is the one copy of this lifting, ``_modal_state`` the one place that sums
+it (for the anchor move and for ``alpha``), and ``SolverConfig.validate``
+holds its rules and builds nothing.  A linear functional c @ z + w * b (the
+integral the map sees is one) is then
+
+    P[j] + sum_{i<j} h[j-1-i] * u_i + w * b,
+
+where the free response P[j] = (c * lam**j) @ z0 is refreshed once per
+block and the impulse response h[l] = c @ (lam**l * f) once per
+propagator: a sum of at most BLOCK - 1 float products per read.  Blocks start every ``BLOCK`` steps
 from ``make_field`` and reads never move the anchor, so when and how often a
 field is read cannot change its trajectory, and a rerun is bit-identical.
 The lifted sums round differently from the per-step recurrence, by a few
@@ -93,9 +97,13 @@ class SolverConfig(NamedTuple):
     scheme: str = "crank_nicolson"
 
     def validate(self, dx: float) -> None:
-        """Reject a bad dt or scheme, and an explicit step above dx^2/2 (unstable)."""
+        """Reject a bad dt or scheme, a mesh ratio dt/dx^2 beyond the float range, and
+        an explicit step above dx^2/2 (unstable)."""
         if not (self.dt > 0.0 and math.isfinite(self.dt)):
             raise ValueError(f"dt must be > 0, got {self.dt}")
+        if not (dx * dx > 0.0 and math.isfinite(self.dt / (dx * dx))):
+            raise ValueError(f"mesh ratio dt/dx^2 is out of range: dt = {self.dt:.3g}, "
+                             f"dx = {dx:.3g}")
         if self.scheme not in SCHEMES:
             raise ValueError(f"unknown scheme {self.scheme!r}, expected one of {SCHEMES}")
         if THETAS[self.scheme] == 0.0 and self.dt > dx * dx / 2.0:
@@ -138,13 +146,20 @@ class ActuatorField:
 
     @property
     def alpha(self) -> np.ndarray:
-        j = len(self.inputs)
-        z = self.powers[j] * self.anchor
-        if j:
-            z += np.dot(self.inputs, self.forcing[:j])
+        z = _modal_state(self)
         alpha = np.append(_modes(z.size) @ z, self.boundary)
         alpha.flags.writeable = False
         return alpha
+
+
+def _modal_state(field: ActuatorField) -> np.ndarray:
+    """The modal state after the block's j inputs, lam**j * anchor + inputs @ forcing[:j],
+    as a new array."""
+    j = len(field.inputs)
+    z = field.powers[j] * field.anchor
+    if j:
+        z += np.dot(field.inputs, field.forcing[:j])
+    return z
 
 
 def make_field(grid: Grid, solver: SolverConfig, initial=None) -> ActuatorField:
@@ -213,8 +228,7 @@ def step(field: ActuatorField, boundary_theta: float) -> ActuatorField:
     inputs.insert(0, (1.0 - theta) * field.boundary + theta * boundary)
     field.boundary = boundary
     if len(inputs) == BLOCK:
-        anchor = np.dot(inputs, field.forcing)
-        anchor += field.powers[BLOCK] * field.anchor
+        anchor = _modal_state(field)
         anchor.flags.writeable = False      # readouts key their free response on it
         field.anchor = anchor
         inputs.clear()

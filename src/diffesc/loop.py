@@ -108,7 +108,8 @@ class ScenarioConfig(NamedTuple):
     compensator gain ``K_bar`` = K*H; ``validate`` rejects it when it is
     forbidden, naming K and H, unless K = 0 (no adaptation, so no compensated
     loop), and it rejects a grid too coarse for the probe (k*dx above
-    ``MAX_K_DX``) or finer than ``heat.MAX_NODES``.  It builds no array.
+    ``MAX_K_DX``) or finer than ``heat.MAX_NODES``, and any magnitude the run
+    would overflow (a^2, the step count ``n_steps``).  It builds no array.
     """
 
     map: StaticMap
@@ -129,9 +130,14 @@ class ScenarioConfig(NamedTuple):
         """Compensator gain K*H."""
         return self.gains.K * self.map.H
 
+    @property
+    def n_steps(self) -> int:
+        """Solver steps of the run, round(T_final / dt); ``validate`` keeps it finite."""
+        return round(self.T_final / self.solver.dt)
+
     def validate(self) -> None:
         self.map.validate()
-        self.dither.validate()
+        design_dither(self.dither)          # validates the dither; rejects an overflowing probe
         if self.grid.n > MAX_NODES:
             raise ValueError(f"nodes = {self.grid.n} exceeds the cap of {MAX_NODES} of the "
                              "dense modal basis (ROADMAP item 10, an FFT transform, lifts it)")
@@ -139,6 +145,9 @@ class ScenarioConfig(NamedTuple):
         if 0.0 < self.dither.a < MIN_DEMOD_AMPLITUDE:
             raise ValueError(f"dither amplitude {self.dither.a:.3g} is below the demodulation "
                              f"minimum {MIN_DEMOD_AMPLITUDE:.0e} (0 runs without excitation)")
+        if not math.isfinite(self.dither.a * self.dither.a):
+            raise ValueError(f"dither amplitude {self.dither.a:.3g} is out of range: the "
+                             f"curvature demodulation's a^2 overflows")
         if not math.isfinite(self.initial_theta_hat):
             raise ValueError(f"initial input estimate must be finite, "
                              f"got {self.initial_theta_hat}")
@@ -146,6 +155,9 @@ class ScenarioConfig(NamedTuple):
             raise ValueError(f"adaptation gain K must be finite and >= 0, got {self.gains.K}")
         if not (self.T_final > 0.0 and math.isfinite(self.T_final)):
             raise ValueError(f"run duration must be > 0, got {self.T_final}")
+        if not math.isfinite(self.T_final / self.solver.dt):
+            raise ValueError(f"duration {self.T_final:.6g} and dt = {self.solver.dt:.3g} are "
+                             f"out of range: the step count T_final/dt overflows")
         if self.record_every < 1:
             raise ValueError("record_every must be >= 1")
         if self.snapshot_every < 0:
@@ -250,7 +262,6 @@ def run_esc(config: ScenarioConfig) -> TrajectoryRecord:
     dt = config.solver.dt
     # read every step, so bound as locals: a NamedTuple field read is slower than a local
     map_, record_every, snapshot_every = config.map, config.record_every, config.snapshot_every
-    n_steps = round(config.T_final / dt)
 
     fld = make_field(config.grid, config.solver, initial=config.initial_alpha)
     washout = FirstOrderFilter(config.washout_corner, dt)
@@ -264,7 +275,7 @@ def run_esc(config: ScenarioConfig) -> TrajectoryRecord:
 
     rows = array("d")
     snaps_t, snaps_alpha = [], []
-    for k, (t, S, probe, g, h) in enumerate(_samples(config.dither, dt, n_steps + 1)):
+    for k, (t, S, probe, g, h) in enumerate(_samples(config.dither, dt, config.n_steps + 1)):
         if k:
             integrate_theta_hat(ctrl, U, dt)
             step(fld, ctrl.theta_hat + S)
@@ -317,8 +328,7 @@ def run_average_system(
         K_bar = config.K_bar
     grid = config.grid
     kernel = make_kernel(K_bar, grid.L, check=check_admissible)
-    dt, record_every = config.solver.dt, config.record_every
-    n_steps = round(config.T_final / dt)
+    dt, record_every, n_steps = config.solver.dt, config.record_every, config.n_steps
 
     fld = make_field(grid, config.solver, initial=config.initial_alpha)
     vartheta = float(initial_vartheta)
@@ -361,11 +371,10 @@ def run_standard_esc(config: ScenarioConfig) -> TrajectoryRecord:
     config.validate()
     map_, K, dt, record_every = (config.map, config.gains.K, config.solver.dt,
                                  config.record_every)
-    n_steps = round(config.T_final / dt)
     theta_hat = float(config.initial_theta_hat)
     rows = array("d")
     # the map input is perturbed by the probe itself, which the record's S column holds
-    for k, (t, _, S, g, h) in enumerate(_samples(config.dither, dt, n_steps + 1)):
+    for k, (t, _, S, g, h) in enumerate(_samples(config.dither, dt, config.n_steps + 1)):
         Theta = theta_hat + S
         y = evaluate_map(map_, Theta)
         G_hat = g * y if g is not None else 0.0

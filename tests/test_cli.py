@@ -109,6 +109,20 @@ class TestDesignDither:
         err = capsys.readouterr().err
         assert "L = 200" in err and "omega = 10" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("flag, value", [("--omega", "1e-100"), ("--L", "1e-200")])
+    def test_vanishing_q_prints_a_finite_design(self, capsys, flag, value):
+        # q = L*sqrt(omega/2) far below the cancellation of the two travelling phasors
+        args = {"--a": "0.2", "--omega": "10", "--L": "1", flag: value}
+        assert main(["design-dither", *[x for kv in args.items() for x in kv]]) == EXIT_OK
+        A = float(capsys.readouterr().out.splitlines()[0].split("=")[1])
+        assert math.isfinite(A) and A == pytest.approx(0.2 / float(args["--L"]), rel=1e-6)
+
+    @pytest.mark.parametrize("omega, L, message", [("1e-320", "1", "period"),
+                                                   ("10", "1e-320", "dither overflows")])
+    def test_design_beyond_the_float_range_is_usage_error(self, capsys, omega, L, message):
+        assert main(["design-dither", "--a", "0.2", "--omega", omega, "--L", L]) == EXIT_USAGE
+        assert message in capsys.readouterr().err
+
     @pytest.mark.parametrize("unbuffered", [True, False])
     def test_reader_closing_early_ends_quietly(self, unbuffered):
         # as `diffesc design-dither ... | head -1`: the table is far larger than the
@@ -456,6 +470,33 @@ class TestGainContract:
         assert main(["run", "--config", str(cfg), "--out", str(out)]) == EXIT_USAGE
         assert "out of range" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("old, new, message", [
+        ("length = 1.0", "length = 1e-120", "L^3 underflows"),
+        ("amplitude = 0.2", "amplitude = 1e200", "a^2 overflows"),
+        ("dt = 0.001", "dt = 1e-320", "step count"),
+        ("frequency = 10.0", "frequency = 1e-320", "period"),
+        ("corner = 10.0", "corner = 10.0\nwahsout_corner = 5.0",
+         "unknown config key [gains] wahsout_corner"),
+        ("[map]", "[mapp]\ny_star = 5.0\n\n[map]", "unknown config section [mapp]"),
+    ])
+    def test_extreme_or_unknown_input_is_usage_error_before_run(self, tmp_path, capsys, old,
+                                                               new, message):
+        # the extremes used to raise ZeroDivisionError or OverflowError after validation;
+        # the misspelled key used to run silently with the default washout corner
+        cfg = write_cfg(tmp_path)
+        cfg.write_text(cfg.read_text().replace(old, new, 1))
+        out = tmp_path / "o"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == EXIT_USAGE
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_keys_are_matched_without_case(self, tmp_path):
+        cfg = write_cfg(tmp_path)
+        cfg.write_text(cfg.read_text().replace("K = 0.2", "k = 0.3")
+                       .replace("corner = 10.0", "corner = 10.0\nWashout_Corner = 2.0"))
+        plan = RunPlan(_parse_ini(cfg))
+        assert (plan.config.washout_corner, plan.config.gains.K) == (2.0, 0.3)
 
     def test_singular_override_is_usage_error_under_allow_unstable(self, tmp_path, capsys):
         # allow_unstable skips only the sign gate; the kernel normalization

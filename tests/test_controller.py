@@ -61,6 +61,14 @@ class TestCheckGain:
         with pytest.raises(ForbiddenGainError, match="out of range"):
             check_gain(-0.4, 1e103)
 
+    @pytest.mark.parametrize("L", [1e-120, 1e-105])
+    def test_length_whose_cube_underflows_is_rejected(self, L):
+        # L**3 = 0 divided by zero; a subnormal L**3 made the band infinitely wide
+        with pytest.raises(ForbiddenGainError, match="L\\^3 underflows"):
+            check_gain(-0.4, L)
+        with pytest.raises(ForbiddenGainError, match="L\\^3 underflows"):
+            make_kernel(-0.4, L)
+
     def test_tolerance_band(self):
         first = -math.pi**2 / 4.0
         with pytest.raises(ForbiddenGainError):

@@ -4,7 +4,10 @@ The independent oracle is the arbitrary-precision phasor evaluation in
 mpmath: the integrated field is (A / 2 sqrt(omega)) * Im{P e^{j(wt+phi)}}
 with P = e^q e^{j(q-pi/4)} - e^{-q} e^{j(-q-pi/4)}, so the design constants
 must satisfy A = 2 a sqrt(omega) / |P| and phi = -arg(P) (mod 2pi).  The
-end-to-end oracle is quadrature of the field against a*sin(omega*t).
+oracle evaluates that two-phasor difference as written, with enough digits
+to absorb its cancellation at small q; the design evaluates the equal form
+2 e^{-j pi/4} sinh(q(1+j)).  The end-to-end oracle is quadrature of the field
+against a*sin(omega*t).
 """
 import cmath
 import math
@@ -31,8 +34,12 @@ from diffesc.dither import (
 
 
 def phasor_oracle(a, omega, L, dps=60):
-    """High-precision design constants from the complex phasor sum."""
-    with mp.workdps(dps):
+    """High-precision design constants from the complex phasor sum.
+
+    The two phasors agree in their leading -log10(q) digits, so those digits
+    are added to the working precision."""
+    q = L * math.sqrt(omega / 2.0)
+    with mp.workdps(dps + max(0, math.ceil(-math.log10(q)))):
         a_, omega_, L_ = mp.mpf(a), mp.mpf(omega), mp.mpf(L)
         q = L_ * mp.sqrt(omega_ / 2)
         quarter = mp.pi / 4
@@ -53,45 +60,57 @@ def test_design_matches_phasor_oracle(a, omega, L):
     assert abs(np.exp(1j * (d.phase - phi_ref)) - 1.0) < 1e-12
 
 
+# exponents e of the cells q = 10^-e below the log grid, reached both through a
+# small omega (L = 1) and through a small L (omega = 2)
+TINY_Q = (3, 8, 16, 30, 60, 100)
+
+
 def test_design_matches_phasor_oracle_on_log_grid():
-    # 25 x 25 log grid over omega in [1e-3, 1e3] and L in [0.01, 30]; at small q
-    # the squared-magnitude form e^{2q} + e^{-2q} - 2 cos 2q loses ~1e-10 to
-    # cancellation, and the 5 cells past MAX_EXPONENT must be rejected
+    # 25 x 25 log grid over omega in [1e-3, 1e3] and L in [0.01, 30], then the
+    # TINY_Q cells, where the oracle's two phasors cancel in all but ~e^-q of their
+    # digits; the 5 grid cells past MAX_EXPONENT must be rejected
+    cells = [(omega, L) for omega in np.logspace(-3.0, 3.0, 25).tolist()
+             for L in np.logspace(-2.0, math.log10(30.0), 25).tolist()]
+    cells += [(2.0 * 10.0 ** (-2 * e), 1.0) for e in TINY_Q]
+    cells += [(2.0, 10.0 ** -e) for e in TINY_Q]
     in_range = beyond = 0
-    for omega in np.logspace(-3.0, 3.0, 25).tolist():
-        for L in np.logspace(-2.0, math.log10(30.0), 25).tolist():
-            p = DitherParams(0.2, omega, L)
-            if L * math.sqrt(2.0 * omega) > MAX_EXPONENT:
-                beyond += 1
-                with pytest.raises(ValueError, match="out of range"):
-                    design_dither(p)
-                continue
-            in_range += 1
-            d = design_dither(p)
-            A_ref, phi_ref = phasor_oracle(p.a, omega, L)
-            assert abs(d.amplitude / A_ref - 1.0) <= 1e-12, (omega, L)
-            assert abs(np.exp(1j * (d.phase - phi_ref)) - 1.0) <= 1e-12, (omega, L)
-            assert -math.pi < d.phase <= math.pi
-    assert (in_range, beyond) == (620, 5)
+    for omega, L in cells:
+        p = DitherParams(0.2, omega, L)
+        if L * math.sqrt(2.0 * omega) > MAX_EXPONENT:
+            beyond += 1
+            with pytest.raises(ValueError, match="out of range"):
+                design_dither(p)
+            continue
+        in_range += 1
+        d = design_dither(p)
+        A_ref, phi_ref = phasor_oracle(p.a, omega, L)
+        assert abs(d.amplitude / A_ref - 1.0) <= 1e-12, (omega, L)
+        assert abs(np.exp(1j * (d.phase - phi_ref)) - 1.0) <= 1e-12, (omega, L)
+        assert -math.pi < d.phase <= math.pi
+    assert (in_range, beyond) == (620 + 2 * len(TINY_Q), 5)
 
 
 def cmath_design(p):
-    """A and phi with the phasor built by cmath, the form the design must reproduce
-    bit for bit when it builds the same phasor from math alone."""
+    """A and phi from cmath's sinh(q(1+j)), whose parts the design must reproduce bit
+    for bit as sinh(q)cos(q) and cosh(q)sin(q).  The magnitude is math.hypot of
+    those parts, as in the design: abs() of a complex uses the C library's hypot,
+    which can round differently."""
     q = p.L * math.sqrt(p.omega / 2.0)
-    quarter = math.pi / 4.0
-    scaled = cmath.exp(1j * (q - quarter)) - math.exp(-2.0 * q) * cmath.exp(-1j * (q + quarter))
-    return 2.0 * p.a * math.sqrt(p.omega) / (math.exp(q) * abs(scaled)), -cmath.phase(scaled)
+    s = cmath.sinh(complex(q, q))
+    return (p.a * math.sqrt(p.omega) / math.hypot(s.real, s.imag),
+            -math.atan2(s.imag - s.real, s.real + s.imag))
 
 
 def test_design_bit_equal_to_cmath_phasor():
-    # the 25 x 25 log grid at a = 0.2, then 5000 seeded draws over the same ranges
+    # the 25 x 25 log grid at a = 0.2, 5000 seeded draws over the same ranges, then
+    # 2000 draws of q log-uniform in [1e-60, 354.9] (omega = 2, so L = q)
     cells = [(0.2, omega, L) for omega in np.logspace(-3.0, 3.0, 25).tolist()
              for L in np.logspace(-2.0, math.log10(30.0), 25).tolist()]
     rng = np.random.default_rng(0)
     cells += zip(rng.uniform(0.01, 0.5, 5000).tolist(),
                  (10.0 ** rng.uniform(-3.0, 3.0, 5000)).tolist(),
                  (10.0 ** rng.uniform(-2.0, math.log10(30.0), 5000)).tolist())
+    cells += [(0.2, 2.0, q) for q in (10.0 ** rng.uniform(-60.0, math.log10(354.9), 2000))]
     checked = 0
     for a, omega, L in cells:
         if L * math.sqrt(2.0 * omega) > MAX_EXPONENT:
@@ -100,14 +119,15 @@ def test_design_bit_equal_to_cmath_phasor():
         d = design_dither(p)
         assert (d.amplitude, d.phase) == cmath_design(p), (a, omega, L)
         checked += 1
-    assert checked == 5604          # 620 grid cells and 4984 draws in range
+    assert checked == 7604          # 620 grid cells, 4984 draws and 2000 small-q draws
 
 
 def test_design_reference_values():
-    # frozen from the phasor oracle at the headline configuration
+    # frozen from the phasor oracle at the headline configuration: A to the bit, and
+    # phi within one ulp of the correctly rounded oracle value
     d = design_dither(DitherParams(0.2, 10.0, 1.0))
-    assert d.amplitude == pytest.approx(0.13481635708410036, abs=1e-12)
-    assert d.phase == pytest.approx(-1.43960553976457, abs=1e-12)
+    assert d.amplitude == 0.13481635708410036
+    assert abs(d.phase + 1.4396055397645697) <= math.ulp(1.4396055397645697)
 
 
 @pytest.mark.parametrize("a,omega,L", CASES)
@@ -175,6 +195,26 @@ def test_static_limit():
     p = DitherParams(0.3, 1e-8, 2.0)
     d = design_dither(p)
     assert d.amplitude == pytest.approx(p.a / p.L, rel=1e-6)
+
+
+@pytest.mark.parametrize("omega, L", [(1e-100, 1.0), (10.0, 1e-200), (1e-300, 1e-5)])
+def test_vanishing_q_gives_the_static_design(omega, L):
+    # q = L*sqrt(omega/2) far below the cancellation of two nearly equal phasors:
+    # A = a/L and phi = 0 to rounding, with no division by zero
+    d = design_dither(DitherParams(0.3, omega, L))
+    assert d.amplitude == pytest.approx(0.3 / L, rel=1e-15)
+    assert abs(d.phase) <= 1e-15
+
+
+@pytest.mark.parametrize("a, omega, L, match", [
+    (0.2, 1e-220, 1e-250, "underflows"),            # q = L*sqrt(omega/2) rounds to 0
+    (0.2, 10.0, 1e-320, "overflows"),               # A ~ a/L beyond the float range
+    (1e154, 10.0, 1e-155, "overflows"),
+    (0.2, 1e-320, 1.0, "period"),
+])
+def test_design_out_of_float_range_rejected(a, omega, L, match):
+    with pytest.raises(ValueError, match=match):
+        design_dither(DitherParams(a, omega, L))
 
 
 def test_param_validation():

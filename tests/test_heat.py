@@ -218,6 +218,11 @@ def test_grid_and_config_validation():
         SolverConfig(dt=-1e-3).validate(0.1)
     with pytest.raises(ValueError):
         SolverConfig(dt=1e-3, scheme="rk4").validate(0.1)
+    # dx^2 underflows to 0, or dt/dx^2 overflows: the propagator would divide by
+    # zero or build NaN eigenvalues
+    for dt, dx in ((1e-3, 1e-200), (1e200, 1e-100)):
+        with pytest.raises(ValueError, match="mesh ratio"):
+            SolverConfig(dt=dt).validate(dx)
     with pytest.raises(ValueError):
         make_field(Grid(1.0, 11), CN, initial=np.ones(7))
 

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -23,8 +23,8 @@ from diffesc.controller import (ControllerState, ForbiddenGainError, GainConfig,
                                 integrate_theta_hat, make_kernel, realtime_control)
 from diffesc.dither import DitherParams, design_dither, dither_signal
 from diffesc.filters import FirstOrderFilter
-from diffesc.heat import (MAX_NODES, Grid, SolverConfig, _propagator, integrate_profile,
-                          make_field, spatial_integral, step)
+from diffesc.heat import (MAX_NODES, SCHEMES, Grid, SolverConfig, _propagator,
+                          integrate_profile, make_field, spatial_integral, step)
 from diffesc.loop import (
     TRAJECTORY_COLUMNS,
     FieldHistory,
@@ -488,6 +488,28 @@ class TestScenarioValidation:
         scenario(gains=GainConfig(K=0.0, c=10.0)).validate()
         scenario(dither=DitherParams(0.0, 10.0, 1.0)).validate()
 
+    def test_step_count_is_the_rounded_ratio(self):
+        assert scenario(T=1.0, dt=1e-3).n_steps == 1000
+        assert scenario(T=0.4e-3, dt=1e-3).n_steps == 0
+
+    @pytest.mark.parametrize("kw, match", [
+        (dict(dt=1e-320), "step count"),
+        (dict(T=1e300, dt=1e-10), "step count"),
+        (dict(dither=DitherParams(1e200, 10.0, 1.0)), "a\\^2 overflows"),
+        (dict(dither=DitherParams(0.2, 1e-320, 1.0)), "period"),
+        (dict(dither=DitherParams(0.2, 10.0, 1e-120), grid=Grid(1e-120, 101)),
+         "L\\^3 underflows"),
+        (dict(dither=DitherParams(0.2, 10.0, 1e-200), grid=Grid(1e-200, 11),
+              gains=GainConfig(K=0.0, c=10.0)), "mesh ratio"),
+        (dict(dither=DitherParams(1e154, 10.0, 1e-155), grid=Grid(1e-155, 3),
+              gains=GainConfig(K=0.0, c=10.0)), "boundary dither overflows"),
+    ])
+    def test_magnitude_extremes_rejected(self, kw, match):
+        # each used to pass validation and then raise ZeroDivisionError or
+        # OverflowError in the run
+        with pytest.raises(ValueError, match=match):
+            scenario(**kw).validate()
+
     def test_validation_builds_nothing_at_the_node_cap(self):
         # the solver rules need only dx: validating the largest allowed grid
         # allocates no modal basis and builds no propagator
@@ -501,6 +523,53 @@ class TestScenarioValidation:
             tracemalloc.stop()
         assert peak < 1 << 20
         assert _propagator.cache_info() == cache
+
+
+# The validate-implies-run contract over extreme inputs.  One to four numeric keys are
+# drawn from 0 or +-1e-320..1e300, log-uniform; the rest keep a cheap base value (11
+# nodes, 50 steps), and drawn step counts above 100 are discarded, so every run is short.
+CONTRACT_BASE = dict(y_star=5.0, theta_star=2.0, H=-2.0, a=0.2, omega=10.0, K=0.2, c=10.0,
+                     washout_corner=1.0, hessian_corner=1.0, L=1.0, n=11, dt=1e-3,
+                     T_final=0.05, initial_theta_hat=0.0, record_every=10, snapshot_every=10)
+EXTREME = st.one_of(st.just(0.0), st.builds(lambda sign, e: sign * 10.0 ** e,
+                                            st.sampled_from((1.0, -1.0)),
+                                            st.floats(-320.0, 300.0)))
+DRAWS = {key: EXTREME for key in CONTRACT_BASE}
+DRAWS.update(n=st.one_of(st.integers(-1, 101), st.integers(MAX_NODES + 1, 10**300)),
+             record_every=EXTREME.map(int), snapshot_every=EXTREME.map(int))
+
+
+@st.composite
+def extreme_scenarios(draw):
+    v = dict(CONTRACT_BASE)
+    for key in draw(st.sets(st.sampled_from(sorted(DRAWS)), min_size=1, max_size=4)):
+        v[key] = draw(DRAWS[key])
+    return v, draw(st.sampled_from(SCHEMES))
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@settings(max_examples=300, deadline=None)
+@given(extreme_scenarios())
+def test_a_validated_scenario_runs_or_diverges(case):
+    # validate() raises ValueError, or run_esc returns, or it raises SimulationDiverged:
+    # no config that passes validation may crash mid-run with another exception
+    v, scheme = case
+    try:
+        config = ScenarioConfig(
+            map=StaticMap(v["y_star"], v["theta_star"], v["H"]),
+            dither=DitherParams(v["a"], v["omega"], v["L"]), gains=GainConfig(v["K"], v["c"]),
+            solver=SolverConfig(v["dt"], scheme), grid=Grid(v["L"], v["n"]),
+            T_final=v["T_final"], initial_theta_hat=v["initial_theta_hat"],
+            record_every=v["record_every"], snapshot_every=v["snapshot_every"],
+            washout_corner=v["washout_corner"], hessian_corner=v["hessian_corner"])
+        config.validate()
+    except ValueError:
+        return
+    assume(config.n_steps <= 100)
+    try:
+        run_esc(config)
+    except SimulationDiverged:
+        pass
 
 
 # values %.12g renders in every form: non-finite, signed zero, subnormal, near overflow
