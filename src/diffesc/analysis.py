@@ -144,12 +144,13 @@ def fit_decay(t: np.ndarray, omega_series: np.ndarray) -> DecayFit:
     """Least-squares line on log(values) over the trailing ``DECAY_WINDOW`` (half).
 
     Values at or below ``DECAY_FLOOR`` are excluded (noted); the fit is
-    flagged degenerate when fewer than 3 usable points remain.
+    flagged degenerate when fewer than 3 usable points remain, as in a record
+    of fewer than 3 samples.
     """
     t = np.asarray(t, dtype=float)
     vals = np.asarray(omega_series, dtype=float)
-    if t.shape != vals.shape or t.size < 3:
-        raise ValueError("need matching t/value arrays with at least 3 samples")
+    if t.shape != vals.shape or t.size == 0:
+        raise ValueError("need matching, non-empty t/value arrays")
     t0 = t[-1] - DECAY_WINDOW * (t[-1] - t[0])
     sel = t >= t0
     usable = sel & (vals > DECAY_FLOOR)

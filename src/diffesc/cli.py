@@ -39,8 +39,8 @@ except ImportError:
 
 from . import analysis, svgplot
 from .controller import GainConfig, make_kernel
-from .dither import (QUADRATURE_NODES, DitherParams, design_dither, dither_field, dither_signal,
-                     gauss_legendre, verify_integral_identity)
+from .dither import (DitherParams, design_dither, dither_field, dither_signal, gauss_legendre,
+                     verify_integral_identity)
 from .heat import Grid, SolverConfig
 from .loop import (
     ScenarioConfig,
@@ -324,7 +324,7 @@ def cmd_design_dither(args) -> int:
     print(f"phi = {design.phase:.6f} rad")
     print()
     print(f"{'t':>10} {'dither':>12} {'a*sin(wt)':>12} {'integral':>12}")
-    x, w = gauss_legendre(QUADRATURE_NODES, 0.0, params.L)
+    x, w = gauss_legendre(0.0, params.L)
     for j in range(args.samples):
         t = j * params.period / (args.samples - 1) if args.samples > 1 else 0.0
         s_val = float(dither_signal(design, t))

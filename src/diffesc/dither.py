@@ -165,9 +165,9 @@ def hessian_demod(params: DitherParams, t):
     return c
 
 
-def gauss_legendre(n_nodes: int, lo: float, hi: float) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre nodes/weights scaled to [lo, hi]."""
-    nodes, weights = np.polynomial.legendre.leggauss(n_nodes)
+def gauss_legendre(lo: float, hi: float) -> tuple[np.ndarray, np.ndarray]:
+    """``QUADRATURE_NODES`` Gauss-Legendre nodes/weights scaled to [lo, hi]."""
+    nodes, weights = np.polynomial.legendre.leggauss(QUADRATURE_NODES)
     half = 0.5 * (hi - lo)
     return lo + half * (nodes + 1.0), half * weights
 
@@ -191,7 +191,7 @@ def verify_integral_identity(design: DitherDesign, t_samples) -> IdentityReport:
     if t_samples.size == 0:
         raise ValueError("t_samples must be non-empty")
     p = design.params
-    x, w = gauss_legendre(QUADRATURE_NODES, 0.0, p.L)
+    x, w = gauss_legendre(0.0, p.L)
     integrals = w @ dither_field(design, x[:, None], t_samples[None, :])
     target = p.a * np.sin(p.omega * t_samples)
     max_residual = float(np.max(np.abs(integrals - target)))

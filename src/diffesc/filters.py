@@ -13,7 +13,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .dither import QUADRATURE_NODES, DitherParams, gauss_legendre, gradient_demod, hessian_demod
+from .dither import DitherParams, gauss_legendre, gradient_demod, hessian_demod
 
 __all__ = [
     "FirstOrderFilter",
@@ -33,12 +33,12 @@ class FirstOrderFilter:
 
     __slots__ = ("state", "_gain")
 
-    def __init__(self, corner: float, dt: float, state: float = 0.0):
+    def __init__(self, corner: float, dt: float):
         if not (corner > 0.0 and math.isfinite(corner)):
             raise ValueError(f"corner frequency must be > 0, got {corner}")
         if not (dt > 0.0 and math.isfinite(dt)):
             raise ValueError(f"dt must be > 0, got {dt}")
-        self.state = state
+        self.state = 0.0
         self._gain = 1.0 - math.exp(-corner * dt)
 
     def step(self, u: float) -> float:
@@ -84,7 +84,7 @@ def period_average_estimates(params: DitherParams, y_star: float, H: float,
         raise ValueError(f"dither amplitude {params.a:.3g} too small for demodulation "
                          f"(minimum {MIN_DEMOD_AMPLITUDE:.0e})")
     period = params.period
-    t, w = gauss_legendre(QUADRATURE_NODES, 0.0, period)
+    t, w = gauss_legendre(0.0, period)
     y = y_star + 0.5 * H * (vartheta + params.a * np.sin(params.omega * t)) ** 2
     g_av = float(w @ (gradient_demod(params, t) * y)) / period
     h_av = float(w @ (hessian_demod(params, t) * y)) / period

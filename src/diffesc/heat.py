@@ -136,12 +136,11 @@ class ActuatorField:
     ``integral`` of the auto-rule spatial integral.
     """
 
-    __slots__ = ("grid", "anchor", "inputs", "boundary", "theta", "powers", "forcing",
-                 "integral")
+    __slots__ = ("anchor", "inputs", "boundary", "theta", "powers", "forcing", "integral")
 
-    def __init__(self, grid: Grid, anchor: np.ndarray, inputs: list, boundary: float,
-                 theta: float, powers: np.ndarray, forcing: np.ndarray, integral: _Readout):
-        self.grid, self.anchor, self.inputs, self.boundary = grid, anchor, inputs, boundary
+    def __init__(self, anchor: np.ndarray, inputs: list, boundary: float, theta: float,
+                 powers: np.ndarray, forcing: np.ndarray, integral: _Readout):
+        self.anchor, self.inputs, self.boundary = anchor, inputs, boundary
         self.theta, self.powers, self.forcing, self.integral = theta, powers, forcing, integral
 
     @property
@@ -183,7 +182,7 @@ def make_field(grid: Grid, solver: SolverConfig, initial=None) -> ActuatorField:
     z.flags.writeable = False
     theta, powers, forcing = _propagator(m, grid.dx, solver.dt, solver.scheme)
     integral = _Readout(grid, integration_weights(grid.n, grid.dx))
-    return ActuatorField(grid, z, [], float(alpha[-1]), theta, powers, forcing, integral)
+    return ActuatorField(z, [], float(alpha[-1]), theta, powers, forcing, integral)
 
 
 @lru_cache(maxsize=64)

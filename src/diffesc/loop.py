@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 import warnings
 from array import array
-from itertools import chain, repeat
+from itertools import chain
 from typing import NamedTuple
 
 import numpy as np
@@ -140,7 +140,7 @@ class ScenarioConfig(NamedTuple):
         design_dither(self.dither)          # validates the dither; rejects an overflowing probe
         if self.grid.n > MAX_NODES:
             raise ValueError(f"nodes = {self.grid.n} exceeds the cap of {MAX_NODES} of the "
-                             "dense modal basis (ROADMAP item 10, an FFT transform, lifts it)")
+                             "dense modal basis (an FFT transform would lift it)")
         self.solver.validate(self.grid.dx)
         if 0.0 < self.dither.a < MIN_DEMOD_AMPLITUDE:
             raise ValueError(f"dither amplitude {self.dither.a:.3g} is below the demodulation "
@@ -223,20 +223,24 @@ class AverageRecord(NamedTuple):
 def _samples(dither: DitherParams, dt: float, n: int):
     """(t, S, probe, g, h) at each sample k*dt, k < n, as Python floats: the
     boundary dither S, the probe a*sin(omega t) and the demodulation signals
-    g and h (None when a = 0).
+    g and h.
 
-    The signals are evaluated as arrays of ``CHUNK`` samples at a time, and
-    one ``chain`` yields the zipped columns, so a step reads its sample
-    without a Python frame and no whole-run array is ever held."""
+    At a = 0 it warns that there is no excitation and yields g = h = 0.0, so
+    every runner step takes the one path and its estimates stay zero.  The
+    signals are evaluated as arrays of ``CHUNK`` samples at a time, and one
+    ``chain`` yields the zipped columns, so a step reads its sample without a
+    Python frame and no whole-run array is ever held."""
     design = design_dither(dither)
+    if dither.a == 0.0:
+        warnings.warn("dither amplitude is zero: the loop cannot estimate gradients without "
+                      "excitation", RuntimeWarning)
 
     def chunks():
         for k0 in range(0, n, CHUNK):
             t = np.arange(k0, min(k0 + CHUNK, n)) * dt
             probe = dither.a * np.sin(dither.omega * t)
             if dither.a == 0.0:
-                # two iterators: zip would drain one shared iterator twice per sample
-                g, h = repeat(None, t.size), repeat(None, t.size)
+                g = h = [0.0] * t.size
             else:
                 g, h = gradient_demod(dither, t).tolist(), hessian_demod(dither, t).tolist()
             yield zip(t.tolist(), dither_signal(design, t).tolist(), probe.tolist(), g, h)
@@ -253,12 +257,6 @@ def run_esc(config: ScenarioConfig) -> TrajectoryRecord:
     loop from sample k-1 with this sample's boundary dither.
     """
     config.validate()
-    if config.dither.a == 0.0:
-        warnings.warn(
-            "dither amplitude is zero: the loop cannot estimate gradients without "
-            "excitation", RuntimeWarning,
-        )
-
     dt = config.solver.dt
     # read every step, so bound as locals: a NamedTuple field read is slower than a local
     map_, record_every, snapshot_every = config.map, config.record_every, config.snapshot_every
@@ -281,12 +279,9 @@ def run_esc(config: ScenarioConfig) -> TrajectoryRecord:
             step(fld, ctrl.theta_hat + S)
         Theta = spatial_integral(fld)
         y = evaluate_map(map_, Theta)
-        if g is None:
-            G_hat = H_hat = 0.0
-        else:
-            washed = y - washout.step(y)           # the washout s/(s+c) of y
-            G_hat = estimate_gradient(washed, g)
-            H_hat = estimate_hessian(washed, h, smoother)
+        washed = y - washout.step(y)               # the washout s/(s+c) of y
+        G_hat = estimate_gradient(washed, g)
+        H_hat = estimate_hessian(washed, h, smoother)
         U = realtime_control(ctrl, G_hat, H_hat, Theta, probe)
         if not (math.isfinite(Theta) and math.isfinite(y) and math.isfinite(U)):
             raise _diverged(k, t, Theta, y, U)
@@ -349,7 +344,7 @@ def run_average_system(
             consistent = fld.alpha.copy()
             consistent[-1] = U
             u_sq = integrate_profile(consistent**2, grid.dx)
-            rows.extend((k * dt, vartheta, U, Z, math.sqrt(u_sq), vartheta**2 + u_sq))
+            rows.extend((k * dt, vartheta, U, Z, math.sqrt(u_sq), vartheta * vartheta + u_sq))
             profiles.append(consistent)
         if k == n_steps:
             break
@@ -377,8 +372,7 @@ def run_standard_esc(config: ScenarioConfig) -> TrajectoryRecord:
     for k, (t, _, S, g, h) in enumerate(_samples(config.dither, dt, config.n_steps + 1)):
         Theta = theta_hat + S
         y = evaluate_map(map_, Theta)
-        G_hat = g * y if g is not None else 0.0
-        H_hat = h * y if h is not None else 0.0
+        G_hat, H_hat = g * y, h * y
         U = K * G_hat
         if not (math.isfinite(Theta) and math.isfinite(y) and math.isfinite(U)):
             raise _diverged(k, t, Theta, y, U)

@@ -56,6 +56,23 @@ def _stride(arr: np.ndarray) -> np.ndarray:
     return arr[:: int(math.ceil(arr.size / MAX_POINTS))]
 
 
+def _frame(height: int, title: str, xlabel: str, ylabel: str, ml: int, mt: int, pw: int,
+           ph: int) -> tuple[str, str, str]:
+    """What every chart draws around its data, as three newline-joined pieces: the
+    head (the ``<svg>`` header, the white background and the title), the border
+    of the ``pw`` x ``ph`` plot area at (``ml``, ``mt``), and the tail (both axis
+    labels and ``</svg>``)."""
+    head = (f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH}" height="{height}" '
+            f'viewBox="0 0 {WIDTH} {height}" font-family="sans-serif" font-size="12">\n'
+            f'<rect width="{WIDTH}" height="{height}" fill="white"/>\n'
+            f'<text x="{WIDTH/2:.1f}" y="20" text-anchor="middle" font-size="14">{title}</text>')
+    border = f'<rect x="{ml}" y="{mt}" width="{pw}" height="{ph}" fill="none" stroke="#333333"/>'
+    tail = (f'<text x="{ml+pw/2:.1f}" y="{height-8}" text-anchor="middle">{xlabel}</text>\n'
+            f'<text x="16" y="{mt+ph/2:.1f}" text-anchor="middle" '
+            f'transform="rotate(-90 16 {mt+ph/2:.1f})">{ylabel}</text>\n</svg>')
+    return head, border, tail
+
+
 def line_chart(path, title: str, xlabel: str, ylabel: str, series,
                y_log: bool = False) -> None:
     """Write a multi-series line chart.
@@ -96,12 +113,8 @@ def line_chart(path, title: str, xlabel: str, ylabel: str, series,
     def sy(v):
         return mt + ph * (1.0 - (v - y_lo) / (y_hi - y_lo))
 
-    parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH}" height="{LINE_HEIGHT}" '
-        f'viewBox="0 0 {WIDTH} {LINE_HEIGHT}" font-family="sans-serif" font-size="12">',
-        f'<rect width="{WIDTH}" height="{LINE_HEIGHT}" fill="white"/>',
-        f'<text x="{WIDTH/2:.1f}" y="20" text-anchor="middle" font-size="14">{title}</text>',
-    ]
+    head, border, tail = _frame(LINE_HEIGHT, title, xlabel, ylabel, ml, mt, pw, ph)
+    parts = [head]
     for tv in _ticks(x_lo, x_hi):
         px = sx(tv)
         parts.append(f'<line x1="{px:.1f}" y1="{mt}" x2="{px:.1f}" y2="{mt+ph}" stroke="#dddddd"/>')
@@ -117,7 +130,7 @@ def line_chart(path, title: str, xlabel: str, ylabel: str, series,
         label = f"1e{tv:d}" if y_log else _fmt(tv)
         parts.append(f'<line x1="{ml}" y1="{py:.1f}" x2="{ml+pw}" y2="{py:.1f}" stroke="#dddddd"/>')
         parts.append(f'<text x="{ml-6}" y="{py+4:.1f}" text-anchor="end">{label}</text>')
-    parts.append(f'<rect x="{ml}" y="{mt}" width="{pw}" height="{ph}" fill="none" stroke="#333333"/>')
+    parts.append(border)
 
     for idx, (label, x, y) in enumerate(cleaned):
         color = PALETTE[idx % len(PALETTE)]
@@ -130,12 +143,7 @@ def line_chart(path, title: str, xlabel: str, ylabel: str, series,
         parts.append(f'<line x1="{lx}" y1="{ly-4}" x2="{lx+22}" y2="{ly-4}" stroke="{color}" stroke-width="2"/>')
         parts.append(f'<text x="{lx+28}" y="{ly}">{label}</text>')
 
-    parts.append(f'<text x="{ml+pw/2:.1f}" y="{LINE_HEIGHT-8}" text-anchor="middle">{xlabel}</text>')
-    parts.append(
-        f'<text x="16" y="{mt+ph/2:.1f}" text-anchor="middle" '
-        f'transform="rotate(-90 16 {mt+ph/2:.1f})">{ylabel}</text>'
-    )
-    parts.append("</svg>")
+    parts.append(tail)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(parts))
 
@@ -192,18 +200,14 @@ def heatmap(path, title: str, xlabel: str, ylabel: str,
     # once, and the cells go to the file one column at a time, never all in memory at once
     ys = [f'{py:.2f}" width="{cw+0.5:.2f}" height="{ch+0.5:.2f}" fill="rgb('
           for py in ((mt + ph) - np.arange(1, yi.size + 1) * ch).tolist()]
+    head, border, tail = _frame(HEATMAP_HEIGHT, title, xlabel, ylabel, ml, mt, pw, ph)
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(
-            f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH}" height="{HEATMAP_HEIGHT}" '
-            f'viewBox="0 0 {WIDTH} {HEATMAP_HEIGHT}" font-family="sans-serif" font-size="12">\n'
-            f'<rect width="{WIDTH}" height="{HEATMAP_HEIGHT}" fill="white"/>\n'
-            f'<text x="{WIDTH/2:.1f}" y="20" text-anchor="middle" font-size="14">{title}</text>'
-        )
+        fh.write(head)
         for i, px in enumerate((ml + np.arange(xi.size) * cw).tolist()):
             cell = f'\n<rect x="{px:.2f}" y="%s%d,%d,%d)"/>'
             col = slice(i * yi.size, (i + 1) * yi.size)
             fh.write("".join([cell % c for c in zip(ys, r[col], g[col], b[col])]))
-        parts = [f'<rect x="{ml}" y="{mt}" width="{pw}" height="{ph}" fill="none" stroke="#333333"/>']
+        parts = [border]
         for frac, anchor in ((0.0, "start"), (0.5, "middle"), (1.0, "end")):
             px = ml + frac * pw
             parts.append(
@@ -220,10 +224,5 @@ def heatmap(path, title: str, xlabel: str, ylabel: str,
             parts.append(f'<rect x="{bx}" y="{py:.2f}" width="14" height="{ph/60+0.5:.2f}" fill="rgb({r[k]},{g[k]},{b[k]})"/>')
         parts.append(f'<text x="{bx+18}" y="{mt+ph+4:.1f}">{_fmt(v_lo)}</text>')
         parts.append(f'<text x="{bx+18}" y="{mt+10:.1f}">{_fmt(v_hi)}</text>')
-        parts.append(f'<text x="{ml+pw/2:.1f}" y="{HEATMAP_HEIGHT-8}" text-anchor="middle">{xlabel}</text>')
-        parts.append(
-            f'<text x="16" y="{mt+ph/2:.1f}" text-anchor="middle" '
-            f'transform="rotate(-90 16 {mt+ph/2:.1f})">{ylabel}</text>'
-        )
-        parts.append("</svg>")
+        parts.append(tail)
         fh.write("\n" + "\n".join(parts))

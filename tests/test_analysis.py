@@ -165,7 +165,13 @@ class TestDecayFit:
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            fit_decay(np.arange(2.0), np.arange(2.0))
+            fit_decay(np.arange(3.0), np.arange(2.0))
+        with pytest.raises(ValueError):
+            fit_decay(np.arange(0.0), np.arange(0.0))
+        # a record of fewer than 3 samples is valid input with a degenerate fit
+        for n in (1, 2):
+            fit = fit_decay(np.arange(float(n)), np.ones(n))
+            assert fit.degenerate and math.isnan(fit.nu_hat)
 
     def test_residual_csv_export(self, tmp_path):
         from diffesc.analysis import save_fit_residuals_csv

@@ -529,6 +529,29 @@ class TestGainContract:
         assert main(["run", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
         assert "compensator_gain: -0.7" in (out / "report.txt").read_text()
 
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    def test_overflowing_average_run_diverges_with_marker(self, tmp_path, capsys):
+        # vartheta^2 leaves the float range at step 43: a divergence, not an OverflowError
+        cfg = tmp_path / "avg.cfg"
+        cfg.write_text(_resolve_config("average_system").read_text().replace("K = 0.2", "K = 1e10")
+                       .replace("duration = 20.0", "duration = 0.05")
+                       .replace("nodes = 101", "nodes = 21"))
+        out = tmp_path / "o"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == EXIT_FAILURE
+        assert "non-finite averaged state at step 43" in capsys.readouterr().err
+        assert (out / ".failed").read_text().startswith("SimulationDiverged: ")
+
+    @pytest.mark.parametrize("old, new", [("duration = 20.0", "duration = 1e-10"),
+                                          ("dt = 0.001", "dt = 1e10")])
+    def test_average_run_of_one_sample_reports_a_degenerate_fit(self, tmp_path, old, new):
+        cfg = tmp_path / "avg.cfg"
+        cfg.write_text(_resolve_config("average_system").read_text().replace(old, new))
+        out = tmp_path / "o"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
+        assert len((out / "average.csv").read_text().splitlines()) == 2
+        assert "fit_degenerate: True" in (out / "report.txt").read_text()
+        assert manifest_names(out) == {"average.csv", "error.svg", "norm.svg", "report.txt"}
+
 
 BUNDLED = ("baseline", "average_system", "standard_esc", "amplitude_sweep", "gain_probe")
 

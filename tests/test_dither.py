@@ -290,7 +290,7 @@ def test_demodulation_signals():
     assert hessian_demod(p, 0.0) == pytest.approx(-200.0, rel=1e-12)
     assert abs(hessian_demod(p, math.pi / (4 * p.omega))) < 1e-10
     # period means vanish; the curvature demod also has period pi/omega
-    t, w = gauss_legendre(64, 0.0, p.period)
+    t, w = gauss_legendre(0.0, p.period)
     assert abs(w @ gradient_demod(p, t)) / p.period < 1e-10
     assert abs(w @ hessian_demod(p, t)) / p.period < 1e-10
     ts = np.linspace(0.0, 1.0, 31)

@@ -80,7 +80,8 @@ def test_filter_validation_and_reset():
         FirstOrderFilter(-1.0, 0.01)
     with pytest.raises(ValueError):
         FirstOrderFilter(1.0, 0.0)
-    f = FirstOrderFilter(1.0, 0.01, state=0.3)
+    f = FirstOrderFilter(1.0, 0.01)
+    f.state = 0.3
     f.step(1.0)
     f.state = 0.0
     assert f.step(1.0) == pytest.approx(1.0 - math.exp(-0.01), abs=1e-15)

@@ -42,8 +42,8 @@ def march(field, boundary_fn, dt, n_steps):
     return field
 
 
-def l2_norm(field):
-    return math.sqrt(integrate_profile(field.alpha**2, field.grid.dx, "trapezoid"))
+def l2_norm(field, grid):
+    return math.sqrt(integrate_profile(field.alpha**2, grid.dx, "trapezoid"))
 
 
 CN = SolverConfig(dt=1e-3)
@@ -121,10 +121,10 @@ def test_crank_nicolson_norm_nonincreasing_with_zero_boundary():
     initial = rng.standard_normal(grid.n)
     initial[-1] = 0.0
     fld = make_field(grid, SolverConfig(dt=5e-3), initial=initial)
-    prev = l2_norm(fld)
+    prev = l2_norm(fld, grid)
     for _ in range(200):
         step(fld, 0.0)
-        cur = l2_norm(fld)
+        cur = l2_norm(fld, grid)
         assert cur <= prev + 1e-13
         prev = cur
 
@@ -412,11 +412,12 @@ def test_crank_nicolson_fine_grid_matches_banded_reference(reference_field):
 def test_l2_norm_nonincreasing_with_zero_boundary(n, scheme, dt, data):
     initial = data.draw(arrays(np.float64, n, elements=st.floats(-1.0, 1.0)))
     initial[-1] = 0.0
-    fld = make_field(Grid(1.0, n), SolverConfig(dt=dt, scheme=scheme), initial=initial)
-    prev = l2_norm(fld)
+    grid = Grid(1.0, n)
+    fld = make_field(grid, SolverConfig(dt=dt, scheme=scheme), initial=initial)
+    prev = l2_norm(fld, grid)
     for _ in range(30):
         step(fld, 0.0)
-        cur = l2_norm(fld)
+        cur = l2_norm(fld, grid)
         assert cur <= prev * (1.0 + 1e-12) + 1e-15
         prev = cur
 

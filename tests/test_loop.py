@@ -165,6 +165,10 @@ class TestRunEsc:
         monkeypatch.setattr(FirstOrderFilter, "step", counted)
         run_esc(scenario(T=0.5))
         assert calls == 3 * 501
+        # a = 0 takes the same step: only the sample stream knows the amplitude
+        calls = 0
+        quiet(run_esc, scenario(T=0.5, dither=DitherParams(0.0, 10.0, 1.0)))
+        assert calls == 3 * 501
 
     def test_deterministic(self):
         r1 = run_esc(scenario(T=2.0))
@@ -280,6 +284,28 @@ def quiet(runner, cfg):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
         return runner(cfg)
+
+
+@pytest.mark.parametrize("a", [0.0, 0.2])
+def test_samples_are_floats_at_every_amplitude(a):
+    # every runner step reads five floats, with and without excitation
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        samples = list(loop._samples(DitherParams(a, 10.0, 1.0), 1e-3, 2 * loop.CHUNK + 3))
+    assert len(samples) == 2 * loop.CHUNK + 3
+    assert all(type(value) is float for sample in samples for value in sample)
+    if a == 0.0:
+        assert all(g == 0.0 and h == 0.0 for *_, g, h in samples)
+
+
+@pytest.mark.parametrize("runner", RUNNERS)
+def test_zero_dither_warns_and_estimates_nothing(runner):
+    cfg = scenario(T=1.0, dither=DitherParams(0.0, 10.0, 1.0), initial_theta_hat=0.5)
+    with pytest.warns(RuntimeWarning, match="excitation"):
+        rec = runner(cfg)
+    for name in ("G_hat", "H_hat", "U"):
+        assert np.all(getattr(rec, name) == 0.0), name
+    assert np.all(rec.theta - rec.S == 0.5)                 # theta_hat stays frozen
 
 
 @pytest.mark.parametrize("runner", RUNNERS)
@@ -552,7 +578,8 @@ def extreme_scenarios(draw):
 @given(extreme_scenarios())
 def test_a_validated_scenario_runs_or_diverges(case):
     # validate() raises ValueError, or run_esc returns, or it raises SimulationDiverged:
-    # no config that passes validation may crash mid-run with another exception
+    # no config that passes validation may crash mid-run with another exception.  The
+    # averaged run holds to the same, behind the kernel gate the CLI adds for it
     v, scheme = case
     try:
         config = ScenarioConfig(
@@ -568,6 +595,14 @@ def test_a_validated_scenario_runs_or_diverges(case):
     assume(config.n_steps <= 100)
     try:
         run_esc(config)
+    except SimulationDiverged:
+        pass
+    try:
+        make_kernel(config.K_bar, config.grid.L)
+    except ValueError:
+        return
+    try:
+        run_average_system(config, initial_vartheta=v["initial_theta_hat"] - v["theta_star"])
     except SimulationDiverged:
         pass
 
