@@ -343,8 +343,14 @@ def run_average_system(
         if k % record_every == 0:
             consistent = fld.alpha.copy()
             consistent[-1] = U
-            u_sq = integrate_profile(consistent**2, grid.dx)
-            rows.extend((k * dt, vartheta, U, Z, math.sqrt(u_sq), vartheta * vartheta + u_sq))
+            with np.errstate(over="ignore"):           # an overflow is reported below
+                u_sq = integrate_profile(consistent * consistent, grid.dx)
+            Omega = vartheta * vartheta + u_sq
+            if not math.isfinite(Omega):
+                raise SimulationDiverged(
+                    f"non-finite energy at step {k}: vartheta={vartheta}, "
+                    f"integral of u^2={u_sq}", step_index=k)
+            rows.extend((k * dt, vartheta, U, Z, math.sqrt(u_sq), Omega))
             profiles.append(consistent)
         if k == n_steps:
             break

@@ -78,7 +78,8 @@ def line_chart(path, title: str, xlabel: str, ylabel: str, series,
     """Write a multi-series line chart.
 
     ``series`` is a list of (label, x, y) triples; non-finite and (for log
-    scale) non-positive samples are dropped per series.
+    scale) non-positive samples are dropped per series; with none left (a run
+    that stays at zero, on a log scale) the chart is an empty frame.
     """
     ml, mr, mt, mb = 64, 16, 34, 44
     pw, ph = WIDTH - ml - mr, LINE_HEIGHT - mt - mb
@@ -92,14 +93,12 @@ def line_chart(path, title: str, xlabel: str, ylabel: str, series,
             keep &= y > 0
         if keep.any():
             cleaned.append((label, _stride(x[keep]), _stride(y[keep])))
-    if not cleaned:
-        raise ValueError("no drawable data")
 
-    x_lo = min(float(x.min()) for _, x, _ in cleaned)
-    x_hi = max(float(x.max()) for _, x, _ in cleaned)
+    x_lo = min((float(x.min()) for _, x, _ in cleaned), default=0.0)
+    x_hi = max((float(x.max()) for _, x, _ in cleaned), default=0.0)
     ys = [np.log10(y) if y_log else y for _, _, y in cleaned]
-    y_lo = min(float(y.min()) for y in ys)
-    y_hi = max(float(y.max()) for y in ys)
+    y_lo = min((float(y.min()) for y in ys), default=0.0)
+    y_hi = max((float(y.max()) for y in ys), default=0.0)
     if x_hi <= x_lo:
         x_hi = x_lo + 1.0
     if y_hi <= y_lo:

@@ -63,6 +63,86 @@ def test_package_exports_every_public_name(name):
             if getattr(diffesc, n, None) is not getattr(module, n)] == []
 
 
+def test_star_import_exports_the_modules_api_only():
+    # the package's own names (its BLAS pin's os and numpy) stay out of the API:
+    # `from diffesc import *` gives the union of the modules' __all__, plus the
+    # submodules already imported, as for any package without an __all__ of its own
+    names = {}
+    exec("from diffesc import *", names)
+    api = set().union(*(getattr(importlib.import_module(f"diffesc.{name}"), "__all__", ())
+                        for name in MODULES))
+    assert set(names) - {"__builtins__"} - set(MODULES) == api
+
+
+BLAS_VARIABLES = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+THREADS_PROBE = """
+import json, os
+before = dict(os.environ)
+{first}
+import diffesc.cli
+print(json.dumps([len(os.listdir("/proc/self/task")), os.environ == before]))
+"""
+counts_threads = pytest.mark.skipif(not sys.platform.startswith("linux"),
+                                    reason="counts threads in /proc/self/task")
+
+
+def blas_env(**variables) -> dict:
+    """The environment without the BLAS variables but ``variables``, importing
+    diffesc from this tree."""
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_VARIABLES}
+    env.update(variables, PYTHONPATH=str(Path(diffesc.__file__).parents[1]))
+    return env
+
+
+def threads_after(code: str, **variables) -> list:
+    """[threads, os.environ unchanged] printed by ``code`` in a fresh interpreter
+    under ``blas_env(**variables)``."""
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env=blas_env(**variables))
+    return json.loads(out.stdout)
+
+
+@counts_threads
+def test_import_starts_numpy_with_one_blas_thread():
+    # the loop needs no second BLAS thread, and OpenBLAS's pool cost ~120 ms of CPU
+    # per command; the variable set for the import is gone after it
+    assert threads_after(THREADS_PROBE.format(first="")) == [1, True]
+
+
+@counts_threads
+@pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="OpenBLAS starts one thread per core")
+@pytest.mark.parametrize("variable", ["OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"])
+def test_a_chosen_blas_thread_count_is_honoured(variable):
+    assert threads_after(THREADS_PROBE.format(first=""), **{variable: "2"}) == [2, True]
+
+
+@counts_threads
+def test_numpy_imported_first_keeps_its_default_pool():
+    numpy_only = THREADS_PROBE.format(first="import numpy").replace("import diffesc.cli", "")
+    assert threads_after(THREADS_PROBE.format(first="import numpy")) == threads_after(numpy_only)
+
+
+def test_artifacts_do_not_depend_on_the_blas_thread_count(tmp_path):
+    # on 1001 nodes the field snapshots' 1000 x 1000 modal product is large enough
+    # for OpenBLAS to split over two threads (at 512 x 512 it uses one); every
+    # artifact must stay the same bytes
+    parser = configparser.ConfigParser()
+    parser.read_string(resources.files("diffesc.configs").joinpath("baseline.cfg").read_text())
+    parser.set("scenario", "duration", "1.0")
+    parser.set("actuator", "nodes", "1001")
+    config = tmp_path / "baseline.cfg"
+    with open(config, "w", encoding="utf-8") as fh:
+        parser.write(fh)
+    listed = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads_{threads}"
+        subprocess.run([sys.executable, "-m", "diffesc.cli", "run", "--config", str(config),
+                        "--out", str(out)], capture_output=True, check=True,
+                       env=blas_env(OPENBLAS_NUM_THREADS=threads))
+        listed.append(json.loads((out / "manifest.json").read_text())["files"])
+    assert listed[0] == listed[1] and len(listed[0]) == 8
+
+
 def test_cli_import_loads_no_scipy():
     # the runtime needs only numpy; scipy is a test-only dependency
     probe = "import sys, diffesc.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"

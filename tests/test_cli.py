@@ -2,21 +2,26 @@
 error paths, and sweep aggregation.  Short horizons keep these fast; the
 physics itself is graded elsewhere.
 """
+import contextlib
 import hashlib
 import importlib.util
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import diffesc
 from diffesc.cli import (EXIT_FAILURE, EXIT_OK, EXIT_USAGE, RunPlan, _file_sha256, _parse_ini,
                          _resolve_config, main)
-from diffesc.heat import MAX_NODES
+from diffesc.heat import MAX_NODES, SCHEMES
 
 SHORT_ESC = """
 [scenario]
@@ -529,16 +534,17 @@ class TestGainContract:
         assert main(["run", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
         assert "compensator_gain: -0.7" in (out / "report.txt").read_text()
 
-    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_overflowing_average_run_diverges_with_marker(self, tmp_path, capsys):
-        # vartheta^2 leaves the float range at step 43: a divergence, not an OverflowError
+        # the energy leaves the float range at the record step 30: a divergence named
+        # there, not an OverflowError, and no NumPy overflow warning on stderr
         cfg = tmp_path / "avg.cfg"
         cfg.write_text(_resolve_config("average_system").read_text().replace("K = 0.2", "K = 1e10")
                        .replace("duration = 20.0", "duration = 0.05")
                        .replace("nodes = 101", "nodes = 21"))
         out = tmp_path / "o"
         assert main(["run", "--config", str(cfg), "--out", str(out)]) == EXIT_FAILURE
-        assert "non-finite averaged state at step 43" in capsys.readouterr().err
+        assert "non-finite energy at step 30" in capsys.readouterr().err
         assert (out / ".failed").read_text().startswith("SimulationDiverged: ")
 
     @pytest.mark.parametrize("old, new", [("duration = 20.0", "duration = 1e-10"),
@@ -797,3 +803,50 @@ def test_digest_script_compares_saved_trees(tmp_path, capsys):
     assert result.pop("run/trajectory.csv") == pytest.approx(0.25e-12, rel=1e-3)
     assert result == {"run/chart.svg": "identical", "run/report.txt": "differs",
                       "run/extra.txt": "only in A", "run/wide.csv": "differs"}
+
+
+# The validate-implies-run contract through `diffesc run` for kind = average: gain,
+# curvature, compensator override and initial error of magnitude 1e-3..1e12, log-uniform,
+# on at most 41 nodes for at most 0.1 s, so that every draw is cheap and many diverge.
+POSITIVE = st.floats(-3.0, 12.0).map(lambda e: 10.0 ** e)
+SIGNED = st.builds(lambda sign, v: sign * v, st.sampled_from((1.0, -1.0)), POSITIVE)
+AVERAGE_DRAWS = st.fixed_dictionaries({
+    ("gains", "K"): POSITIVE,
+    ("map", "curvature"): POSITIVE.map(lambda v: -v),
+    ("average", "initial_vartheta"): SIGNED | st.just(0.0),
+    ("average", "allow_unstable"): st.booleans(),
+    ("actuator", "length"): st.floats(0.2, 3.0),
+    ("actuator", "nodes"): st.integers(3, 41),
+    ("actuator", "dt"): st.floats(1e-4, 0.1),
+    ("actuator", "scheme"): st.sampled_from(SCHEMES),
+    ("scenario", "duration"): st.floats(1e-10, 0.1),
+    ("scenario", "record_every"): st.integers(1, 20),
+}, optional={("average", "K_bar"): SIGNED})
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@settings(max_examples=30, deadline=None)
+@given(AVERAGE_DRAWS)
+def test_average_run_exits_cleanly_or_diverges(values):
+    # exit 0 with nothing on stderr; exit 1 only for SimulationDiverged, with its one
+    # error line; or exit 2 at validation with one error line and no run directory.
+    # A RuntimeWarning is an error here, so a NumPy warning on stderr fails the test too
+    parser = _parse_ini(_resolve_config("average_system"))
+    for (section, key), value in values.items():
+        parser.set(section, key, str(value))
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg, out = Path(tmp) / "avg.cfg", Path(tmp) / "o"
+        with open(cfg, "w", encoding="utf-8") as fh:
+            parser.write(fh)
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(["run", "--config", str(cfg), "--out", str(out)])
+        err = err.getvalue()
+        if code == EXIT_OK:
+            assert err == "" and (out / "manifest.json").is_file()
+        elif code == EXIT_FAILURE:
+            assert (out / ".failed").read_text().startswith("SimulationDiverged: ")
+            assert err.startswith("error: run failed: non-finite") and err.count("\n") == 1
+        else:
+            assert code == EXIT_USAGE and not out.exists()
+            assert err.startswith("error: ") and err.count("\n") == 1

@@ -237,6 +237,19 @@ def test_line_chart_matches_per_point_reference(tmp_path, case):
     assert ours.read_text().count("<polyline") == 2
 
 
+def test_line_chart_with_nothing_to_draw_is_an_empty_frame(tmp_path):
+    # an averaged run that starts at the optimum has a norm of 0 at every sample,
+    # which a log axis cannot show: the chart is still written, with no line
+    t = np.linspace(0.0, 1.0, 5)
+    path = tmp_path / "norm.svg"
+    line_chart(path, "Composite squared norm", "t [s]", "Omega",
+               [("Omega(t)", t, np.zeros_like(t)), ("nan", t, np.full_like(t, np.nan))],
+               y_log=True)
+    text = path.read_text()
+    assert text.startswith("<svg") and text.endswith("</svg>")
+    assert "<polyline" not in text and "Composite squared norm" in text
+
+
 @pytest.mark.parametrize("shape", [(71, 101), (4, 3), (1, 7), (250, 101), (437, 613)])
 def test_heatmap_matches_nested_loop_reference(tmp_path, shape):
     # shapes above max_cells = 200 are sub-sampled on that axis
