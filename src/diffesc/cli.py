@@ -38,7 +38,7 @@ except ImportError:
         from hashlib import sha256      # builds without the built-in module
 
 from . import analysis, svgplot
-from .controller import GainConfig, make_kernel
+from .controller import make_kernel
 from .dither import (DitherParams, design_dither, dither_field, dither_signal, gauss_legendre,
                      verify_integral_identity)
 from .heat import Grid, SolverConfig
@@ -104,7 +104,8 @@ class RunPlan:
     """Parsed scenario: its kind, one ScenarioConfig, and the averaged-run options.
 
     The keys read here are the config's only keys: a section or key that
-    nothing reads (a misspelling) is a ``ConfigError`` that names it."""
+    nothing reads (a misspelling) is a ``ConfigError`` that names it.  An
+    optional key is passed on only when set: its default is the field's."""
 
     def __init__(self, parser: configparser.ConfigParser):
         read = set()
@@ -112,6 +113,11 @@ class RunPlan:
         def get(section, key, cast, default=None, required=False):
             read.add((section, parser.optionxform(key)))    # folded as the parser folds
             return _get(parser, section, key, cast, default, required)
+
+        def given(**keys):
+            """field -> value for each field=(section, key, cast) whose key the file sets."""
+            values = {field: get(*spec) for field, spec in keys.items()}
+            return {field: v for field, v in values.items() if v is not None}
 
         self.kind = get("scenario", "kind", str, required=True)
         if self.kind not in ("esc", "average", "standard"):
@@ -121,34 +127,36 @@ class RunPlan:
             theta_star=get("map", "theta_star", float, required=True),
             H=get("map", "curvature", float, required=True),
         )
-        length = get("actuator", "length", float, required=True)
         self.config = ScenarioConfig(
             map=map_,
-            dither=DitherParams(a=get("dither", "amplitude", float, required=True),
-                                omega=get("dither", "frequency", float, required=True),
-                                L=length),
-            gains=GainConfig(K=get("gains", "K", float, required=True),
-                             c=get("gains", "corner", float, default=10.0)),
-            solver=SolverConfig(dt=get("actuator", "dt", float, required=True),
-                                scheme=get("actuator", "scheme", str,
-                                            default="crank_nicolson")),
-            grid=Grid(L=length, n=get("actuator", "nodes", int, default=101)),
+            a=get("dither", "amplitude", float, required=True),
+            omega=get("dither", "frequency", float, required=True),
+            K=get("gains", "K", float, required=True),
+            solver=SolverConfig(get("actuator", "dt", float, required=True),
+                                **given(scheme=("actuator", "scheme", str))),
+            grid=Grid(L=get("actuator", "length", float, required=True),
+                      n=get("actuator", "nodes", int, default=101)),
             T_final=get("scenario", "duration", float, required=True),
-            initial_theta_hat=get("actuator", "initial_theta_hat", float, default=0.0),
-            record_every=get("scenario", "record_every", int, default=10),
-            snapshot_every=get("scenario", "snapshot_every", int, default=0),
-            washout_corner=get("gains", "washout_corner", float, default=1.0),
-            hessian_corner=get("gains", "hessian_corner", float, default=1.0),
+            **given(c=("gains", "corner", float),
+                    initial_theta_hat=("actuator", "initial_theta_hat", float),
+                    record_every=("scenario", "record_every", int),
+                    snapshot_every=("scenario", "snapshot_every", int),
+                    washout_corner=("gains", "washout_corner", float),
+                    hessian_corner=("gains", "hessian_corner", float)),
         )
         diffusion = get("actuator", "diffusion", float, default=1.0)
         if not abs(diffusion - 1.0) <= 1e-12:
             raise ConfigError(f"[actuator] diffusion must be 1 (got {diffusion}): the probe "
                               "design and the backstepping kernel assume unit diffusion")
-        self.initial_vartheta = get("average", "initial_vartheta", float, default=1.0)
-        self.allow_unstable = get("average", "allow_unstable", bool, default=False)
-        self.K_bar = get("average", "K_bar", float)    # None: K*H
-        if self.K_bar is not None and self.kind != "average":
-            raise ConfigError(f"[average] K_bar applies only to kind = average, not {self.kind!r}")
+        average = given(initial_vartheta=("average", "initial_vartheta", float),
+                        allow_unstable=("average", "allow_unstable", bool),
+                        K_bar=("average", "K_bar", float))
+        if average and self.kind != "average":
+            raise ConfigError(f"[average] {', '.join(average)}: for kind = average only, "
+                              f"not {self.kind!r}")
+        self.initial_vartheta = average.get("initial_vartheta", 1.0)
+        self.allow_unstable = average.get("allow_unstable", False)
+        self.K_bar = average.get("K_bar")    # None: K*H
         sections = {section for section, _ in read}
         unknown = [f"section [{s}]" for s in parser.sections() if s not in sections]
         unknown += [f"key [{s}] {k}" for s in parser.sections() if s in sections
@@ -159,10 +167,10 @@ class RunPlan:
     def validate(self) -> None:
         cfg = self.config
         cfg.validate()
-        if not math.isfinite(self.initial_vartheta):
-            raise ConfigError(f"[average] initial_vartheta must be finite, "
-                              f"got {self.initial_vartheta}")
-        if self.kind == "average":     # the gate run_average_system applies
+        if self.kind == "average":     # the gates run_average_system applies
+            if not math.isfinite(self.initial_vartheta):
+                raise ConfigError(f"[average] initial_vartheta must be finite, "
+                                  f"got {self.initial_vartheta}")
             make_kernel(cfg.K_bar if self.K_bar is None else self.K_bar, cfg.grid.L,
                         check=not self.allow_unstable)
 
@@ -290,36 +298,38 @@ _OUTPUTS = {"esc": _run_esc_outputs, "average": _run_average_outputs,
             "standard": _run_standard_outputs}
 
 
+def _error(message, code: int) -> int:
+    """Print the one ``error:`` line of a failed command and return its exit code."""
+    print(f"error: {message}", file=sys.stderr)
+    return code
+
+
 def cmd_run(args) -> int:
     try:
         path = _resolve_config(args.config)
         plan = RunPlan(_parse_ini(path))
         plan.validate()
     except (ConfigError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        return _error(exc, EXIT_USAGE)
     out_dir = Path(args.out)
     try:
         _execute_run(out_dir, plan.kind, str(path), lambda out: _OUTPUTS[plan.kind](plan, out))
     except Exception as exc:
-        print(f"error: run failed: {exc}", file=sys.stderr)
-        return EXIT_FAILURE
+        return _error(f"run failed: {exc}", EXIT_FAILURE)
     print(f"wrote {out_dir}/manifest.json")
     return EXIT_OK
 
 
 def cmd_design_dither(args) -> int:
     if args.samples < 1:
-        print(f"error: --samples must be at least 1, got {args.samples}", file=sys.stderr)
-        return EXIT_USAGE
+        return _error(f"--samples must be at least 1, got {args.samples}", EXIT_USAGE)
     params = DitherParams(a=args.a, omega=args.omega, L=args.L)
     try:
         if not params.a > 0.0:
             raise ValueError(f"dither amplitude must be > 0, got {params.a}")
         design = design_dither(params)      # validates omega and L
     except ValueError as exc:
-        print(f"error: a, omega and L must all be positive and in range ({exc})", file=sys.stderr)
-        return EXIT_USAGE
+        return _error(f"a, omega and L must all be positive and in range ({exc})", EXIT_USAGE)
     print(f"A   = {design.amplitude:.6f}")
     print(f"phi = {design.phase:.6f} rad")
     print()
@@ -337,14 +347,9 @@ def cmd_design_dither(args) -> int:
 
 
 def _sweep_member(plan: RunPlan, param: str, value: float) -> RunPlan:
-    """The validated plan with one swept value."""
-    cfg = plan.config
-    if param == "K":
-        changed = {"gains": cfg.gains._replace(K=value)}
-    else:
-        changed = {"dither": cfg.dither._replace(**{param: value})}
+    """The validated plan with the ``ScenarioConfig`` field ``param`` set to ``value``."""
     member = copy.copy(plan)
-    member.config = cfg._replace(**changed)
+    member.config = plan.config._replace(**{param: value})
     member.validate()
     return member
 
@@ -361,23 +366,18 @@ def cmd_sweep(args) -> int:
         plan = RunPlan(_parse_ini(path))
         values = [float(v) for v in args.values.split(",") if v.strip()]
     except (ConfigError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        return _error(exc, EXIT_USAGE)
     if plan.kind != "esc":
-        print(f"error: sweeps need an esc config, got kind {plan.kind!r}", file=sys.stderr)
-        return EXIT_USAGE
+        return _error(f"sweeps need an esc config, got kind {plan.kind!r}", EXIT_USAGE)
     if args.param not in SWEEP_PARAMS:
-        print(f"error: sweep parameter must be one of {SWEEP_PARAMS}", file=sys.stderr)
-        return EXIT_USAGE
+        return _error(f"sweep parameter must be one of {SWEEP_PARAMS}", EXIT_USAGE)
     if not values:
-        print("error: no sweep values given", file=sys.stderr)
-        return EXIT_USAGE
+        return _error("no sweep values given", EXIT_USAGE)
 
     labels = [f"{v:g}" for v in values]
     if len(set(labels)) < len(labels):
-        print(f"error: sweep values must differ when printed with %g, got {','.join(labels)}",
-              file=sys.stderr)
-        return EXIT_USAGE
+        return _error(f"sweep values must differ when printed with %g, got {','.join(labels)}",
+                      EXIT_USAGE)
 
     # validate every member first; when none is valid, exit 2 and write nothing
     members, failures = {}, {}
@@ -387,11 +387,13 @@ def cmd_sweep(args) -> int:
         except (ConfigError, ValueError) as exc:
             failures[v] = exc
     if not members:
-        print(f"error: {failures[values[0]]}", file=sys.stderr)
-        return EXIT_USAGE
+        return _error(failures[values[0]], EXIT_USAGE)
 
     out_root = Path(args.out)
-    out_root.mkdir(parents=True, exist_ok=True)
+    try:
+        out_root.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        return _error(f"sweep failed: {exc}", EXIT_FAILURE)
     results = {}
     for v, member in members.items():
         try:
@@ -426,12 +428,13 @@ def cmd_sweep(args) -> int:
             yr, tr = analysis.late_time_residuals(rec, map_)
             lines[f"residuals_{args.param}_{v:g}"] = f"y={yr:.6g} theta={tr:.6g}"
 
-    (out_root / "sweep_report.txt").write_text(analysis.format_report(lines))
+    try:
+        (out_root / "sweep_report.txt").write_text(analysis.format_report(lines))
+    except OSError as exc:
+        return _error(f"sweep failed: {exc}", EXIT_FAILURE)
     print(f"wrote {out_root}/sweep_report.txt "
           f"({len(results)} completed, {len(failures)} failed)")
-    if failures and not results:
-        return EXIT_FAILURE
-    return EXIT_OK
+    return EXIT_FAILURE if failures and not results else EXIT_OK
 
 
 def build_parser() -> argparse.ArgumentParser:

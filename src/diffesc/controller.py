@@ -24,7 +24,6 @@ import numpy as np
 from .filters import FirstOrderFilter
 
 __all__ = [
-    "GainConfig",
     "BacksteppingKernel",
     "ControllerState",
     "ForbiddenGainError",
@@ -41,15 +40,6 @@ class ForbiddenGainError(ValueError):
     def __init__(self, message: str, kappa: int | None = None):
         super().__init__(message)
         self.kappa = kappa
-
-
-class GainConfig(NamedTuple):
-    """Loop gains: adaptation gain K >= 0 and the corner frequency c of the
-    control smoothing low-pass.  The compensator gain is not configured: it
-    is the averaged loop gain K_bar = K*H of the map curvature H."""
-
-    K: float
-    c: float
 
 
 # Half-width of the band rejected around each singular gain, in units of pi^2/(4 L^3):

@@ -21,7 +21,6 @@ import numpy as np
 from .controller import (
     ControllerState,
     ForbiddenGainError,
-    GainConfig,
     check_gain,
     integrate_theta_hat,
     make_kernel,
@@ -104,20 +103,23 @@ def evaluate_map(m: StaticMap, Theta):
 class ScenarioConfig(NamedTuple):
     """Everything one closed-loop run needs; the one input of every runner.
 
-    ``validate`` is the single gate all three runners call first.  The
-    compensator gain ``K_bar`` = K*H; ``validate`` rejects it when it is
-    forbidden, naming K and H, unless K = 0 (no adaptation, so no compensated
-    loop), and it rejects a grid too coarse for the probe (k*dx above
-    ``MAX_K_DX``) or finer than ``heat.MAX_NODES``, and any magnitude the run
-    would overflow (a^2, the step count ``n_steps``).  It builds no array.
+    Each setting has one field and one default; the length is ``grid.L`` only,
+    and the probe ``dither`` and compensator gain ``K_bar`` = K*H are derived.
+    ``validate``, the gate every runner calls first, rejects a forbidden
+    ``K_bar``, naming K and H, unless K = 0 (no adaptation, so no compensated
+    loop), a grid too coarse for the probe (k*dx above ``MAX_K_DX``) or finer
+    than ``heat.MAX_NODES``, and any magnitude the run would overflow (a^2, the
+    step count ``n_steps``).  It builds no array.
     """
 
     map: StaticMap
-    dither: DitherParams
-    gains: GainConfig
+    a: float                              # probe amplitude at the map input
+    omega: float                          # probe frequency, rad/s
+    K: float                              # adaptation gain
     solver: SolverConfig
     grid: Grid
     T_final: float
+    c: float = 10.0                       # corner of the control smoothing low-pass
     initial_theta_hat: float = 0.0
     initial_alpha: object = None          # array, callable of x, or None (zeros)
     record_every: int = 10
@@ -126,9 +128,14 @@ class ScenarioConfig(NamedTuple):
     hessian_corner: float = 1.0
 
     @property
+    def dither(self) -> DitherParams:
+        """The probe on the grid's length."""
+        return DitherParams(self.a, self.omega, self.grid.L)
+
+    @property
     def K_bar(self) -> float:
         """Compensator gain K*H."""
-        return self.gains.K * self.map.H
+        return self.K * self.map.H
 
     @property
     def n_steps(self) -> int:
@@ -142,17 +149,17 @@ class ScenarioConfig(NamedTuple):
             raise ValueError(f"nodes = {self.grid.n} exceeds the cap of {MAX_NODES} of the "
                              "dense modal basis (an FFT transform would lift it)")
         self.solver.validate(self.grid.dx)
-        if 0.0 < self.dither.a < MIN_DEMOD_AMPLITUDE:
-            raise ValueError(f"dither amplitude {self.dither.a:.3g} is below the demodulation "
+        if 0.0 < self.a < MIN_DEMOD_AMPLITUDE:
+            raise ValueError(f"dither amplitude {self.a:.3g} is below the demodulation "
                              f"minimum {MIN_DEMOD_AMPLITUDE:.0e} (0 runs without excitation)")
-        if not math.isfinite(self.dither.a * self.dither.a):
-            raise ValueError(f"dither amplitude {self.dither.a:.3g} is out of range: the "
+        if not math.isfinite(self.a * self.a):
+            raise ValueError(f"dither amplitude {self.a:.3g} is out of range: the "
                              f"curvature demodulation's a^2 overflows")
         if not math.isfinite(self.initial_theta_hat):
             raise ValueError(f"initial input estimate must be finite, "
                              f"got {self.initial_theta_hat}")
-        if not (self.gains.K >= 0.0 and math.isfinite(self.gains.K)):
-            raise ValueError(f"adaptation gain K must be finite and >= 0, got {self.gains.K}")
+        if not (self.K >= 0.0 and math.isfinite(self.K)):
+            raise ValueError(f"adaptation gain K must be finite and >= 0, got {self.K}")
         if not (self.T_final > 0.0 and math.isfinite(self.T_final)):
             raise ValueError(f"run duration must be > 0, got {self.T_final}")
         if not math.isfinite(self.T_final / self.solver.dt):
@@ -162,23 +169,19 @@ class ScenarioConfig(NamedTuple):
             raise ValueError("record_every must be >= 1")
         if self.snapshot_every < 0:
             raise ValueError("snapshot_every must be >= 0")
-        if abs(self.grid.L - self.dither.L) > 1e-12 * max(1.0, abs(self.grid.L)):
-            raise ValueError(
-                f"grid length {self.grid.L} and dither length {self.dither.L} disagree"
-            )
-        for corner in (self.washout_corner, self.hessian_corner, self.gains.c):
+        for corner in (self.washout_corner, self.hessian_corner, self.c):
             if not (corner > 0.0 and math.isfinite(corner)):
                 raise ValueError(f"filter corner frequencies must be > 0, got {corner}")
-        if self.gains.K > 0.0:
+        if self.K > 0.0:
             try:
                 check_gain(self.K_bar, self.grid.L)
             except ForbiddenGainError as exc:      # name where the gain comes from
-                raise ForbiddenGainError(f"design gain K*H = {self.gains.K:.6g} * "
+                raise ForbiddenGainError(f"design gain K*H = {self.K:.6g} * "
                                          f"{self.map.H:.6g}: {exc}", kappa=exc.kappa) from None
-        k_dx = math.sqrt(self.dither.omega / 2.0) * self.grid.dx
+        k_dx = math.sqrt(self.omega / 2.0) * self.grid.dx
         if k_dx > MAX_K_DX:
             raise ValueError(
-                f"grid too coarse for the probe: omega = {self.dither.omega}, L = {self.grid.L} "
+                f"grid too coarse for the probe: omega = {self.omega}, L = {self.grid.L} "
                 f"and nodes = {self.grid.n} give k*dx = sqrt(omega/2)*dx = {k_dx:.3g} > "
                 f"{MAX_K_DX}; use nodes >= {math.ceil(k_dx * (self.grid.n - 1) / MAX_K_DX) + 1}")
 
@@ -266,8 +269,8 @@ def run_esc(config: ScenarioConfig) -> TrajectoryRecord:
     smoother = FirstOrderFilter(config.hessian_corner, dt)
     ctrl = ControllerState(
         theta_hat=config.initial_theta_hat,
-        T_filter=FirstOrderFilter(config.gains.c, dt),
-        K=config.gains.K,
+        T_filter=FirstOrderFilter(config.c, dt),
+        K=config.K,
         L=config.grid.L,
     )
 
@@ -370,8 +373,7 @@ def run_standard_esc(config: ScenarioConfig) -> TrajectoryRecord:
     the first non-finite Theta, y or U, as ``run_esc`` does.
     """
     config.validate()
-    map_, K, dt, record_every = (config.map, config.gains.K, config.solver.dt,
-                                 config.record_every)
+    map_, K, dt, record_every = config.map, config.K, config.solver.dt, config.record_every
     theta_hat = float(config.initial_theta_hat)
     rows = array("d")
     # the map input is perturbed by the probe itself, which the record's S column holds

@@ -22,7 +22,6 @@ import pytest
 from diffesc.analysis import fit_decay, from_target, residual_scaling, target_residuals, to_target
 from diffesc.controller import (
     ForbiddenGainError,
-    GainConfig,
     check_gain,
     make_kernel,
 )
@@ -38,7 +37,6 @@ from diffesc.heat import Grid, SolverConfig, convergence_order
 from diffesc.loop import ScenarioConfig, StaticMap, run_average_system, run_esc
 
 MAP = StaticMap(y_star=5.0, theta_star=2.0, H=-2.0)
-GAINS = GainConfig(K=0.2, c=10.0)
 GRID = Grid(1.0, 101)
 KERNEL = make_kernel(-0.4, 1.0)
 
@@ -50,8 +48,10 @@ def report(num, passed, detail):
 def headline_scenario(a, T=100.0, **kw):
     defaults = dict(
         map=MAP,
-        dither=DitherParams(a, 10.0, 1.0),
-        gains=GAINS,
+        a=a,
+        omega=10.0,
+        K=0.2,
+        c=10.0,
         solver=SolverConfig(dt=1e-3),
         grid=GRID,
         T_final=T,

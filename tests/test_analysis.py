@@ -17,8 +17,7 @@ from diffesc.analysis import (
     target_residuals,
     to_target,
 )
-from diffesc.controller import GainConfig, make_kernel
-from diffesc.dither import DitherParams
+from diffesc.controller import make_kernel
 from diffesc.heat import Grid, SolverConfig
 from diffesc.loop import ScenarioConfig, StaticMap, TrajectoryRecord, run_average_system
 
@@ -190,8 +189,10 @@ class TestDecayFit:
 def short_average_run():
     cfg = ScenarioConfig(
         map=StaticMap(5.0, 2.0, -2.0),
-        dither=DitherParams(0.2, 10.0, 1.0),
-        gains=GainConfig(K=0.2, c=10.0),
+        a=0.2,
+        omega=10.0,
+        K=0.2,
+        c=10.0,
         solver=SolverConfig(dt=1e-3),
         grid=Grid(1.0, 101),
         T_final=10.0,

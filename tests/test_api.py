@@ -2,7 +2,8 @@
 ``from diffesc.<module> import *`` keeps working after names are deleted, and
 the package must export it;
 every function the benchmark traces must still exist where it looks and be
-called by the commands it benchmarks; and the package's import stays cheap."""
+called by the commands it benchmarks; the package's import stays cheap; and the
+README's library quickstart runs as written."""
 import ast
 import configparser
 import dataclasses
@@ -11,6 +12,7 @@ import importlib
 import json
 import os
 import pkgutil
+import re
 import subprocess
 import sys
 from importlib import resources
@@ -248,3 +250,16 @@ def test_benchmarked_command_calls_every_predicted_hook(name, tmp_path, monkeypa
     assert cli.main(args) == 0, capsys.readouterr()
     assert [key for key in calls if key not in idle and calls[key] == 0] == []
     assert [key for key in idle if calls[key]] == []
+
+
+def test_readme_quickstart_runs_as_written(capsys):
+    # every python block under "## Library quickstart", in order, in one namespace
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    section = readme.split("\n## Library quickstart\n", 1)[1].split("\n## ", 1)[0]
+    blocks = re.findall(r"```python\n(.*?)```", section, flags=re.S)
+    assert len(blocks) == 2
+    namespace = {}
+    for block in blocks:
+        exec(compile(block, "README.md", "exec"), namespace)
+    assert 0.01 < float(capsys.readouterr().out) < 0.03      # "~0.02"
+    assert namespace["baseline"].t[-1] == namespace["record"].t[-1] == 100.0

@@ -19,9 +19,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import diffesc
-from diffesc.cli import (EXIT_FAILURE, EXIT_OK, EXIT_USAGE, RunPlan, _file_sha256, _parse_ini,
-                         _resolve_config, main)
-from diffesc.heat import MAX_NODES, SCHEMES
+from diffesc.cli import (EXIT_FAILURE, EXIT_OK, EXIT_USAGE, SWEEP_PARAMS, RunPlan, _file_sha256,
+                         _parse_ini, _resolve_config, _sweep_member, main)
+from diffesc.heat import MAX_NODES, SCHEMES, SolverConfig
+from diffesc.loop import ScenarioConfig
 
 SHORT_ESC = """
 [scenario]
@@ -436,6 +437,20 @@ class TestGainContract:
         assert "K_bar" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("keys", [
+        "initial_vartheta = inf",                           # used to exit 2 over this value
+        "allow_unstable = true\ninitial_vartheta = 3",      # used to run, both ignored
+    ])
+    def test_average_keys_rejected_for_standard(self, tmp_path, capsys, keys):
+        cfg = write_cfg(tmp_path, extra=f"\n[average]\n{keys}\n")
+        cfg.write_text(cfg.read_text().replace("kind = esc", "kind = standard"))
+        out = tmp_path / "o"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "'standard'" in err
+        assert all(line.split(" = ")[0] in err for line in keys.splitlines())
+        assert not out.exists()
+
     def test_average_override_does_not_exempt_the_design_gain(self, tmp_path, capsys):
         # the bundled average_system with K*H = -pi^2/4 and K_bar = -0.4: the run
         # would use -0.4, but validation checks the config's K*H and names it
@@ -501,7 +516,7 @@ class TestGainContract:
         cfg.write_text(cfg.read_text().replace("K = 0.2", "k = 0.3")
                        .replace("corner = 10.0", "corner = 10.0\nWashout_Corner = 2.0"))
         plan = RunPlan(_parse_ini(cfg))
-        assert (plan.config.washout_corner, plan.config.gains.K) == (2.0, 0.3)
+        assert (plan.config.washout_corner, plan.config.K) == (2.0, 0.3)
 
     def test_singular_override_is_usage_error_under_allow_unstable(self, tmp_path, capsys):
         # allow_unstable skips only the sign gate; the kernel normalization
@@ -753,6 +768,26 @@ class TestSweep:
                 "trajectory.csv", "manifest.json"}
             assert manifest_names(out / f"omega_{w}") == {"trajectory.csv"}
 
+    def test_output_path_that_is_a_file_is_one_error_line(self, tmp_path, capsys):
+        out = tmp_path / "taken"
+        out.write_text("")
+        rc = main(["sweep", "--config", str(write_cfg(tmp_path, duration=0.1)),
+                   "--param", "a", "--values", "0.2", "--out", str(out)])
+        assert rc == EXIT_FAILURE
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert out.read_text() == ""
+
+    def test_report_path_that_is_a_directory_is_one_error_line(self, tmp_path, capsys):
+        out = tmp_path / "s"
+        (out / "sweep_report.txt").mkdir(parents=True)
+        rc = main(["sweep", "--config", str(write_cfg(tmp_path, duration=0.1)),
+                   "--param", "a", "--values", "0.2", "--out", str(out)])
+        assert rc == EXIT_FAILURE
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert (out / "a_0.2" / "manifest.json").is_file()
+
     def test_non_esc_config_is_usage_error_before_any_run(self, tmp_path, capsys):
         out = tmp_path / "avg"
         rc = main(["sweep", "--config", "average_system", "--param", "a",
@@ -760,6 +795,44 @@ class TestSweep:
         assert rc == EXIT_USAGE
         assert "esc" in capsys.readouterr().err
         assert not out.exists()
+
+
+MINIMAL_ESC = """
+[scenario]
+kind = esc
+duration = 1.0
+[map]
+y_star = 5.0
+theta_star = 2.0
+curvature = -2.0
+[dither]
+amplitude = 0.2
+frequency = 10.0
+[gains]
+K = 0.2
+[actuator]
+length = 1.0
+dt = 0.001
+"""
+
+
+def test_unset_keys_take_the_defaults_of_the_types_that_own_them(tmp_path):
+    cfg = tmp_path / "minimal.cfg"
+    cfg.write_text(MINIMAL_ESC)
+    config = RunPlan(_parse_ini(cfg)).config
+    for owner, values in ((ScenarioConfig, config), (SolverConfig, config.solver)):
+        assert owner._field_defaults
+        for field, default in owner._field_defaults.items():
+            assert getattr(values, field) == default, field
+
+
+@pytest.mark.parametrize("param", SWEEP_PARAMS)
+def test_a_sweep_member_differs_from_its_base_in_the_swept_field_only(tmp_path, param):
+    value = {"a": 0.1, "omega": 20.0, "K": 0.1}[param]
+    plan = RunPlan(_parse_ini(write_cfg(tmp_path)))
+    base, member = plan.config, _sweep_member(plan, param, value).config
+    changed = [f for f in base._fields if getattr(base, f) != getattr(member, f)]
+    assert changed == [param] and getattr(member, param) == value
 
 
 def test_usage_without_command_returns_usage_code():

@@ -19,8 +19,8 @@ from hypothesis.extra.numpy import arrays
 
 from diffesc import loop
 from diffesc.analysis import to_target
-from diffesc.controller import (ControllerState, ForbiddenGainError, GainConfig,
-                                integrate_theta_hat, make_kernel, realtime_control)
+from diffesc.controller import (ControllerState, ForbiddenGainError, integrate_theta_hat,
+                                make_kernel, realtime_control)
 from diffesc.dither import DitherParams, design_dither, dither_signal
 from diffesc.filters import FirstOrderFilter
 from diffesc.heat import (MAX_NODES, SCHEMES, Grid, SolverConfig, _propagator,
@@ -42,13 +42,11 @@ from diffesc.loop import (
 from diffesc.loop import _write_csv
 
 MAP = StaticMap(y_star=5.0, theta_star=2.0, H=-2.0)
-DITHER = DitherParams(a=0.2, omega=10.0, L=1.0)
-GAINS = GainConfig(K=0.2, c=10.0)
 
 
 def scenario(T=5.0, dt=1e-3, n=101, **kw):
     defaults = dict(
-        map=MAP, dither=DITHER, gains=GAINS,
+        map=MAP, a=0.2, omega=10.0, K=0.2, c=10.0,
         solver=SolverConfig(dt=dt), grid=Grid(1.0, n), T_final=T,
     )
     defaults.update(kw)
@@ -92,8 +90,8 @@ def numpy_scalar_loop(config):
     gw, w = 1.0 - math.exp(-config.washout_corner * dt), 0.0
     smoother = FirstOrderFilter(config.hessian_corner, dt)
     ctrl = ControllerState(theta_hat=config.initial_theta_hat,
-                           T_filter=FirstOrderFilter(config.gains.c, dt),
-                           K=config.gains.K, L=config.grid.L)
+                           T_filter=FirstOrderFilter(config.c, dt),
+                           K=config.K, L=config.grid.L)
     rows = []
     for k in range(n_steps + 1):
         t = t_all[k]
@@ -120,7 +118,7 @@ def math_scalar_loop(config):
     """run_standard_esc's loop with the probe and both demodulation signals
     through ``math.sin`` / ``math.cos`` at each step.  Returns the recorded
     rows as columns."""
-    dith, dt, m, K = config.dither, config.solver.dt, config.map, config.gains.K
+    dith, dt, m, K = config.dither, config.solver.dt, config.map, config.K
     theta_hat = config.initial_theta_hat
     rows = []
     for k in range(round(config.T_final / dt) + 1):
@@ -140,7 +138,7 @@ def math_scalar_loop(config):
 class TestRunEsc:
     def test_error_identity_holds_at_every_sample(self):
         rec = run_esc(scenario(T=3.0))
-        lhs = rec.vartheta + DITHER.a * np.sin(DITHER.omega * rec.t)
+        lhs = rec.vartheta + 0.2 * np.sin(10.0 * rec.t)
         rhs = rec.Theta - MAP.theta_star
         assert np.max(np.abs(lhs - rhs)) < 1e-9
 
@@ -167,7 +165,7 @@ class TestRunEsc:
         assert calls == 3 * 501
         # a = 0 takes the same step: only the sample stream knows the amplitude
         calls = 0
-        quiet(run_esc, scenario(T=0.5, dither=DitherParams(0.0, 10.0, 1.0)))
+        quiet(run_esc, scenario(T=0.5, a=0.0))
         assert calls == 3 * 501
 
     def test_deterministic(self):
@@ -179,17 +177,16 @@ class TestRunEsc:
     def test_zero_adaptation_freezes_estimate(self):
         # K = 0 disables adaptation; the boundary still carries the dither,
         # so after the transient the map input is the pure target sinusoid
-        cfg = scenario(T=8.0, gains=GainConfig(K=0.0, c=10.0),
-                       initial_theta_hat=0.5)
+        cfg = scenario(T=8.0, K=0.0, initial_theta_hat=0.5)
         rec = run_esc(cfg)
         theta_hat = rec.theta - rec.S
         assert np.max(np.abs(theta_hat - 0.5)) < 1e-12
         late = rec.t > 5.0
-        target = 0.5 + DITHER.a * np.sin(DITHER.omega * rec.t[late])
+        target = 0.5 + 0.2 * np.sin(10.0 * rec.t[late])
         assert np.max(np.abs(rec.Theta[late] - target)) < 2e-3
 
     def test_zero_dither_warns_and_freezes(self):
-        cfg = scenario(T=1.0, dither=DitherParams(0.0, 10.0, 1.0))
+        cfg = scenario(T=1.0, a=0.0)
         with pytest.warns(RuntimeWarning, match="excitation"):
             rec = run_esc(cfg)
         assert np.all(rec.G_hat == 0.0)
@@ -200,13 +197,8 @@ class TestRunEsc:
             assert run.t[-1] == cfg.T_final
 
     def test_rejects_forbidden_gain(self):
-        bad = GainConfig(K=math.pi**2 / 8.0, c=10.0)     # K*H = -pi^2/4
         with pytest.raises(ForbiddenGainError):
-            run_esc(scenario(T=1.0, gains=bad))
-
-    def test_rejects_mismatched_lengths(self):
-        with pytest.raises(ValueError, match="disagree"):
-            run_esc(scenario(T=1.0, dither=DitherParams(0.2, 10.0, 2.0)))
+            run_esc(scenario(T=1.0, K=math.pi**2 / 8.0))     # K*H = -pi^2/4
 
     def test_divergence_detected(self):
         cfg = scenario(T=1.0, initial_alpha=np.full(101, 1e300))
@@ -270,7 +262,7 @@ class TestRunEsc:
 
         res = {}
         for omega in (10.0, 20.0):
-            rec = run_esc(scenario(T=30.0, dither=DitherParams(0.2, omega, 1.0)))
+            rec = run_esc(scenario(T=30.0, omega=omega))
             res[omega] = late_time_residuals(rec, MAP)
         assert res[20.0][0] <= res[10.0][0] * 1.05
         assert res[20.0][1] <= res[10.0][1] * 1.05
@@ -300,7 +292,7 @@ def test_samples_are_floats_at_every_amplitude(a):
 
 @pytest.mark.parametrize("runner", RUNNERS)
 def test_zero_dither_warns_and_estimates_nothing(runner):
-    cfg = scenario(T=1.0, dither=DitherParams(0.0, 10.0, 1.0), initial_theta_hat=0.5)
+    cfg = scenario(T=1.0, a=0.0, initial_theta_hat=0.5)
     with pytest.warns(RuntimeWarning, match="excitation"):
         rec = runner(cfg)
     for name in ("G_hat", "H_hat", "U"):
@@ -313,7 +305,7 @@ def test_zero_dither_warns_and_estimates_nothing(runner):
 @pytest.mark.parametrize("record_every", [7, 10])
 def test_run_keeps_every_sample(runner, a, record_every):
     # 2501 samples span three CHUNK-sample arrays of the time signals
-    cfg = scenario(T=2.5, record_every=record_every, dither=DitherParams(a, 10.0, 1.0))
+    cfg = scenario(T=2.5, record_every=record_every, a=a)
     rec = quiet(runner, cfg)
     n_steps = round(cfg.T_final / cfg.solver.dt)
     assert len(rec.t) == n_steps // record_every + 1
@@ -335,8 +327,7 @@ def test_run_shorter_than_half_a_step_returns_one_row(runner):
 def test_chunk_size_leaves_the_run_bit_identical(monkeypatch, runner, a):
     # the time signals are evaluated CHUNK samples at a time; where the chunks
     # end must not change a column or a snapshot
-    cfg = scenario(T=2.5, record_every=3, snapshot_every=250,
-                   dither=DitherParams(a, 10.0, 1.0))
+    cfg = scenario(T=2.5, record_every=3, snapshot_every=250, a=a)
     n_steps = round(cfg.T_final / cfg.solver.dt)
     ref = quiet(runner, cfg)
     for chunk in (1, 7, n_steps, n_steps + 1, loop.CHUNK):
@@ -413,7 +404,7 @@ class TestStandardEsc:
             assert np.max(np.abs(getattr(rec, name) - ref)) <= 1e-12, name
 
     def test_zero_gain_freezes(self):
-        rec = run_standard_esc(scenario(T=2.0, gains=GainConfig(K=0.0, c=10.0)))
+        rec = run_standard_esc(scenario(T=2.0, K=0.0))
         assert np.max(np.abs(rec.vartheta - rec.vartheta[0])) == 0.0
 
     def test_period_mean_error_decays_at_adaptation_rate(self):
@@ -421,7 +412,7 @@ class TestStandardEsc:
         # output adds a zero-mean ripple that the period mean removes
         rec = run_standard_esc(scenario(T=20.0, record_every=1))
         t, v = rec.t, rec.vartheta
-        per = round(DITHER.period / (t[1] - t[0]))
+        per = round(scenario().dither.period / (t[1] - t[0]))
         vbar = np.convolve(v, np.ones(per) / per, mode="same")
         sel = (t >= 1.0) & (t <= 8.0)
         rate = -np.polyfit(t[sel], np.log(np.abs(vbar[sel])), 1)[0]
@@ -438,8 +429,7 @@ class TestStandardEsc:
         dt, T = 1e-4, 20.0
         residuals = []
         for a in (0.2, 0.1, 0.05):
-            dith = DitherParams(a, 2000.0, 1.0)
-            rec = run_standard_esc(scenario(T=T, dt=dt, dither=dith, record_every=20))
+            rec = run_standard_esc(scenario(T=T, dt=dt, a=a, omega=2000.0, record_every=20))
             late = rec.t > 0.8 * T
             residuals.append(np.mean(np.abs(rec.y[late] - MAP.y_star)))
         slope = np.polyfit(np.log([0.2, 0.1, 0.05]), np.log(residuals), 1)[0]
@@ -447,7 +437,7 @@ class TestStandardEsc:
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            run_standard_esc(scenario(T=1.0, gains=GainConfig(K=-0.1, c=10.0)))
+            run_standard_esc(scenario(T=1.0, K=-0.1))
         with pytest.raises(ValueError):
             run_standard_esc(scenario(T=-1.0))
 
@@ -457,7 +447,7 @@ class TestStandardEsc:
 
     def test_divergence_detected(self):
         with pytest.raises(SimulationDiverged, match="non-finite signal") as err:
-            run_standard_esc(scenario(T=1.0, gains=GainConfig(K=1000.0, c=10.0)))
+            run_standard_esc(scenario(T=1.0, K=1000.0))
         assert 0 < err.value.step_index < 1000
 
 
@@ -479,8 +469,8 @@ class TestScenarioValidation:
         dict(T=math.inf),
         dict(map=StaticMap(math.nan, 2.0, -2.0)),
         dict(map=StaticMap(5.0, math.inf, -2.0)),
-        dict(gains=GainConfig(K=0.2, c=0.0)),
-        dict(gains=GainConfig(K=0.2, c=math.nan)),
+        dict(c=0.0),
+        dict(c=math.nan),
         dict(hessian_corner=math.inf),
     ])
     def test_non_finite_or_nonpositive_values_rejected(self, kw):
@@ -490,14 +480,13 @@ class TestScenarioValidation:
     @pytest.mark.parametrize("K", [-0.1, math.nan, math.inf])
     def test_negative_or_non_finite_adaptation_gain_rejected(self, K):
         with pytest.raises(ValueError, match="adaptation gain"):
-            scenario(gains=GainConfig(K=K, c=10.0)).validate()
+            scenario(K=K).validate()
 
     @pytest.mark.parametrize("omega,L", [(10.0, 1.0), (10.0, 100.0), (1000.0, 1.0),
                                          (2000.0, 3.0)])
     def test_coarse_grid_rejected_and_suggested_node_count_passes(self, omega, L):
         def config(n):
-            return scenario(dither=DitherParams(0.2, omega, L), grid=Grid(L, n),
-                            gains=GainConfig(K=0.0, c=10.0))
+            return scenario(omega=omega, grid=Grid(L, n), K=0.0)
 
         with pytest.raises(ValueError, match="too coarse") as err:
             config(3).validate()
@@ -508,11 +497,11 @@ class TestScenarioValidation:
 
     def test_amplitude_below_demodulation_minimum_rejected(self):
         with pytest.raises(ValueError, match="demodulation"):
-            scenario(dither=DitherParams(1e-10, 10.0, 1.0)).validate()
+            scenario(a=1e-10).validate()
 
     def test_zero_gain_and_zero_amplitude_accepted(self):
-        scenario(gains=GainConfig(K=0.0, c=10.0)).validate()
-        scenario(dither=DitherParams(0.0, 10.0, 1.0)).validate()
+        scenario(K=0.0).validate()
+        scenario(a=0.0).validate()
 
     def test_step_count_is_the_rounded_ratio(self):
         assert scenario(T=1.0, dt=1e-3).n_steps == 1000
@@ -521,14 +510,11 @@ class TestScenarioValidation:
     @pytest.mark.parametrize("kw, match", [
         (dict(dt=1e-320), "step count"),
         (dict(T=1e300, dt=1e-10), "step count"),
-        (dict(dither=DitherParams(1e200, 10.0, 1.0)), "a\\^2 overflows"),
-        (dict(dither=DitherParams(0.2, 1e-320, 1.0)), "period"),
-        (dict(dither=DitherParams(0.2, 10.0, 1e-120), grid=Grid(1e-120, 101)),
-         "L\\^3 underflows"),
-        (dict(dither=DitherParams(0.2, 10.0, 1e-200), grid=Grid(1e-200, 11),
-              gains=GainConfig(K=0.0, c=10.0)), "mesh ratio"),
-        (dict(dither=DitherParams(1e154, 10.0, 1e-155), grid=Grid(1e-155, 3),
-              gains=GainConfig(K=0.0, c=10.0)), "boundary dither overflows"),
+        (dict(a=1e200), "a\\^2 overflows"),
+        (dict(omega=1e-320), "period"),
+        (dict(grid=Grid(1e-120, 101)), "L\\^3 underflows"),
+        (dict(grid=Grid(1e-200, 11), K=0.0), "mesh ratio"),
+        (dict(a=1e154, grid=Grid(1e-155, 3), K=0.0), "boundary dither overflows"),
     ])
     def test_magnitude_extremes_rejected(self, kw, match):
         # each used to pass validation and then raise ZeroDivisionError or
@@ -584,7 +570,7 @@ def test_a_validated_scenario_runs_or_diverges(case):
     try:
         config = ScenarioConfig(
             map=StaticMap(v["y_star"], v["theta_star"], v["H"]),
-            dither=DitherParams(v["a"], v["omega"], v["L"]), gains=GainConfig(v["K"], v["c"]),
+            a=v["a"], omega=v["omega"], K=v["K"], c=v["c"],
             solver=SolverConfig(v["dt"], scheme), grid=Grid(v["L"], v["n"]),
             T_final=v["T_final"], initial_theta_hat=v["initial_theta_hat"],
             record_every=v["record_every"], snapshot_every=v["snapshot_every"],
