@@ -18,9 +18,10 @@ print the same line wrote byte-identical artifacts.
 of a temporary directory.  ``--compare A B`` reads two saved trees and prints
 one JSON line mapping each file path (manifests left out) to the largest
 relative difference of its CSV columns, max|b - a| / max|a| over each
-column, or else to ``identical`` or ``differs``; a file only one tree has maps
-to ``only in A`` or ``only in B``.  It tells how far two checkouts'
-trajectories agree when their bytes do not.
+column, or else to ``identical``, ``reordered`` (the same lines in another
+order) or ``differs``; a file only one tree has maps to ``only in A`` or
+``only in B``.  It tells how far two checkouts' trajectories agree when
+their bytes do not.
 """
 from __future__ import annotations
 
@@ -111,8 +112,13 @@ def compare(a, b) -> dict:
         elif name.endswith(".csv"):
             result[name] = _csv_difference(a / name, b / name)
         else:
-            same = (a / name).read_bytes() == (b / name).read_bytes()
-            result[name] = "identical" if same else "differs"
+            x, y = (a / name).read_bytes(), (b / name).read_bytes()
+            if x == y:
+                result[name] = "identical"
+            elif sorted(x.splitlines()) == sorted(y.splitlines()):
+                result[name] = "reordered"
+            else:
+                result[name] = "differs"
     return result
 
 

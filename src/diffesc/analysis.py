@@ -140,6 +140,11 @@ def _line_fit(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float]:
     return float(slope), float(intercept), (1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0)
 
 
+def _fitted(t: np.ndarray, values: np.ndarray, t0: float) -> np.ndarray:
+    """The samples ``fit_decay`` fits: at or after ``t0`` and above ``DECAY_FLOOR``."""
+    return (t >= t0) & (values > DECAY_FLOOR)
+
+
 def fit_decay(t: np.ndarray, omega_series: np.ndarray) -> DecayFit:
     """Least-squares line on log(values) over the trailing ``DECAY_WINDOW`` (half).
 
@@ -153,7 +158,7 @@ def fit_decay(t: np.ndarray, omega_series: np.ndarray) -> DecayFit:
         raise ValueError("need matching, non-empty t/value arrays")
     t0 = t[-1] - DECAY_WINDOW * (t[-1] - t[0])
     sel = t >= t0
-    usable = sel & (vals > DECAY_FLOOR)
+    usable = _fitted(t, vals, t0)
     note = ""
     if usable.sum() < sel.sum():
         note = f"excluded {int(sel.sum() - usable.sum())} samples at/below the rounding floor"
@@ -185,11 +190,8 @@ def late_time_residuals(record: TrajectoryRecord, map_: StaticMap) -> tuple[floa
 
 
 class ScalingFit(NamedTuple):
-    """Log-log fit of late-time residuals against dither amplitude."""
+    """Slopes and R^2 of the log late-time residuals on log dither amplitude."""
 
-    amplitudes: tuple
-    y_residuals: tuple
-    theta_residuals: tuple
     y_exponent: float
     theta_exponent: float
     y_r_squared: float
@@ -198,41 +200,29 @@ class ScalingFit(NamedTuple):
     note: str = ""
 
 
-def residual_scaling(runs, map_: StaticMap) -> ScalingFit:
-    """Fit residual-vs-amplitude exponents from (amplitude, record) pairs.
+def residual_scaling(residuals: dict) -> ScalingFit:
+    """Fit residual-vs-amplitude exponents from ``{amplitude: (y_res, theta_res)}``,
+    each pair as ``late_time_residuals`` gives it.
 
     Expected exponents for a quadratic map at fixed large frequency: about 2
     for the output residual and about 1 for the input residual.  Fewer than
-    3 amplitudes, or residuals below ``RESIDUAL_FLOOR``, are inconclusive.
+    3 amplitudes, an amplitude that is not positive (it has no logarithm), or
+    residuals below ``RESIDUAL_FLOOR`` are inconclusive.
     """
-    entries = sorted(runs, key=lambda ar: -ar[0])
-    amps = np.array([a for a, _ in entries], dtype=float)
-    if amps.size < 3:
-        return ScalingFit(tuple(amps), (), (), math.nan, math.nan, math.nan, math.nan,
-                          True, "need at least 3 completed runs")
-    y_res, th_res = [], []
-    for _, rec in entries:
-        yr, tr = late_time_residuals(rec, map_)
-        y_res.append(yr)
-        th_res.append(tr)
-    y_res = np.array(y_res)
-    th_res = np.array(th_res)
+    def inconclusive(note):
+        return ScalingFit(math.nan, math.nan, math.nan, math.nan, True, note)
+
+    if len(residuals) < 3:
+        return inconclusive("need at least 3 completed runs")
+    amps = np.array(list(residuals), dtype=float)
+    if not np.all(amps > 0.0):
+        return inconclusive(f"amplitude {amps.min():g} is not positive: no log-log fit")
+    y_res, th_res = np.array(list(residuals.values()), dtype=float).T
     if np.any(y_res < RESIDUAL_FLOOR) or np.any(th_res < RESIDUAL_FLOOR):
-        return ScalingFit(tuple(amps), tuple(y_res), tuple(th_res),
-                          math.nan, math.nan, math.nan, math.nan, True,
-                          "residuals at solver error floor")
+        return inconclusive("residuals at solver error floor")
     y_exp, _, y_r2 = _line_fit(np.log(amps), np.log(y_res))
     th_exp, _, th_r2 = _line_fit(np.log(amps), np.log(th_res))
-    return ScalingFit(
-        amplitudes=tuple(float(a) for a in amps),
-        y_residuals=tuple(float(v) for v in y_res),
-        theta_residuals=tuple(float(v) for v in th_res),
-        y_exponent=y_exp,
-        theta_exponent=th_exp,
-        y_r_squared=y_r2,
-        theta_r_squared=th_r2,
-        inconclusive=False,
-    )
+    return ScalingFit(y_exp, th_exp, y_r2, th_r2, inconclusive=False)
 
 
 def format_report(items: dict) -> str:
@@ -247,11 +237,10 @@ def format_report(items: dict) -> str:
 
 
 def save_fit_residuals_csv(t: np.ndarray, values: np.ndarray, fit: DecayFit, path) -> None:
-    """Write the decay fit's log-domain residuals over its window."""
+    """Write the decay fit's log-domain residuals at exactly the samples it fitted."""
     t = np.asarray(t, dtype=float)
     values = np.asarray(values, dtype=float)
-    lo, hi = fit.window
-    sel = (t >= lo) & (t <= hi) & (values > 0)
+    sel = _fitted(t, values, fit.window[0])
     logv = np.log(values[sel])
     fitted = math.log(fit.eta_hat * values[0]) - fit.nu_hat * t[sel]
     data = np.column_stack([t[sel], logv, fitted, logv - fitted])

@@ -394,11 +394,13 @@ def cmd_sweep(args) -> int:
         out_root.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         return _error(f"sweep failed: {exc}", EXIT_FAILURE)
-    results = {}
+    results = {}    # value -> its (output, input) late-time residuals; no record is kept
     for v, member in members.items():
         try:
-            results[v] = _execute_run(out_root / f"{args.param}_{v:g}", "esc", str(path),
-                                      lambda out: _write_trajectory(member, out))
+            results[v] = analysis.late_time_residuals(
+                _execute_run(out_root / f"{args.param}_{v:g}", "esc", str(path),
+                             lambda out: _write_trajectory(member, out)),
+                plan.config.map)
         except Exception as exc:
             failures[v] = exc
 
@@ -408,10 +410,8 @@ def cmd_sweep(args) -> int:
              "values_failed": ",".join(f"{v:g}" for v in sorted(failures)) or "none"}
     for v in sorted(failures):
         lines[f"failure_{v:g}"] = f"{type(failures[v]).__name__}: {failures[v]}"
-
-    map_ = plan.config.map
     if args.param == "a":
-        fit = analysis.residual_scaling(list(results.items()), map_)
+        fit = analysis.residual_scaling(results)
         lines.update({
             "output_residual_exponent": fit.y_exponent,
             "input_residual_exponent": fit.theta_exponent,
@@ -421,12 +421,8 @@ def cmd_sweep(args) -> int:
         })
         if fit.note:
             lines["scaling_note"] = fit.note
-        for amp, yr, tr in zip(fit.amplitudes, fit.y_residuals, fit.theta_residuals):
-            lines[f"residuals_a_{amp:g}"] = f"y={yr:.6g} theta={tr:.6g}"
-    else:
-        for v, rec in sorted(results.items()):
-            yr, tr = analysis.late_time_residuals(rec, map_)
-            lines[f"residuals_{args.param}_{v:g}"] = f"y={yr:.6g} theta={tr:.6g}"
+    for v, (yr, tr) in sorted(results.items()):
+        lines[f"residuals_{args.param}_{v:g}"] = f"y={yr:.6g} theta={tr:.6g}"
 
     try:
         (out_root / "sweep_report.txt").write_text(analysis.format_report(lines))

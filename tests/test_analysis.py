@@ -175,14 +175,18 @@ class TestDecayFit:
     def test_residual_csv_export(self, tmp_path):
         from diffesc.analysis import save_fit_residuals_csv
 
-        t = np.linspace(0.0, 10.0, 200)
-        omega = 3.0 * np.exp(-0.5 * t)
-        fit = fit_decay(t, omega)
-        path = tmp_path / "residuals.csv"
-        save_fit_residuals_csv(t, omega, fit, path)
-        assert path.read_text().splitlines()[0] == "t,log_value,fit,residual"
-        data = np.loadtxt(path, delimiter=",", skiprows=1)
-        assert np.max(np.abs(data[:, 3])) < 1e-6
+        # one row per fitted sample: over [500, 1000], 3*exp(-0.8t) falls to the rounding
+        # floor at t = 807 and on to subnormals, which the fit leaves out (615 of 1001 kept)
+        for t, rate in ((np.linspace(0.0, 10.0, 200), 0.5),
+                        (np.linspace(0.0, 1000.0, 2001), 0.8)):
+            omega = 3.0 * np.exp(-rate * t)
+            fit = fit_decay(t, omega)
+            path = tmp_path / f"residuals_{rate}.csv"
+            save_fit_residuals_csv(t, omega, fit, path)
+            assert path.read_text().splitlines()[0] == "t,log_value,fit,residual"
+            data = np.loadtxt(path, delimiter=",", skiprows=1)
+            assert data.shape[0] == fit.n_points
+            assert np.max(np.abs(data[:, 3])) < 1e-6
 
 
 @pytest.fixture(scope="module")
@@ -229,22 +233,31 @@ def synthetic_record(a, c_y=1.0, c_th=1.0):
 class TestResidualScaling:
     map_ = StaticMap(5.0, 2.0, -2.0)
 
+    def residuals(self, amplitudes, c_y=1.0):
+        return {a: late_time_residuals(synthetic_record(a, c_y=c_y), self.map_)
+                for a in amplitudes}
+
     def test_synthetic_exponents(self):
-        runs = [(a, synthetic_record(a)) for a in (0.2, 0.1, 0.05)]
-        fit = residual_scaling(runs, self.map_)
+        fit = residual_scaling(self.residuals((0.2, 0.1, 0.05)))
         assert not fit.inconclusive
         assert fit.y_exponent == pytest.approx(2.0, abs=1e-9)
         assert fit.theta_exponent == pytest.approx(1.0, abs=1e-9)
         assert fit.y_r_squared > 0.999
 
     def test_single_amplitude_inconclusive(self):
-        fit = residual_scaling([(0.2, synthetic_record(0.2))], self.map_)
+        fit = residual_scaling(self.residuals((0.2,)))
         assert fit.inconclusive
 
     def test_floor_residuals_inconclusive(self):
-        runs = [(a, synthetic_record(a, c_y=0.0)) for a in (0.2, 0.1, 0.05)]
-        fit = residual_scaling(runs, self.map_)
+        fit = residual_scaling(self.residuals((0.2, 0.1, 0.05), c_y=0.0))
         assert fit.inconclusive
+
+    @pytest.mark.filterwarnings("error")
+    def test_zero_amplitude_inconclusive(self):
+        # a = 0 is a valid run without excitation, but log(0) has no place in the fit
+        fit = residual_scaling(self.residuals((0.2, 0.0, 0.1)))
+        assert fit.inconclusive and math.isnan(fit.y_exponent)
+        assert fit.note == "amplitude 0 is not positive: no log-log fit"
 
     def test_late_time_window(self):
         rec = synthetic_record(0.1)

@@ -598,6 +598,12 @@ def manifest_names(out):
     return {f["name"] for f in json.loads((out / "manifest.json").read_text())["files"]}
 
 
+def residual_keys(sweep_out):
+    """The ``residuals_*`` keys of a sweep report, in the report's order."""
+    lines = (sweep_out / "sweep_report.txt").read_text().splitlines()
+    return [line.partition(":")[0] for line in lines if line.startswith("residuals_")]
+
+
 class TestRunDirectory:
     def test_rerun_without_snapshots_lists_no_field_files(self, tmp_path):
         out = tmp_path / "o"
@@ -757,16 +763,37 @@ class TestSweep:
         assert "output_residual_exponent: nan\n" in report
         assert "scaling_inconclusive: True\nscaling_note: need at least 3 completed runs\n" in report
 
-    def test_member_lists_only_its_trajectory(self, tmp_path):
+    @pytest.mark.parametrize("param", SWEEP_PARAMS)
+    def test_member_lists_only_its_trajectory(self, tmp_path, param):
+        # and the report lists each completed value's residuals, in ascending order,
+        # for every parameter: a 2-value amplitude sweep too
+        low, high = {"a": ("0.1", "0.2"), "omega": ("10", "20"), "K": ("0.1", "0.2")}[param]
         cfg = write_cfg(tmp_path, snapshot=200)
-        out = tmp_path / "omega"
-        rc = main(["sweep", "--config", str(cfg), "--param", "omega",
-                   "--values", "10,20", "--out", str(out)])
+        out = tmp_path / param
+        rc = main(["sweep", "--config", str(cfg), "--param", param,
+                   "--values", f"{high},{low}", "--out", str(out)])
         assert rc == EXIT_OK
-        for w in ("10", "20"):
-            assert {p.name for p in (out / f"omega_{w}").iterdir()} == {
+        for v in (low, high):
+            assert {p.name for p in (out / f"{param}_{v}").iterdir()} == {
                 "trajectory.csv", "manifest.json"}
-            assert manifest_names(out / f"omega_{w}") == {"trajectory.csv"}
+            assert manifest_names(out / f"{param}_{v}") == {"trajectory.csv"}
+        assert residual_keys(out) == [f"residuals_{param}_{low}", f"residuals_{param}_{high}"]
+
+    def test_zero_amplitude_member_makes_the_fit_inconclusive(self, tmp_path, capfd):
+        # a = 0 runs without excitation; the fit names it instead of taking log(0),
+        # and nothing (no LAPACK message either) reaches stderr
+        out = tmp_path / "amp"
+        with pytest.warns(RuntimeWarning) as caught:
+            rc = main(["sweep", "--config", str(write_cfg(tmp_path)), "--param", "a",
+                       "--values", "0,0.1,0.2", "--out", str(out)])
+        assert rc == EXIT_OK
+        assert [str(w.message) for w in caught] == [
+            "dither amplitude is zero: the loop cannot estimate gradients without excitation"]
+        report = (out / "sweep_report.txt").read_text()
+        assert ("scaling_inconclusive: True\n"
+                "scaling_note: amplitude 0 is not positive: no log-log fit\n") in report
+        assert residual_keys(out) == ["residuals_a_0", "residuals_a_0.1", "residuals_a_0.2"]
+        assert capfd.readouterr().err == ""
 
     def test_output_path_that_is_a_file_is_one_error_line(self, tmp_path, capsys):
         out = tmp_path / "taken"
@@ -862,11 +889,13 @@ def test_digest_script_is_deterministic_and_skips_manifests(tmp_path):
 
 def test_digest_script_compares_saved_trees(tmp_path, capsys):
     a, b = tmp_path / "a", tmp_path / "b"
-    for root, last, note in ((a, "2.0", "x"), (b, "2.000000000001", "y")):
+    for root, last, note, lines in ((a, "2.0", "x", "p: 1\nq: 2\n"),
+                                    (b, "2.000000000001", "y", "q: 2\np: 1\n")):
         (root / "run").mkdir(parents=True)
         (root / "run" / "trajectory.csv").write_text(f"t,y\n0,-4\n0.5,{last}\n")
         (root / "run" / "chart.svg").write_text("<svg/>")
         (root / "run" / "report.txt").write_text(note)
+        (root / "run" / "sweep_report.txt").write_text(lines)
         (root / "run" / "manifest.json").write_text(str(root))
     (a / "run" / "extra.txt").write_text("")
     (b / "run" / "wide.csv").write_text("t\n1\n")
@@ -875,7 +904,8 @@ def test_digest_script_compares_saved_trees(tmp_path, capsys):
     result = json.loads(capsys.readouterr().out)
     assert result.pop("run/trajectory.csv") == pytest.approx(0.25e-12, rel=1e-3)
     assert result == {"run/chart.svg": "identical", "run/report.txt": "differs",
-                      "run/extra.txt": "only in A", "run/wide.csv": "differs"}
+                      "run/sweep_report.txt": "reordered", "run/extra.txt": "only in A",
+                      "run/wide.csv": "differs"}
 
 
 # The validate-implies-run contract through `diffesc run` for kind = average: gain,
