@@ -132,8 +132,16 @@ class DecayFit(NamedTuple):
 
 
 def _line_fit(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float]:
-    """Least-squares line y ~ slope*x + intercept: (slope, intercept, R^2)."""
-    slope, intercept = np.polyfit(x, y, 1)
+    """Least-squares line y ~ slope*x + intercept: (slope, intercept, R^2).
+
+    Centred closed form in multiply-and-sum reductions: no LAPACK call (the
+    first one of a process adds ~1 MiB of resident memory), and the same bits
+    under every BLAS kernel and SIMD dispatch level.
+    """
+    x_mean, y_mean = x.mean(), y.mean()
+    dx = x - x_mean
+    slope = np.sum(dx * (y - y_mean)) / np.sum(dx * dx)
+    intercept = y_mean - slope * x_mean
     fitted = slope * x + intercept
     ss_res = float(np.sum((y - fitted) ** 2))
     ss_tot = float(np.sum((y - y.mean()) ** 2))

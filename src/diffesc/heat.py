@@ -67,7 +67,7 @@ ERROR_FLOOR = 1e-12     # refinement errors all below it sit at the rounding flo
 # medians of 12 interleaved rounds: 7.0 and 8.0 us/step at 4, 5.9 and 6.7 at
 # 8, 5.4 and 6.2 at 16)
 BLOCK = 16
-# largest scenario grid: make_field plus a step peaks near 16*m^2 B, 256 MiB here;
+# largest scenario grid: make_field plus a step peaks near 8*m^2 B, 129 MiB here;
 # a probe that passes loop.MAX_K_DX and dither.MAX_EXPONENT needs <= ~475 nodes
 MAX_NODES = 4097
 
@@ -114,9 +114,13 @@ class SolverConfig(NamedTuple):
 @lru_cache(maxsize=8)
 def _modes(m: int) -> np.ndarray:
     """Read-only eigenvector matrix Phi[j, k] = cos(beta_k j) of the m-node Laplacian."""
-    j = np.arange(m)
-    # (2k+1)*j reduced modulo 4m in integers keeps the cosine argument exact
-    phi = np.cos((np.outer(j, 2 * j + 1) % (4 * m)) * (math.pi / (2 * m)))
+    j = np.arange(m, dtype=float)
+    # (2k+1)*j < 2m^2 and its remainder modulo 4m are exact floats, which keeps the
+    # cosine argument exact; the one m x m array is reduced, scaled and cosined in place
+    phi = np.outer(j, 2.0 * j + 1.0)
+    np.fmod(phi, 4 * m, out=phi)
+    phi *= math.pi / (2 * m)
+    np.cos(phi, out=phi)
     phi.flags.writeable = False
     return phi
 

@@ -1,5 +1,10 @@
 """Transformation, decay-fit, and scaling-analysis tests."""
+import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import mpmath as mp
 import numpy as np
@@ -8,8 +13,10 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from diffesc import analysis
 from diffesc.analysis import (
     TargetState,
+    _line_fit,
     fit_decay,
     from_target,
     late_time_residuals,
@@ -131,6 +138,60 @@ class TestTransform:
             dxs.append(g.dx)
         slope = np.polyfit(np.log(dxs), np.log(errs), 1)[0]
         assert 1.8 <= slope <= 2.2
+
+
+# fit_decay and residual_scaling on inputs built from the math module, printed as
+# float.hex; run in fresh interpreters that pick other BLAS kernels and SIMD paths
+FIT_PROBE = """
+import json, math
+import numpy as np
+from diffesc.analysis import fit_decay, residual_scaling
+t = [0.01 * i for i in range(2001)]
+decay = fit_decay(np.array(t), np.array([3.0 * math.exp(-0.8 * s + 0.05 * math.sin(7.0 * s))
+                                         for s in t]))
+scaling = residual_scaling({a: (1.3 * a * a * (1.0 + 0.1 * math.sin(9.0 * a)),
+                                0.7 * a * (1.0 + 0.1 * math.cos(5.0 * a)))
+                            for a in (0.3, 0.2, 0.1, 0.05)})
+print(json.dumps([float(v).hex() for v in (*decay[:3], *scaling[:4])]))
+"""
+KERNEL_ENVIRONMENTS = ({}, {"OPENBLAS_CORETYPE": "Prescott"},
+                       {"NPY_DISABLE_CPU_FEATURES": "AVX512_SPR,AVX512_ICL,X86_V4"})
+
+
+class TestLineFit:
+    @settings(max_examples=300, deadline=None)
+    @given(centre=st.floats(-10.0, 10.0), spread=st.floats(0.5, 10.0), data=st.data())
+    def test_agrees_with_polyfit_on_well_conditioned_data(self, centre, spread, data):
+        n = data.draw(st.integers(3, 40))
+        u = data.draw(arrays(np.float64, n - 2, elements=st.floats(-1.0, 1.0)))
+        x = centre + spread * np.concatenate([[-1.0, 1.0], u])
+        y = data.draw(arrays(np.float64, n, elements=st.just(0.0) | st.floats(1e-6, 1e6)
+                             | st.floats(-1e6, -1e-6)))
+        slope, intercept, _ = _line_fit(x, y)
+        ref_slope, ref_intercept = np.polyfit(x, y, 1)
+        # rounding of the sums scales with n, the conditioning max|x|/std(x) and max|y|
+        cond = np.max(np.abs(x)) / np.std(x)
+        scale = 8.0 * n * np.finfo(float).eps * cond * np.max(np.abs(y))
+        assert abs(slope - ref_slope) <= scale / np.std(x)
+        assert abs(intercept - ref_intercept) <= scale * cond
+
+    @given(centre=st.integers(-1000, 1000), slope=st.integers(-1000, 1000),
+           intercept=st.integers(-10**6, 10**6),
+           offsets=st.lists(st.integers(1, 1000), min_size=1, max_size=20))
+    def test_recovers_an_exact_line(self, centre, slope, intercept, offsets):
+        # points in pairs about an integer centre: every mean, deviation and sum is exact
+        x = np.array([centre] + [centre + s * d for d in offsets for s in (-1, 1)], dtype=float)
+        assert _line_fit(x, slope * x + intercept) == (slope, intercept, 1.0)
+
+    def test_bits_do_not_depend_on_the_blas_kernel_or_simd_path(self):
+        # a LAPACK solve's last bits follow the BLAS kernel (np.polyfit's moved under
+        # OPENBLAS_CORETYPE=Prescott); fixed-order sums give the same bits everywhere
+        base = {**os.environ, "PYTHONPATH": str(Path(analysis.__file__).parents[1])}
+        outputs = [subprocess.run([sys.executable, "-c", FIT_PROBE], capture_output=True,
+                                  text=True, check=True, env={**base, **extra}).stdout
+                   for extra in KERNEL_ENVIRONMENTS]
+        assert len(json.loads(outputs[0])) == 7
+        assert outputs[1:] == outputs[:1] * 2
 
 
 class TestDecayFit:

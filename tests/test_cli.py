@@ -14,6 +14,7 @@ import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -242,6 +243,24 @@ class TestRun:
                              check=True, env=env)
         assert res.stdout.splitlines()[-1] == f"{EXIT_OK} []"
         assert (out / "manifest.json").is_file() and (out / "field.svg").is_file()
+
+    def test_no_command_calls_lapack(self, tmp_path, monkeypatch):
+        # the first LAPACK call of a process costs ~1 MiB of resident memory; the
+        # decay and scaling fits are closed-form lines
+        def lapack(*args, **kwargs):
+            raise AssertionError("LAPACK called")
+
+        monkeypatch.setattr(np, "polyfit", lapack)
+        monkeypatch.setattr(np.linalg, "lstsq", lapack)
+        cfg = tmp_path / "avg.cfg"
+        cfg.write_text(_resolve_config("average_system").read_text()
+                       .replace("duration = 20.0", "duration = 2.0"))
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "avg")]) == EXIT_OK
+        assert "fit_degenerate: False" in (tmp_path / "avg" / "report.txt").read_text()
+        out = tmp_path / "sweep"
+        assert main(["sweep", "--config", str(write_cfg(tmp_path)), "--param", "a",
+                     "--values", "0.2,0.25,0.3", "--out", str(out)]) == EXIT_OK
+        assert "scaling_inconclusive: False" in (out / "sweep_report.txt").read_text()
 
     def test_rerun_reproduces_identical_checksums(self, tmp_path):
         cfg = write_cfg(tmp_path)

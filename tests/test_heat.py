@@ -6,6 +6,7 @@ known boundary trace drives the solver and its values at the final time
 grade the error.
 """
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -316,6 +317,22 @@ def test_step_factors_built_once_and_read_only():
     for arr in (powers, forcing, _modes(grid.n - 1)):
         with pytest.raises(ValueError, match="read-only"):
             arr[0] = 1.0
+
+
+def test_modal_basis_is_built_in_one_dense_array():
+    # the m x m cosine table is the largest array a field needs, so it is built in
+    # place: an integer or float temporary of the same size would double the peak
+    grid = Grid(1.0, 2049)
+    m = grid.n - 1
+    _modes.cache_clear()
+    tracemalloc.start()
+    try:
+        make_field(grid, SolverConfig(dt=1e-3))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+        _modes.cache_clear()
+    assert peak <= 1.25 * 8 * m * m
 
 
 def _former_propagator(m, dx, dt, scheme):
