@@ -38,13 +38,13 @@ except ImportError:
         from hashlib import sha256      # builds without the built-in module
 
 from . import analysis, svgplot
-from .controller import make_kernel
 from .dither import (DitherParams, design_dither, dither_field, dither_signal, gauss_legendre,
                      verify_integral_identity)
 from .heat import Grid, SolverConfig
 from .loop import (
     ScenarioConfig,
     StaticMap,
+    _average_kernel,
     run_average_system,
     run_esc,
     run_standard_esc,
@@ -165,14 +165,10 @@ class RunPlan:
             raise ConfigError(f"unknown config {', '.join(unknown)}")
 
     def validate(self) -> None:
-        cfg = self.config
-        cfg.validate()
+        self.config.validate()
         if self.kind == "average":     # the gates run_average_system applies
-            if not math.isfinite(self.initial_vartheta):
-                raise ConfigError(f"[average] initial_vartheta must be finite, "
-                                  f"got {self.initial_vartheta}")
-            make_kernel(cfg.K_bar if self.K_bar is None else self.K_bar, cfg.grid.L,
-                        check=not self.allow_unstable)
+            _average_kernel(self.config, self.initial_vartheta, self.K_bar,
+                            not self.allow_unstable)
 
 
 def _file_sha256(path: Path) -> str:

@@ -48,20 +48,17 @@ __all__ = [
     "Grid",
     "SolverConfig",
     "ActuatorField",
-    "OrderEstimate",
     "make_field",
     "step",
     "linear_functional",
     "spatial_integral",
     "integrate_profile",
     "integration_weights",
-    "convergence_order",
 ]
 
 # implicit weight theta of each scheme's theta-method step
 THETAS = {"crank_nicolson": 0.5, "implicit_euler": 1.0, "explicit_euler": 0.0}
 SCHEMES = tuple(THETAS)
-ERROR_FLOOR = 1e-12     # refinement errors all below it sit at the rounding floor
 # steps per lifted block: a longer block spreads its NumPy calls over more
 # steps but lengthens the per-read sum (run_esc, 14 s at n = 101 and 801,
 # medians of 12 interleaved rounds: 7.0 and 8.0 us/step at 4, 5.9 and 6.7 at
@@ -318,45 +315,3 @@ def spatial_integral(field: ActuatorField) -> float:
         readout._refresh(field)
     u = field.inputs
     return sum(map(mul, u, readout.impulse), readout.free[len(u)]) + readout.w_end * field.boundary
-
-
-class OrderEstimate(NamedTuple):
-    order: float
-    dxs: tuple
-    errors: tuple
-    inconclusive: bool
-    note: str = ""
-
-
-def convergence_order(
-    exact,
-    refinements,
-    scheme: str = "crank_nicolson",
-    L: float = 1.0,
-    T: float = 0.5,
-) -> OrderEstimate:
-    """Refinement study against an exact space-time solution.
-
-    ``exact(x, t)`` supplies initial data, the boundary trace at x=L, and the
-    reference at the final time.  Returns the least-squares slope of
-    log(max error) vs log(dx) over the ``refinements`` list of (n, dt) pairs;
-    inconclusive when every error is below ``ERROR_FLOOR``.
-    """
-    if len(refinements) < 3:
-        raise ValueError("need at least 3 refinement levels")
-    dxs, errors = [], []
-    for n, dt in refinements:
-        grid = Grid(L, n)
-        nsteps = max(1, round(T / dt))
-        dt_eff = T / nsteps  # land exactly on T
-        fld = make_field(grid, SolverConfig(dt=dt_eff, scheme=scheme),
-                         initial=lambda x: exact(x, 0.0))
-        for k in range(nsteps):
-            step(fld, float(exact(L, (k + 1) * dt_eff)))
-        err = float(np.max(np.abs(fld.alpha - exact(grid.nodes(), T))))
-        dxs.append(grid.dx)
-        errors.append(err)
-    floor = max(errors) < ERROR_FLOOR
-    order = math.nan if floor else float(np.polyfit(np.log(dxs), np.log(errors), 1)[0])
-    return OrderEstimate(order=order, dxs=tuple(dxs), errors=tuple(errors), inconclusive=floor,
-                         note="errors at rounding floor" if floor else "")

@@ -257,7 +257,9 @@ def run_esc(config: ScenarioConfig) -> TrajectoryRecord:
     Step ordering: measure -> estimate -> control -> integrate the input
     estimate -> apply boundary -> advance the PDE; the control at time t is
     a function of signals at time t only.  Iteration k first advances the
-    loop from sample k-1 with this sample's boundary dither.
+    loop from sample k-1 with this sample's boundary dither.  Raises
+    ``SimulationDiverged`` on the first non-finite boundary command, Theta, y
+    or U.
     """
     config.validate()
     dt = config.solver.dt
@@ -279,7 +281,12 @@ def run_esc(config: ScenarioConfig) -> TrajectoryRecord:
     for k, (t, S, probe, g, h) in enumerate(_samples(config.dither, dt, config.n_steps + 1)):
         if k:
             integrate_theta_hat(ctrl, U, dt)
-            step(fld, ctrl.theta_hat + S)
+        theta = ctrl.theta_hat + S                 # the boundary command
+        if not math.isfinite(theta):               # the estimate can overflow alone
+            raise SimulationDiverged(f"non-finite boundary command at step {k} (t={t:.6g}): "
+                                     f"theta={theta}", step_index=k)
+        if k:
+            step(fld, theta)
         Theta = spatial_integral(fld)
         y = evaluate_map(map_, Theta)
         washed = y - washout.step(y)               # the washout s/(s+c) of y
@@ -289,12 +296,7 @@ def run_esc(config: ScenarioConfig) -> TrajectoryRecord:
         if not (math.isfinite(Theta) and math.isfinite(y) and math.isfinite(U)):
             raise _diverged(k, t, Theta, y, U)
         if k % record_every == 0:
-            rows.extend((
-                t,
-                ctrl.theta_hat + S,                        # boundary command
-                Theta, y, U, G_hat, H_hat, S,
-                Theta - probe - map_.theta_star,
-            ))
+            rows.extend((t, theta, Theta, y, U, G_hat, H_hat, S, Theta - probe - map_.theta_star))
         if snapshot_every and k % snapshot_every == 0:
             snaps_t.append(t)
             snaps_alpha.append(fld.alpha)              # a fresh array at each read
@@ -304,6 +306,16 @@ def run_esc(config: ScenarioConfig) -> TrajectoryRecord:
         history = FieldHistory(t=np.array(snaps_t), x=config.grid.nodes(),
                                alpha=np.array(snaps_alpha))
     return TrajectoryRecord(*np.frombuffer(rows).reshape(-1, 9).T, field_history=history)
+
+
+def _average_kernel(config: ScenarioConfig, initial_vartheta: float, K_bar: float | None,
+                    check_admissible: bool):
+    """The averaged run's gates beyond ``config.validate()``: a finite initial error, and
+    ``make_kernel`` of the compensator gain (K*H when ``K_bar`` is None); returns the kernel."""
+    if not math.isfinite(initial_vartheta):
+        raise ValueError(f"initial_vartheta must be finite, got {initial_vartheta}")
+    return make_kernel(config.K_bar if K_bar is None else K_bar, config.grid.L,
+                       check=check_admissible)
 
 
 def run_average_system(
@@ -319,13 +331,12 @@ def run_average_system(
     the same-time control value at the boundary entry (the weight g vanishes
     there, so the transformed scalar is insensitive to it); the PDE step
     applies the control held over the step.  ``check_admissible=False``
-    allows sign-flipped gain probes.
+    allows sign-flipped gain probes; a non-finite ``initial_vartheta`` is a
+    ``ValueError``.
     """
     config.validate()
-    if K_bar is None:
-        K_bar = config.K_bar
-    grid = config.grid
-    kernel = make_kernel(K_bar, grid.L, check=check_admissible)
+    kernel = _average_kernel(config, initial_vartheta, K_bar, check_admissible)
+    K_bar, grid = kernel.K_bar, config.grid
     dt, record_every, n_steps = config.solver.dt, config.record_every, config.n_steps
 
     fld = make_field(grid, config.solver, initial=config.initial_alpha)

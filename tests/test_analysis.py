@@ -18,7 +18,6 @@ from diffesc.analysis import (
     TargetState,
     _line_fit,
     fit_decay,
-    from_target,
     late_time_residuals,
     residual_scaling,
     target_residuals,
@@ -27,6 +26,7 @@ from diffesc.analysis import (
 from diffesc.controller import make_kernel
 from diffesc.heat import Grid, SolverConfig
 from diffesc.loop import ScenarioConfig, StaticMap, TrajectoryRecord, run_average_system
+from verification import from_target
 
 KERNEL = make_kernel(-0.4, 1.0)
 GRID = Grid(1.0, 101)

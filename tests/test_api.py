@@ -74,6 +74,9 @@ def test_star_import_exports_the_modules_api_only():
     api = set().union(*(getattr(importlib.import_module(f"diffesc.{name}"), "__all__", ())
                         for name in MODULES))
     assert set(names) - {"__builtins__"} - set(MODULES) == api
+    # the verification studies no command runs are test code (tests/verification.py)
+    assert api.isdisjoint({"convergence_order", "OrderEstimate", "period_average_estimates",
+                           "EstimatorOutputs", "from_target"})
 
 
 BLAS_VARIABLES = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
@@ -145,13 +148,38 @@ def test_artifacts_do_not_depend_on_the_blas_thread_count(tmp_path):
     assert listed[0] == listed[1] and len(listed[0]) == 8
 
 
-def test_cli_import_loads_no_scipy():
-    # the runtime needs only numpy; scipy is a test-only dependency
-    probe = "import sys, diffesc.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+@pytest.fixture(scope="module")
+def cli_import():
+    """What `import diffesc.cli` alone leaves loaded in a fresh interpreter:
+    {"scipy": the scipy modules, "unbound": each perfbench hook, and cli.run_esc,
+    that is not bound where the benchmark child wraps it}."""
+    probe = """
+import sys
+import diffesc.cli
+scipy = sorted(m for m in sys.modules if m.startswith("scipy"))
+import functools, json
+unbound = []
+for layer, path in json.loads(sys.argv[1]):
+    module = sys.modules.get("diffesc." + layer)
+    try:
+        target = functools.reduce(getattr, path.split("."), module)
+    except AttributeError:
+        target = None
+    if module is None or not callable(target):
+        unbound.append(f"{layer}.{path}")
+if diffesc.cli.run_esc is not sys.modules["diffesc.loop"].run_esc:
+    unbound.append("cli.run_esc")
+print(json.dumps({"scipy": scipy, "unbound": unbound}))
+"""
     env = {**os.environ, "PYTHONPATH": str(Path(diffesc.__file__).parents[1])}
-    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
-                         check=True, env=env)
-    assert out.stdout.strip() == "[]"
+    out = subprocess.run([sys.executable, "-c", probe, json.dumps(perfbench_hooks())],
+                         capture_output=True, text=True, check=True, env=env)
+    return json.loads(out.stdout)
+
+
+def test_cli_import_loads_no_scipy(cli_import):
+    # the runtime needs only numpy; scipy is a test-only dependency
+    assert cli_import["scipy"] == []
 
 
 @pytest.mark.parametrize("name", MODULES)
@@ -175,31 +203,11 @@ def test_perfbench_hooks_resolve():
         assert callable(target), f"{layer}.{path}"
 
 
-def test_perfbench_bindings_exist_right_after_cli_import():
+def test_perfbench_bindings_exist_right_after_cli_import(cli_import):
     # the benchmark child wraps its hooks, and diffesc.cli.run_esc, in the
     # modules that `import diffesc.cli` alone has loaded: a lazy import or a
     # rename would leave a metric unbound
-    hooks = perfbench_hooks()
-    probe = """
-import functools, json, sys
-import diffesc.cli
-missing = []
-for layer, path in json.loads(sys.argv[1]):
-    module = sys.modules.get("diffesc." + layer)
-    try:
-        target = functools.reduce(getattr, path.split("."), module)
-    except AttributeError:
-        target = None
-    if module is None or not callable(target):
-        missing.append(f"{layer}.{path}")
-if diffesc.cli.run_esc is not sys.modules["diffesc.loop"].run_esc:
-    missing.append("cli.run_esc")
-print(json.dumps(missing))
-"""
-    env = {**os.environ, "PYTHONPATH": str(Path(diffesc.__file__).parents[1])}
-    out = subprocess.run([sys.executable, "-c", probe, json.dumps(hooks)],
-                         capture_output=True, text=True, check=True, env=env)
-    assert json.loads(out.stdout) == []
+    assert cli_import["unbound"] == []
 
 
 def _counting(calls: dict, key: str, fn):

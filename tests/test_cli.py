@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import diffesc
@@ -183,6 +183,23 @@ class TestGcFreeze:
         assert second[0] <= first[0] and second[1:] == first[1:]
 
 
+@pytest.fixture(scope="module")
+def snapshot_run(tmp_path_factory):
+    """One `diffesc run` with field snapshots, in a fresh interpreter: its output
+    directory, and the child's [exit code, whether numpy.ma was loaded, which of
+    _hashlib and cmath were loaded]."""
+    tmp = tmp_path_factory.mktemp("snapshot_run")
+    cfg, out = write_cfg(tmp, duration=1.0, snapshot=100), tmp / "out"
+    probe = ("import json, sys; from diffesc.cli import main; "
+             f"code = main(['run', '--config', {str(cfg)!r}, '--out', {str(out)!r}]); "
+             "print(json.dumps([code, 'numpy.ma' in sys.modules, "
+             "[m for m in ('_hashlib', 'cmath') if m in sys.modules]]))")
+    env = {**os.environ, "PYTHONPATH": str(Path(diffesc.__file__).parents[1])}
+    res = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                         check=True, env=env)
+    return out, json.loads(res.stdout.splitlines()[-1])
+
+
 class TestRun:
     def test_empty_config_is_usage_error(self, tmp_path, capsys):
         cfg = tmp_path / "empty.cfg"
@@ -215,33 +232,19 @@ class TestRun:
         assert listed == actual
         assert not (out / ".failed").exists()
 
-    def test_run_with_snapshots_loads_no_numpy_ma(self, tmp_path):
+    def test_run_with_snapshots_loads_no_numpy_ma(self, snapshot_run):
         # np.unique imports numpy.ma lazily (~15 ms cold); no artifact writer needs it
-        cfg = write_cfg(tmp_path, duration=1.0, snapshot=100)
-        out = tmp_path / "out"
-        probe = ("import sys; from diffesc.cli import main; "
-                 f"code = main(['run', '--config', {str(cfg)!r}, '--out', {str(out)!r}]); "
-                 "print(code, 'numpy.ma' in sys.modules)")
-        env = {**os.environ, "PYTHONPATH": str(Path(diffesc.__file__).parents[1])}
-        res = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
-                             check=True, env=env)
-        assert res.stdout.splitlines()[-1] == f"{EXIT_OK} False"
+        out, (code, numpy_ma, _) = snapshot_run
+        assert (code, numpy_ma) == (EXIT_OK, False)
         assert (out / "field.svg").is_file() and (out / "field.csv").is_file()
 
     @pytest.mark.skipif(not any(importlib.util.find_spec(m) for m in ("_sha2", "_sha256")),
                         reason="no built-in SHA-256 module: hashlib is the only digest")
-    def test_run_loads_neither_openssl_nor_cmath(self, tmp_path):
+    def test_run_loads_neither_openssl_nor_cmath(self, snapshot_run):
         # _hashlib maps OpenSSL's libcrypto (~3.6 MiB resident) and cmath adds ~0.3 MiB
         # to every command's peak memory; neither is needed
-        cfg = write_cfg(tmp_path, duration=1.0, snapshot=100)
-        out = tmp_path / "out"
-        probe = ("import sys; from diffesc.cli import main; "
-                 f"code = main(['run', '--config', {str(cfg)!r}, '--out', {str(out)!r}]); "
-                 "print(code, [m for m in ('_hashlib', 'cmath') if m in sys.modules])")
-        env = {**os.environ, "PYTHONPATH": str(Path(diffesc.__file__).parents[1])}
-        res = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
-                             check=True, env=env)
-        assert res.stdout.splitlines()[-1] == f"{EXIT_OK} []"
+        out, (code, _, loaded) = snapshot_run
+        assert (code, loaded) == (EXIT_OK, [])
         assert (out / "manifest.json").is_file() and (out / "field.svg").is_file()
 
     def test_no_command_calls_lapack(self, tmp_path, monkeypatch):
@@ -580,6 +583,21 @@ class TestGainContract:
         assert main(["run", "--config", str(cfg), "--out", str(out)]) == EXIT_FAILURE
         assert "non-finite energy at step 30" in capsys.readouterr().err
         assert (out / ".failed").read_text().startswith("SimulationDiverged: ")
+
+    def test_average_run_near_the_float_range_reports_finite_values(self, tmp_path):
+        # Omega(0) = 1.69e308: exp of the fit's intercept alone would overflow, so the
+        # prefactor and the fit column are formed in the log domain
+        cfg = tmp_path / "avg.cfg"
+        cfg.write_text(_resolve_config("average_system").read_text()
+                       .replace("initial_vartheta = 1.0", "initial_vartheta = 1.3e154")
+                       .replace("duration = 20.0", "duration = 5"))
+        out = tmp_path / "o"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
+        report = dict(line.split(": ") for line in (out / "report.txt").read_text().splitlines())
+        assert report.pop("scenario") == "average" and report.pop("fit_degenerate") == "False"
+        assert all(math.isfinite(float(v)) for v in report.values())
+        cells = np.loadtxt(out / "fit_residuals.csv", delimiter=",", skiprows=1)
+        assert cells.size and np.all(np.isfinite(cells))
 
     @pytest.mark.parametrize("old, new", [("duration = 20.0", "duration = 1e-10"),
                                           ("dt = 0.001", "dt = 1e10")])
@@ -949,6 +967,7 @@ AVERAGE_DRAWS = st.fixed_dictionaries({
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @settings(max_examples=30, deadline=None)
 @given(AVERAGE_DRAWS)
+@example({("average", "initial_vartheta"): 1.3e154, ("scenario", "duration"): 5.0})
 def test_average_run_exits_cleanly_or_diverges(values):
     # exit 0 with nothing on stderr; exit 1 only for SimulationDiverged, with its one
     # error line; or exit 2 at validation with one error line and no run directory.

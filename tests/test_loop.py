@@ -5,6 +5,7 @@ tests cover wiring, invariants, edge cases, and the short-horizon physics
 (dither-only response, curvature estimate, baseline loop averaging).
 """
 import math
+import sys
 import tempfile
 import tracemalloc
 import warnings
@@ -13,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -384,6 +385,11 @@ class TestAverageSystem:
         data = np.loadtxt(path, delimiter=",", skiprows=1)
         assert data.shape == (rec.t.size, 6)
 
+    @pytest.mark.parametrize("vartheta", [math.inf, math.nan])
+    def test_non_finite_initial_error_is_a_value_error(self, vartheta):
+        with pytest.raises(ValueError, match="initial_vartheta"):
+            run_average_system(scenario(T=1.0), initial_vartheta=vartheta)
+
     @pytest.mark.parametrize("kw", [dict(record_every=0), dict(T=-1.0)])
     def test_invalid_scenario_rejected(self, kw):
         with pytest.raises(ValueError):
@@ -562,10 +568,13 @@ def extreme_scenarios(draw):
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @settings(max_examples=300, deadline=None)
 @given(extreme_scenarios())
+@example(({**CONTRACT_BASE, "y_star": -1.0, "theta_star": 0.0,
+           "initial_theta_hat": sys.float_info.max}, "crank_nicolson"))
 def test_a_validated_scenario_runs_or_diverges(case):
     # validate() raises ValueError, or run_esc returns, or it raises SimulationDiverged:
     # no config that passes validation may crash mid-run with another exception.  The
-    # averaged run holds to the same, behind the kernel gate the CLI adds for it
+    # averaged run holds to the same, behind the gates the CLI adds for it.  The example's
+    # input estimate overflows on its first step while Theta, y and U are still finite
     v, scheme = case
     try:
         config = ScenarioConfig(
@@ -583,12 +592,13 @@ def test_a_validated_scenario_runs_or_diverges(case):
         run_esc(config)
     except SimulationDiverged:
         pass
+    vartheta = v["initial_theta_hat"] - v["theta_star"]
     try:
-        make_kernel(config.K_bar, config.grid.L)
+        loop._average_kernel(config, vartheta, None, True)
     except ValueError:
         return
     try:
-        run_average_system(config, initial_vartheta=v["initial_theta_hat"] - v["theta_star"])
+        run_average_system(config, initial_vartheta=vartheta)
     except SimulationDiverged:
         pass
 
