@@ -238,6 +238,7 @@ def save_fit_residuals_csv(t: np.ndarray, values: np.ndarray, fit: DecayFit, pat
     values = np.asarray(values, dtype=float)
     sel = _fitted(t, values, fit.window[0])
     logv = np.log(values[sel])
-    fitted = math.log(fit.eta_hat) + math.log(values[0]) - fit.nu_hat * t[sel]
+    log_ref = math.log(values[0]) if values[0] > 0 else math.nan   # as fit_decay's reference
+    fitted = math.log(fit.eta_hat) + log_ref - fit.nu_hat * t[sel]
     data = np.column_stack([t[sel], logv, fitted, logv - fitted])
     _write_csv(path, "t,log_value,fit,residual", data)

@@ -281,12 +281,11 @@ def run_esc(config: ScenarioConfig) -> TrajectoryRecord:
     for k, (t, S, probe, g, h) in enumerate(_samples(config.dither, dt, config.n_steps + 1)):
         if k:
             integrate_theta_hat(ctrl, U, dt)
-        theta = ctrl.theta_hat + S                 # the boundary command
-        if not math.isfinite(theta):               # the estimate can overflow alone
-            raise SimulationDiverged(f"non-finite boundary command at step {k} (t={t:.6g}): "
-                                     f"theta={theta}", step_index=k)
-        if k:
-            step(fld, theta)
+            try:
+                step(fld, ctrl.theta_hat + S)
+            except ValueError:                     # the estimate can overflow alone
+                raise SimulationDiverged(f"non-finite boundary command at step {k} (t={t:.6g}): "
+                                         f"theta={ctrl.theta_hat + S}", step_index=k) from None
         Theta = spatial_integral(fld)
         y = evaluate_map(map_, Theta)
         washed = y - washout.step(y)               # the washout s/(s+c) of y
@@ -296,7 +295,8 @@ def run_esc(config: ScenarioConfig) -> TrajectoryRecord:
         if not (math.isfinite(Theta) and math.isfinite(y) and math.isfinite(U)):
             raise _diverged(k, t, Theta, y, U)
         if k % record_every == 0:
-            rows.extend((t, theta, Theta, y, U, G_hat, H_hat, S, Theta - probe - map_.theta_star))
+            rows.extend((t, ctrl.theta_hat + S, Theta, y, U, G_hat, H_hat, S,  # boundary command
+                         Theta - probe - map_.theta_star))
         if snapshot_every and k % snapshot_every == 0:
             snaps_t.append(t)
             snaps_alpha.append(fld.alpha)              # a fresh array at each read

@@ -35,7 +35,7 @@ from diffesc.dither import (
 )
 from diffesc.heat import Grid, SolverConfig
 from diffesc.loop import ScenarioConfig, StaticMap, run_average_system, run_esc
-from verification import convergence_order, from_target, period_average_estimates
+from verification import ERROR_FLOOR, convergence_order, from_target, period_average_estimates
 
 MAP = StaticMap(y_star=5.0, theta_star=2.0, H=-2.0)
 GRID = Grid(1.0, 101)
@@ -201,8 +201,9 @@ def test_criterion_07_solver_spatial_order():
     exact = lambda x, t: dither_field(design, x, t)
     refinements = [(26, 2.56e-3), (51, 6.4e-4), (101, 1.6e-4)]  # dt ~ dx^2
     order, errors = convergence_order(exact, refinements, scheme="crank_nicolson", T=0.5)
-    ok = 1.8 <= order <= 2.2
+    ok = max(errors) >= ERROR_FLOOR and 1.8 <= order <= 2.2
     report(7, ok, f"spatial order={order:.3f} (in [1.8,2.2]), errors={errors}")
+    assert max(errors) >= ERROR_FLOOR
     assert 1.8 <= order <= 2.2
 
 

@@ -20,6 +20,7 @@ from diffesc.analysis import (
     fit_decay,
     late_time_residuals,
     residual_scaling,
+    save_fit_residuals_csv,
     target_residuals,
     to_target,
 )
@@ -234,8 +235,6 @@ class TestDecayFit:
             assert fit.degenerate and math.isnan(fit.nu_hat)
 
     def test_residual_csv_export(self, tmp_path):
-        from diffesc.analysis import save_fit_residuals_csv
-
         # one row per fitted sample: over [500, 1000], 3*exp(-0.8t) falls to the rounding
         # floor at t = 807 and on to subnormals, which the fit leaves out (615 of 1001 kept)
         for t, rate in ((np.linspace(0.0, 10.0, 200), 0.5),
@@ -248,6 +247,16 @@ class TestDecayFit:
             data = np.loadtxt(path, delimiter=",", skiprows=1)
             assert data.shape[0] == fit.n_points
             assert np.max(np.abs(data[:, 3])) < 1e-6
+
+    def test_residual_csv_with_a_zero_first_value(self, tmp_path):
+        # the fit has no reference value(0), so its prefactor and fit column are NaN
+        t, values = np.arange(7.0), np.array([0.0, 1, 2, 4, 8, 16, 32])
+        fit = fit_decay(t, values)
+        assert not fit.degenerate and math.isnan(fit.eta_hat)
+        save_fit_residuals_csv(t, values, fit, tmp_path / "residuals.csv")
+        data = np.loadtxt(tmp_path / "residuals.csv", delimiter=",", skiprows=1)
+        assert data.shape[0] == fit.n_points and np.all(np.isfinite(data[:, 1]))
+        assert np.all(np.isnan(data[:, 2]))
 
 
 @pytest.fixture(scope="module")

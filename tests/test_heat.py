@@ -28,7 +28,7 @@ from diffesc.heat import (
     step,
 )
 from diffesc.heat import BLOCK, THETAS, _modes, _propagator
-from verification import convergence_order
+from verification import ERROR_FLOOR, convergence_order
 
 
 @pytest.fixture(scope="module")
@@ -189,14 +189,16 @@ def test_simpson_requires_odd_nodes():
 def test_convergence_order_crank_nicolson(reference_field):
     # dt tied to dx^2 so the spatial truncation dominates
     refinements = [(26, 2.56e-3), (51, 6.4e-4), (101, 1.6e-4)]
-    order, _ = convergence_order(reference_field, refinements, scheme="crank_nicolson", T=0.5)
+    order, errors = convergence_order(reference_field, refinements, scheme="crank_nicolson", T=0.5)
+    assert max(errors) >= ERROR_FLOOR
     assert 1.8 <= order <= 2.2
 
 
 def test_convergence_order_implicit_euler_temporal(reference_field):
     # dt tied to dx so the first-order temporal error dominates
     refinements = [(26, 0.016), (51, 0.008), (101, 0.004)]
-    order, _ = convergence_order(reference_field, refinements, scheme="implicit_euler", T=0.5)
+    order, errors = convergence_order(reference_field, refinements, scheme="implicit_euler", T=0.5)
+    assert max(errors) >= ERROR_FLOOR
     assert 0.7 <= order <= 1.3
 
 

@@ -7,6 +7,8 @@ from diffesc.analysis import _line_fit
 from diffesc.dither import gauss_legendre, gradient_demod, hessian_demod
 from diffesc.heat import Grid, SolverConfig, integrate_profile, make_field, step
 
+ERROR_FLOOR = 1e-12     # refinement errors all below it sit at the rounding floor
+
 
 def convergence_order(exact, refinements, scheme="crank_nicolson", L=1.0, T=0.5):
     """Refinement study against an exact space-time solution ``exact(x, t)``,
