@@ -145,10 +145,11 @@ def realtime_control(state: ControllerState, G_hat: float, H_hat: float, Theta: 
     input.  The bracketed term reconstructs the field integral of the averaged
     law U = K_bar * Z from the measured map input alone (integration by parts
     against the weight g eliminates the distributed state), so no field
-    sensing is required.  Advances the smoothing filter by one sample.
+    sensing is required.  Advances the smoothing filter by one sample.  At K = 0
+    the bracket is 0, where H_hat*feedback may overflow and 0*inf would be nan.
     """
     feedback = state.L * state.theta_hat - Theta + probe
-    bracket = state.K * (G_hat + H_hat * feedback)
+    bracket = state.K * (G_hat + H_hat * feedback) if state.K else 0.0
     return state.T_filter.step(bracket)
 
 

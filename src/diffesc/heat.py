@@ -17,19 +17,20 @@ the block's inputs u_0, u_1, ...; after j of them
     z = lam**j * z0 + sum_{i<j} lam**(j-1-i) * f * u_i,
 
 so a step only records u, and every ``BLOCK``-th step moves the anchor with
-one (m, BLOCK) product.  ``_propagator``, cached per (m, dx, dt, scheme),
-is the one copy of this lifting, ``_modal_state`` the one place that sums
-it (for the anchor move and for ``alpha``), and ``SolverConfig.validate``
-holds its rules and builds nothing.  A linear functional c @ z + w * b (the
-integral the map sees is one) is then
+one (m, BLOCK) product.  ``ActuatorModel``, cached per (m, dx, dt, scheme)
+and held by each field as ``model``, is the one copy of this lifting,
+``_modal_state`` the one place that sums it (for the anchor move and for
+``alpha``), and ``SolverConfig.validate`` holds its rules and builds nothing.
+A ``Readout`` c @ z + w * b (the integral the map sees is one) is then
 
     P[j] + sum_{i<j} h[j-1-i] * u_i + w * b,
 
 where the free response P[j] = (c * lam**j) @ z0 is refreshed once per
-block and the impulse response h[l] = c @ (lam**l * f) once per
-propagator: a sum of at most BLOCK - 1 float products per read.  Blocks start every ``BLOCK`` steps
-from ``make_field`` and reads never move the anchor, so when and how often a
-field is read cannot change its trajectory, and a rerun is bit-identical.
+block and the impulse response h[l] = c @ (lam**l * f) once per model: a
+sum of at most BLOCK - 1 float products per read.  Blocks start every
+``BLOCK`` steps from ``make_field`` and reads never move the anchor, so when
+and how often a field is read cannot change its trajectory, and a rerun is
+bit-identical.
 The lifted sums round differently from the per-step recurrence, by a few
 ulp of the state's scale.  The eigenbasis is a dense m x m matrix, so
 ``MAX_NODES`` caps the grid a scenario may use.
@@ -47,10 +48,11 @@ __all__ = [
     "SCHEMES",
     "Grid",
     "SolverConfig",
+    "ActuatorModel",
     "ActuatorField",
+    "Readout",
     "make_field",
     "step",
-    "linear_functional",
     "spatial_integral",
     "integrate_profile",
     "integration_weights",
@@ -122,6 +124,16 @@ def _modes(m: int) -> np.ndarray:
     return phi
 
 
+class ActuatorModel(NamedTuple):
+    """The discrete actuator, per mode z+ = lam*z + f*((1-theta)*b_old + theta*b_new),
+    lifted over a block: row j of ``powers`` (BLOCK+1, m) is lam**j, so lam = powers[1],
+    and row i of ``forcing`` (BLOCK, m) is lam**i * f, so f = forcing[0]; both read-only."""
+
+    theta: float                # the scheme's implicit weight
+    powers: np.ndarray
+    forcing: np.ndarray
+
+
 class ActuatorField:
     """Diffusion state over the current block of at most ``BLOCK`` steps.
 
@@ -130,19 +142,17 @@ class ActuatorField:
     (1-theta)*b_old + theta*b_new so far, newest first, and ``boundary`` the
     applied boundary value.  ``alpha``, the nodal profile (boundary value
     last), is built from the current modal state on each read, read-only,
-    and reading it changes nothing.  Everything else is fixed by
-    ``make_field`` for the field's life: the implicit weight ``theta`` of its
-    solver config, the propagator's ``powers`` (row j is lam**j, j =
-    0..BLOCK) and ``forcing`` (row i is lam**i * f), and the readout
-    ``integral`` of the auto-rule spatial integral.
+    and reading it changes nothing.  ``make_field`` fixes the rest for the
+    field's life: the ``model`` of its grid and solver config, and the
+    ``integral``, the ``Readout`` of the auto-rule spatial integral.
     """
 
-    __slots__ = ("anchor", "inputs", "boundary", "theta", "powers", "forcing", "integral")
+    __slots__ = ("anchor", "inputs", "boundary", "model", "integral")
 
-    def __init__(self, anchor: np.ndarray, inputs: list, boundary: float, theta: float,
-                 powers: np.ndarray, forcing: np.ndarray, integral: _Readout):
+    def __init__(self, anchor: np.ndarray, inputs: list, boundary: float,
+                 model: ActuatorModel, integral: Readout):
         self.anchor, self.inputs, self.boundary = anchor, inputs, boundary
-        self.theta, self.powers, self.forcing, self.integral = theta, powers, forcing, integral
+        self.model, self.integral = model, integral
 
     @property
     def alpha(self) -> np.ndarray:
@@ -155,10 +165,10 @@ class ActuatorField:
 def _modal_state(field: ActuatorField) -> np.ndarray:
     """The modal state after the block's j inputs, lam**j * anchor + inputs @ forcing[:j],
     as a new array."""
-    j = len(field.inputs)
-    z = field.powers[j] * field.anchor
+    j, model = len(field.inputs), field.model
+    z = model.powers[j] * field.anchor
     if j:
-        z += np.dot(field.inputs, field.forcing[:j])
+        z += np.dot(field.inputs, model.forcing[:j])
     return z
 
 
@@ -181,16 +191,14 @@ def make_field(grid: Grid, solver: SolverConfig, initial=None) -> ActuatorField:
     alpha[0] *= 0.5
     z = (2.0 / m) * (alpha[:-1] @ _modes(m))
     z.flags.writeable = False
-    theta, powers, forcing = _propagator(m, grid.dx, solver.dt, solver.scheme)
-    integral = _Readout(grid, integration_weights(grid.n, grid.dx))
-    return ActuatorField(z, [], float(alpha[-1]), theta, powers, forcing, integral)
+    model = _propagator(m, grid.dx, solver.dt, solver.scheme)
+    return ActuatorField(z, [], float(alpha[-1]), model,
+                         Readout(grid, integration_weights(grid.n, grid.dx)))
 
 
 @lru_cache(maxsize=64)
-def _propagator(m: int, dx: float, dt: float, scheme: str):
-    """The validated modal theta-step z+ = lam*z + f*((1-theta)*b_old + theta*b_new),
-    lifted over a block: theta, ``powers`` (BLOCK+1, m), row j lam**j, and
-    ``forcing`` (BLOCK, m), row i lam**i * f.
+def _propagator(m: int, dx: float, dt: float, scheme: str) -> ActuatorModel:
+    """The validated ``ActuatorModel`` of m modes for grid step dx, time step dt and scheme.
 
     With r = dt/dx^2, lam = (1 + (1-theta)*r*nu)/(1 - theta*r*nu) and f is
     the modal projection of the boundary coupling r*e_{m-1} over the same
@@ -206,7 +214,7 @@ def _propagator(m: int, dx: float, dt: float, scheme: str):
     powers = lam ** np.arange(BLOCK + 1)[:, None]
     forcing = powers[:BLOCK] * f
     powers.flags.writeable = forcing.flags.writeable = False
-    return theta, powers, forcing
+    return ActuatorModel(theta, powers, forcing)
 
 
 def step(field: ActuatorField, boundary_theta: float) -> ActuatorField:
@@ -223,7 +231,7 @@ def step(field: ActuatorField, boundary_theta: float) -> ActuatorField:
     if not math.isfinite(boundary_theta):
         raise ValueError(f"boundary value is not finite: {boundary_theta}")
     boundary = float(boundary_theta)
-    theta = field.theta
+    theta = field.model.theta
     inputs = field.inputs
     inputs.insert(0, (1.0 - theta) * field.boundary + theta * boundary)
     field.boundary = boundary
@@ -235,20 +243,21 @@ def step(field: ActuatorField, boundary_theta: float) -> ActuatorField:
     return field
 
 
-class _Readout:
-    """The functional field -> weights @ field.alpha = coef @ z + w_end * boundary,
-    with ``coef`` its modal coefficients and ``w_end`` its boundary weight.
+class Readout:
+    """The functional field -> weights @ field.alpha = coef @ z + w_end * boundary on
+    ``grid``: ``coef`` holds the weights' modal coefficients, ``w_end`` the boundary weight.
 
     Over a block it is  free[j] + sum_i impulse[i] * inputs[i] + w_end * boundary
     after j inputs: ``free`` (row j: (coef * lam**j) @ anchor) is refreshed
-    once per anchor, ``impulse`` (coef @ lam**i * f) once per propagator.
+    once per anchor, ``impulse`` (coef @ lam**i * f) once per model.  Only the last
+    anchor's ``free`` is kept, so reading several fields in turn refreshes it each call.
     """
 
-    __slots__ = ("coef", "w_end", "forcing", "rows", "impulse", "anchor", "free")
+    __slots__ = ("coef", "w_end", "model", "rows", "impulse", "anchor", "free")
 
     def __init__(self, grid: Grid, weights):
         self.coef, self.w_end = weights[:-1] @ _modes(grid.n - 1), float(weights[-1])
-        self.forcing = self.anchor = None
+        self.model = self.anchor = None
 
     def __call__(self, fld: ActuatorField) -> float:
         if fld.anchor is not self.anchor:
@@ -257,23 +266,13 @@ class _Readout:
         return sum(map(mul, u, self.impulse), self.free[len(u)]) + self.w_end * fld.boundary
 
     def _refresh(self, fld: ActuatorField) -> None:
-        if fld.forcing is not self.forcing:
-            self.rows = fld.powers[:BLOCK] * self.coef
-            self.impulse = (fld.forcing @ self.coef).tolist()
-            self.forcing = fld.forcing
+        model = fld.model
+        if model is not self.model:
+            self.rows = model.powers[:BLOCK] * self.coef
+            self.impulse = (model.forcing @ self.coef).tolist()
+            self.model = model
         self.free = (self.rows @ fld.anchor).tolist()
         self.anchor = fld.anchor
-
-
-def linear_functional(grid: Grid, weights):
-    """The map field -> weights @ field.alpha on ``grid``.
-
-    Served from the field's block data: one (BLOCK, m) product per block, then
-    a sum of at most BLOCK - 1 products per call.  The returned readout keeps
-    the free response of the last anchor it read, so reading several fields
-    in turn refreshes it on every call.
-    """
-    return _Readout(grid, weights)
 
 
 @lru_cache(maxsize=64)
@@ -310,7 +309,7 @@ def integrate_profile(values: np.ndarray, dx: float, rule: str = "auto"):
 
 def spatial_integral(field: ActuatorField) -> float:
     """Integral of the field over [0, L] (auto rule); this is the input seen by the map."""
-    readout = field.integral         # _Readout.__call__ inlined: the loop reads it every step
+    readout = field.integral      # Readout.__call__ inlined: one call frame less per loop step
     if field.anchor is not readout.anchor:
         readout._refresh(field)
     u = field.inputs

@@ -28,8 +28,8 @@ from .controller import (
 )
 from .dither import DitherParams, design_dither, dither_signal, gradient_demod, hessian_demod
 from .filters import MIN_DEMOD_AMPLITUDE, FirstOrderFilter, estimate_gradient, estimate_hessian
-from .heat import (MAX_NODES, Grid, SolverConfig, integrate_profile, integration_weights,
-                   linear_functional, make_field, spatial_integral, step)
+from .heat import (MAX_NODES, Grid, Readout, SolverConfig, integrate_profile,
+                   integration_weights, make_field, spatial_integral, step)
 
 __all__ = [
     "StaticMap",
@@ -65,9 +65,9 @@ class SimulationDiverged(RuntimeError):
         self.step_index = step_index
 
 
-def _diverged(k: int, t: float, Theta: float, y: float, U: float) -> SimulationDiverged:
-    return SimulationDiverged(
-        f"non-finite signal at step {k} (t={t:.6g}): Theta={Theta}, y={y}, U={U}", step_index=k)
+def _diverged(k: int, t: float, Theta, y, G_hat, H_hat, U) -> SimulationDiverged:
+    return SimulationDiverged(f"non-finite signal at step {k} (t={t:.6g}): Theta={Theta}, "
+                              f"y={y}, G_hat={G_hat}, H_hat={H_hat}, U={U}", step_index=k)
 
 
 class StaticMap:
@@ -258,8 +258,8 @@ def run_esc(config: ScenarioConfig) -> TrajectoryRecord:
     estimate -> apply boundary -> advance the PDE; the control at time t is
     a function of signals at time t only.  Iteration k first advances the
     loop from sample k-1 with this sample's boundary dither.  Raises
-    ``SimulationDiverged`` on the first non-finite boundary command, Theta, y
-    or U.
+    ``SimulationDiverged`` on the first non-finite boundary command, G_hat, H_hat
+    or U (a non-finite Theta or y makes the washed output, so both estimates, nan).
     """
     config.validate()
     dt = config.solver.dt
@@ -292,8 +292,8 @@ def run_esc(config: ScenarioConfig) -> TrajectoryRecord:
         G_hat = estimate_gradient(washed, g)
         H_hat = estimate_hessian(washed, h, smoother)
         U = realtime_control(ctrl, G_hat, H_hat, Theta, probe)
-        if not (math.isfinite(Theta) and math.isfinite(y) and math.isfinite(U)):
-            raise _diverged(k, t, Theta, y, U)
+        if not (math.isfinite(G_hat) and math.isfinite(H_hat) and math.isfinite(U)):
+            raise _diverged(k, t, Theta, y, G_hat, H_hat, U)
         if k % record_every == 0:
             rows.extend((t, ctrl.theta_hat + S, Theta, y, U, G_hat, H_hat, S,  # boundary command
                          Theta - probe - map_.theta_star))
@@ -342,7 +342,7 @@ def run_average_system(
     fld = make_field(grid, config.solver, initial=config.initial_alpha)
     vartheta = float(initial_vartheta)
     weights = integration_weights(grid.n, grid.dx)
-    transformed = linear_functional(grid, weights * kernel.g(grid.nodes()))
+    transformed = Readout(grid, weights * kernel.g(grid.nodes()))
     w_end = float(weights[-1])
 
     rows, profiles = array("d"), []
@@ -381,7 +381,7 @@ def run_standard_esc(config: ScenarioConfig) -> TrajectoryRecord:
     Reads the map, dither, adaptation gain ``K``, duration, step, initial
     estimate and record cadence of ``config``; the grid and the solver
     scheme are validated but not simulated.  Raises ``SimulationDiverged`` on
-    the first non-finite Theta, y or U, as ``run_esc`` does.
+    the first non-finite G_hat, H_hat or U, as ``run_esc`` does.
     """
     config.validate()
     map_, K, dt, record_every = config.map, config.K, config.solver.dt, config.record_every
@@ -393,8 +393,8 @@ def run_standard_esc(config: ScenarioConfig) -> TrajectoryRecord:
         y = evaluate_map(map_, Theta)
         G_hat, H_hat = g * y, h * y
         U = K * G_hat
-        if not (math.isfinite(Theta) and math.isfinite(y) and math.isfinite(U)):
-            raise _diverged(k, t, Theta, y, U)
+        if not (math.isfinite(G_hat) and math.isfinite(H_hat) and math.isfinite(U)):
+            raise _diverged(k, t, Theta, y, G_hat, H_hat, U)
         if k % record_every == 0:
             rows.extend((t, Theta, Theta, y, U, G_hat, H_hat, S,
                          theta_hat - map_.theta_star))

@@ -107,11 +107,44 @@ def threads_after(code: str, **variables) -> list:
     return json.loads(out.stdout)
 
 
+@pytest.fixture(scope="module")
+def cli_import():
+    """What `import diffesc.cli` alone leaves in a fresh interpreter under
+    ``blas_env()``: {"threads": its thread count (None off Linux), "environ":
+    whether os.environ is unchanged, "scipy": the scipy modules loaded, "unbound":
+    each perfbench hook, and cli.run_esc, that is not bound where the benchmark
+    child wraps it}.  One interpreter serves every test that reads it."""
+    probe = """
+import json, os, sys
+before = dict(os.environ)
+import diffesc.cli
+threads = len(os.listdir("/proc/self/task")) if os.path.isdir("/proc/self/task") else None
+environ = os.environ == before
+scipy = sorted(m for m in sys.modules if m.startswith("scipy"))
+import functools
+unbound = []
+for layer, path in json.loads(sys.argv[1]):
+    module = sys.modules.get("diffesc." + layer)
+    try:
+        target = functools.reduce(getattr, path.split("."), module)
+    except AttributeError:
+        target = None
+    if module is None or not callable(target):
+        unbound.append(f"{layer}.{path}")
+if diffesc.cli.run_esc is not sys.modules["diffesc.loop"].run_esc:
+    unbound.append("cli.run_esc")
+print(json.dumps({"threads": threads, "environ": environ, "scipy": scipy, "unbound": unbound}))
+"""
+    out = subprocess.run([sys.executable, "-c", probe, json.dumps(perfbench_hooks())],
+                         capture_output=True, text=True, check=True, env=blas_env())
+    return json.loads(out.stdout)
+
+
 @counts_threads
-def test_import_starts_numpy_with_one_blas_thread():
+def test_import_starts_numpy_with_one_blas_thread(cli_import):
     # the loop needs no second BLAS thread, and OpenBLAS's pool cost ~120 ms of CPU
     # per command; the variable set for the import is gone after it
-    assert threads_after(THREADS_PROBE.format(first="")) == [1, True]
+    assert [cli_import["threads"], cli_import["environ"]] == [1, True]
 
 
 @counts_threads
@@ -146,35 +179,6 @@ def test_artifacts_do_not_depend_on_the_blas_thread_count(tmp_path):
                        env=blas_env(OPENBLAS_NUM_THREADS=threads))
         listed.append(json.loads((out / "manifest.json").read_text())["files"])
     assert listed[0] == listed[1] and len(listed[0]) == 8
-
-
-@pytest.fixture(scope="module")
-def cli_import():
-    """What `import diffesc.cli` alone leaves loaded in a fresh interpreter:
-    {"scipy": the scipy modules, "unbound": each perfbench hook, and cli.run_esc,
-    that is not bound where the benchmark child wraps it}."""
-    probe = """
-import sys
-import diffesc.cli
-scipy = sorted(m for m in sys.modules if m.startswith("scipy"))
-import functools, json
-unbound = []
-for layer, path in json.loads(sys.argv[1]):
-    module = sys.modules.get("diffesc." + layer)
-    try:
-        target = functools.reduce(getattr, path.split("."), module)
-    except AttributeError:
-        target = None
-    if module is None or not callable(target):
-        unbound.append(f"{layer}.{path}")
-if diffesc.cli.run_esc is not sys.modules["diffesc.loop"].run_esc:
-    unbound.append("cli.run_esc")
-print(json.dumps({"scipy": scipy, "unbound": unbound}))
-"""
-    env = {**os.environ, "PYTHONPATH": str(Path(diffesc.__file__).parents[1])}
-    out = subprocess.run([sys.executable, "-c", probe, json.dumps(perfbench_hooks())],
-                         capture_output=True, text=True, check=True, env=env)
-    return json.loads(out.stdout)
 
 
 def test_cli_import_loads_no_scipy(cli_import):

@@ -404,6 +404,18 @@ class TestRunValidation:
         assert "Theta=" in (out / ".failed").read_text()
         assert not (out / "manifest.json").exists()
 
+    def test_zero_gain_run_with_a_huge_estimate_completes(self, tmp_path):
+        # K = 0: H_hat * feedback overflows while every signal is finite, and 0 * inf must
+        # not stop the run as a non-finite control
+        cfg = tmp_path / "k0.cfg"
+        cfg.write_text(_resolve_config("baseline").read_text().replace("K = 0.2", "K = 0")
+                       .replace("duration = 100.0", "duration = 1")
+                       .replace("initial_theta_hat = 0.0", "initial_theta_hat = 1e150"))
+        out = tmp_path / "o"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
+        data = np.loadtxt(out / "trajectory.csv", delimiter=",", skiprows=1)
+        assert np.all(np.isfinite(data)) and np.all(data[:, 4] == 0.0)
+
     def test_unknown_boolean_word_is_usage_error(self, tmp_path, capsys):
         text = (_resolve_config("average_system").read_text()
                 .replace("allow_unstable = false", "allow_unstable = tru")

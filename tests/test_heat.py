@@ -19,10 +19,10 @@ from diffesc.dither import DitherParams, design_dither, dither_field
 from diffesc.heat import (
     SCHEMES,
     Grid,
+    Readout,
     SolverConfig,
     integrate_profile,
     integration_weights,
-    linear_functional,
     make_field,
     spatial_integral,
     step,
@@ -142,7 +142,7 @@ def test_step_is_deterministic(reference_field):
 
 def test_spatial_integral_exact_cases():
     grid = Grid(1.0, 101)
-    trapezoid = linear_functional(grid, integration_weights(grid.n, grid.dx, "trapezoid"))
+    trapezoid = Readout(grid, integration_weights(grid.n, grid.dx, "trapezoid"))
     const = make_field(grid, CN, initial=lambda x: 2.5 * np.ones_like(x))
     assert spatial_integral(const) == pytest.approx(2.5, abs=1e-14)
     assert trapezoid(const) == pytest.approx(2.5, abs=1e-14)
@@ -303,12 +303,26 @@ def test_step_factors_built_once_and_read_only():
     misses = _propagator.cache_info().misses
     fld = march(make_field(grid, cfg), lambda t: math.sin(t), cfg.dt, 50)
     assert _propagator.cache_info().misses == misses + 1
-    theta, powers, forcing = _propagator(grid.n - 1, grid.dx, cfg.dt, cfg.scheme)
-    assert fld.theta == theta and fld.powers is powers and fld.forcing is forcing
+    assert fld.model is _propagator(grid.n - 1, grid.dx, cfg.dt, cfg.scheme)
     assert _modes(grid.n - 1) is _modes(grid.n - 1)
-    for arr in (powers, forcing, _modes(grid.n - 1)):
+    for arr in (fld.model.powers, fld.model.forcing, _modes(grid.n - 1)):
         with pytest.raises(ValueError, match="read-only"):
             arr[0] = 1.0
+
+
+@pytest.mark.parametrize("L, n, solver", [
+    (1.0, 101, CN), (1.0, 100, CN),
+    (2.0, 41, SolverConfig(dt=1e-3, scheme="implicit_euler")),
+    (0.5, 21, SolverConfig(dt=1e-4, scheme="explicit_euler")),
+])
+def test_public_model_dc_gain_is_the_rod_length(L, n, solver):
+    # a held boundary value b settles to the uniform profile b, whose integral is L*b, so
+    # the model and the integral's readout give G(1) = sum coef*f/(1-lam) + w_end = L
+    # (relative errors 1.1e-14 to 5.3e-14), read through public names only
+    fld = make_field(Grid(L, n), solver)
+    lam, f = fld.model.powers[1], fld.model.forcing[0]
+    gain = np.sum(fld.integral.coef * f / (1.0 - lam)) + fld.integral.w_end
+    assert abs(gain - L) <= 1e-12 * L
 
 
 def test_modal_basis_is_built_in_one_dense_array():
@@ -392,7 +406,7 @@ def test_linear_functional_matches_nodal_dot_product(case):
     # l1 x max-norm rather than sum(|w| * |alpha|): with the weights where the
     # field is ~0 the two sums cancel and the modal one keeps its rounding
     tol = 4 * n * EPS * np.sum(np.abs(weights)) * np.max(np.abs(fld.alpha)) + 1e-300
-    assert abs(linear_functional(grid, weights)(fld) - weights @ fld.alpha) <= tol
+    assert abs(Readout(grid, weights)(fld) - weights @ fld.alpha) <= tol
 
 
 def test_crank_nicolson_fine_grid_matches_banded_reference(reference_field):
@@ -462,7 +476,7 @@ def test_block_reads_match_per_step_modal_reference(case):
     solver = SolverConfig(dt=dt, scheme=scheme)
     fld = make_field(grid, solver, initial=initial)
     unread = make_field(grid, solver, initial=initial)
-    functional = linear_functional(grid, weights)
+    functional = Readout(grid, weights)
     theta, powers, forcing = _propagator(m, grid.dx, dt, scheme)
     lam, f = powers[1], forcing[0]
     half = initial.copy()

@@ -208,6 +208,18 @@ class TestRunEsc:
                 run_esc(cfg)
         assert err.value.step_index == 0
 
+    def test_zero_gain_run_keeps_a_huge_estimate(self):
+        # K = 0 adapts nothing: H_hat * feedback overflows at step 1 while every signal is
+        # finite, and the control must stay 0 rather than 0 * inf = nan
+        rec = run_esc(scenario(T=1.0, K=0.0, initial_theta_hat=1e150))
+        assert np.all(rec.U == 0.0) and np.all(rec.theta == 1e150 + rec.S)
+
+    def test_zero_gain_run_diverges_on_its_curvature_estimate(self):
+        # with U held at 0 the estimates are tested themselves: H_hat leaves the float range
+        with pytest.raises(SimulationDiverged, match="H_hat=inf, U=0.0") as err:
+            run_esc(scenario(T=1.0, K=0.0, initial_theta_hat=1.2e154))
+        assert err.value.step_index == 6
+
     def test_curvature_estimate_settles_near_true_value(self):
         rec = run_esc(scenario(T=30.0))
         late = rec.t > 24.0
@@ -570,11 +582,15 @@ def extreme_scenarios(draw):
 @given(extreme_scenarios())
 @example(({**CONTRACT_BASE, "y_star": -1.0, "theta_star": 0.0,
            "initial_theta_hat": sys.float_info.max}, "crank_nicolson"))
+@example(({**CONTRACT_BASE, "K": 0.0, "initial_theta_hat": 1e150}, "crank_nicolson"))
+@example(({**CONTRACT_BASE, "K": 0.0, "initial_theta_hat": 1.2e154}, "crank_nicolson"))
 def test_a_validated_scenario_runs_or_diverges(case):
-    # validate() raises ValueError, or run_esc returns, or it raises SimulationDiverged:
-    # no config that passes validation may crash mid-run with another exception.  The
-    # averaged run holds to the same, behind the gates the CLI adds for it.  The example's
-    # input estimate overflows on its first step while Theta, y and U are still finite
+    # validate() raises ValueError, or run_esc returns a record with no non-finite value,
+    # or it raises SimulationDiverged: no config that passes validation may crash mid-run
+    # with another exception.  The averaged run holds to the same, behind the gates the
+    # CLI adds for it.  The first example's input estimate overflows on its first step
+    # while Theta, y and U are still finite; at K = 0 the other two overflow H_hat * feedback
+    # with U held at 0, the second also H_hat itself
     v, scheme = case
     try:
         config = ScenarioConfig(
@@ -589,9 +605,11 @@ def test_a_validated_scenario_runs_or_diverges(case):
         return
     assume(config.n_steps <= 100)
     try:
-        run_esc(config)
+        rec = run_esc(config)
     except SimulationDiverged:
         pass
+    else:
+        assert all(np.isfinite(column).all() for column in rec[:9])
     vartheta = v["initial_theta_hat"] - v["theta_star"]
     try:
         loop._average_kernel(config, vartheta, None, True)
