@@ -6,8 +6,10 @@ Usage:
 
 Runs ``diffesc run`` on each bundled config and ``diffesc sweep --param a
 --values 0.1,0.2,0.3`` on the bundled ``amplitude_sweep`` config, all through
-``diffesc.cli.main`` in a temporary directory.  Each config's duration is cut
-to ``--duration`` seconds (default 5; ``inf`` keeps every config's own).
+``diffesc.cli.main`` in a temporary directory, and saves the standard output
+of the README's ``diffesc design-dither --a 0.2 --omega 10 --L 1`` there as
+``design_dither.txt``.  Each config's duration is cut to ``--duration``
+seconds (default 5; ``inf`` keeps every config's own).
 Standard output is one JSON line mapping each written file's path,
 relative to the output root, to its SHA-256.  ``manifest.json`` files are
 left out because they embed the config and output paths; the checksums they
@@ -29,6 +31,7 @@ import argparse
 import configparser
 import contextlib
 import hashlib
+import io
 import json
 import sys
 import tempfile
@@ -40,6 +43,7 @@ import numpy as np
 from diffesc import cli
 
 SWEEP = ("amplitude_sweep", "a", "0.1,0.2,0.3")
+DESIGN = ["design-dither", "--a", "0.2", "--omega", "10", "--L", "1"]
 
 
 def _shortened(name: str, duration: float, folder: Path) -> Path:
@@ -70,11 +74,14 @@ def digest(duration: float, save=None) -> dict:
         config, param, values = SWEEP
         commands.append(["sweep", "--config", str(root / "configs" / f"{config}.cfg"),
                          "--param", param, "--values", values, "--out", str(out / "sweep")])
-        for argv in commands:
-            with contextlib.redirect_stdout(sys.stderr):     # keep stdout to the digest line
+        printed = io.StringIO()
+        for argv in commands + [DESIGN]:
+            # keep stdout to the digest line
+            with contextlib.redirect_stdout(printed if argv is DESIGN else sys.stderr):
                 rc = cli.main(argv)
             if rc != cli.EXIT_OK:
                 raise SystemExit(f"diffesc {' '.join(argv)} exited {rc}")
+        (out / "design_dither.txt").write_text(printed.getvalue())
         return {str(p.relative_to(out)): hashlib.sha256(p.read_bytes()).hexdigest()
                 for p in _artifacts(out)}
 

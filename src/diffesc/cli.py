@@ -38,8 +38,7 @@ except ImportError:
         from hashlib import sha256      # builds without the built-in module
 
 from . import analysis, svgplot
-from .dither import (DitherParams, design_dither, dither_field, dither_signal, gauss_legendre,
-                     verify_integral_identity)
+from .dither import DitherParams, design_dither, dither_signal, field_integral
 from .heat import Grid, SolverConfig
 from .loop import (
     ScenarioConfig,
@@ -266,6 +265,8 @@ def _run_average_outputs(plan: RunPlan, out):
         "fit_r_squared": fit.r_squared,
         "fit_degenerate": fit.degenerate,
     }
+    if fit.note:
+        report["fit_note"] = fit.note
     out("report.txt").write_text(analysis.format_report(report))
     return rec
 
@@ -330,15 +331,14 @@ def cmd_design_dither(args) -> int:
     print(f"phi = {design.phase:.6f} rad")
     print()
     print(f"{'t':>10} {'dither':>12} {'a*sin(wt)':>12} {'integral':>12}")
-    x, w = gauss_legendre(0.0, params.L)
     for j in range(args.samples):
         t = j * params.period / (args.samples - 1) if args.samples > 1 else 0.0
         s_val = float(dither_signal(design, t))
         target = params.a * math.sin(params.omega * t)
-        integral = float(w @ dither_field(design, x, t))
-        print(f"{t:10.5f} {s_val:12.7f} {target:12.7f} {integral:12.7f}")
-    report = verify_integral_identity(design, np.linspace(0, params.period, 200, endpoint=False))
-    print(f"\nmax |integral - a*sin| over one period: {report.max_residual:.3e}")
+        print(f"{t:10.5f} {s_val:12.7f} {target:12.7f} {float(field_integral(design, t)):12.7f}")
+    ts = np.linspace(0, params.period, 200, endpoint=False)
+    residual = np.max(np.abs(field_integral(design, ts) - params.a * np.sin(params.omega * ts)))
+    print(f"\nmax |integral - a*sin| over one period: {residual:.3e}")
     return EXIT_OK
 
 
@@ -371,9 +371,9 @@ def cmd_sweep(args) -> int:
         return _error("no sweep values given", EXIT_USAGE)
 
     labels = [f"{v:g}" for v in values]
-    if len(set(labels)) < len(labels):
-        return _error(f"sweep values must differ when printed with %g, got {','.join(labels)}",
-                      EXIT_USAGE)
+    if len(set(labels)) < len(labels) or len(set(values)) < len(values):
+        return _error(f"sweep values must differ as numbers and when printed with %g, "
+                      f"got {','.join(labels)}", EXIT_USAGE)
 
     # validate every member first; when none is valid, exit 2 and write nothing
     members, failures = {}, {}

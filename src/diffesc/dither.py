@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 import sys
+from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -26,20 +27,18 @@ import numpy as np
 __all__ = [
     "DitherParams",
     "DitherDesign",
-    "IdentityReport",
     "design_dither",
     "dither_signal",
     "dither_field",
+    "field_integral",
     "dither_envelope",
     "gradient_demod",
     "hessian_demod",
-    "verify_integral_identity",
 ]
 
-# Gauss-Legendre nodes over the field or one period: the integrands are analytic, so
-# the quadrature error sits far below IDENTITY_TOL, the largest residual that passes.
+# Gauss-Legendre nodes over the field: it is analytic in x, so the quadrature error of
+# its integral sits at the rounding floor.
 QUADRATURE_NODES = 64
-IDENTITY_TOL = 1e-6
 # Input gate on the probe's size: past this exponent exp(L*sqrt(2*omega)) overflows a
 # float; below it the field's exp(k*x) and the design's sinh(q) and cosh(q) stay finite.
 MAX_EXPONENT = math.log(sys.float_info.max)
@@ -140,6 +139,29 @@ def dither_field(design: DitherDesign, x, t):
     return half_amp * (np.exp(kx) * np.sin(arg + kx) + np.exp(-kx) * np.sin(arg - kx))
 
 
+@lru_cache(maxsize=8)
+def _nodes(L: float) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only ``QUADRATURE_NODES`` Gauss-Legendre nodes and weights scaled to [0, L]."""
+    nodes, weights = np.polynomial.legendre.leggauss(QUADRATURE_NODES)
+    x, w = 0.5 * L * (nodes + 1.0), 0.5 * L * weights
+    x.flags.writeable = w.flags.writeable = False
+    return x, w
+
+
+def field_integral(design: DitherDesign, t):
+    """Gauss-Legendre integral of ``dither_field`` over [0, L] at each time of ``t``.
+
+    ``t`` is a scalar or an array, and the result has its shape.  The design
+    is right when this equals a*sin(omega*t) to rounding; the residual of
+    that identity is what ``diffesc design-dither`` prints.
+    """
+    x, w = _nodes(design.params.L)
+    t = np.asarray(t, dtype=float)
+    if t.ndim == 0:
+        return w @ dither_field(design, x, t)
+    return (w @ dither_field(design, x[:, None], t.ravel())).reshape(t.shape)
+
+
 def dither_signal(design: DitherDesign, t):
     """Boundary dither: the planned field evaluated at x = L."""
     return dither_field(design, design.params.L, t)
@@ -163,40 +185,3 @@ def hessian_demod(params: DitherParams, t):
     c = np.cos(2.0 * params.omega * np.asarray(t, dtype=float))
     c *= -8.0 / params.a**2
     return c
-
-
-def gauss_legendre(lo: float, hi: float) -> tuple[np.ndarray, np.ndarray]:
-    """``QUADRATURE_NODES`` Gauss-Legendre nodes/weights scaled to [lo, hi]."""
-    nodes, weights = np.polynomial.legendre.leggauss(QUADRATURE_NODES)
-    half = 0.5 * (hi - lo)
-    return lo + half * (nodes + 1.0), half * weights
-
-
-class IdentityReport(NamedTuple):
-    """Result of checking integral(field) == a*sin(omega*t) over samples."""
-
-    max_residual: float
-    passed: bool
-    n_samples: int
-
-
-def verify_integral_identity(design: DitherDesign, t_samples) -> IdentityReport:
-    """Quadrature check that the planned field integrates to a*sin(omega*t).
-
-    Uses ``QUADRATURE_NODES``-point Gauss-Legendre quadrature and passes when
-    the largest residual is below ``IDENTITY_TOL``.  A failure indicates a
-    bug in the design constants or the field formula.
-    """
-    t_samples = np.atleast_1d(np.asarray(t_samples, dtype=float))
-    if t_samples.size == 0:
-        raise ValueError("t_samples must be non-empty")
-    p = design.params
-    x, w = gauss_legendre(0.0, p.L)
-    integrals = w @ dither_field(design, x[:, None], t_samples[None, :])
-    target = p.a * np.sin(p.omega * t_samples)
-    max_residual = float(np.max(np.abs(integrals - target)))
-    return IdentityReport(
-        max_residual=max_residual,
-        passed=max_residual < IDENTITY_TOL,
-        n_samples=int(t_samples.size),
-    )

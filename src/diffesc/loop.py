@@ -314,8 +314,15 @@ def _average_kernel(config: ScenarioConfig, initial_vartheta: float, K_bar: floa
     ``make_kernel`` of the compensator gain (K*H when ``K_bar`` is None); returns the kernel."""
     if not math.isfinite(initial_vartheta):
         raise ValueError(f"initial_vartheta must be finite, got {initial_vartheta}")
-    return make_kernel(config.K_bar if K_bar is None else K_bar, config.grid.L,
-                       check=check_admissible)
+    gain = config.K_bar if K_bar is None else K_bar
+    try:
+        return make_kernel(gain, config.grid.L, check=check_admissible)
+    except ForbiddenGainError as exc:      # name where the gain comes from
+        source = (f"design gain K*H = {config.K:.6g} * {config.map.H:.6g}" if K_bar is None
+                  else f"override K_bar = {K_bar:.6g}")
+        probe = ("; only an instability probe (allow_unstable = true) may run it"
+                 if gain >= 0.0 else "")
+        raise ForbiddenGainError(f"{source}: {exc}{probe}", kappa=exc.kappa) from None
 
 
 def run_average_system(

@@ -77,6 +77,8 @@ def test_star_import_exports_the_modules_api_only():
     # the verification studies no command runs are test code (tests/verification.py)
     assert api.isdisjoint({"convergence_order", "OrderEstimate", "period_average_estimates",
                            "EstimatorOutputs", "from_target"})
+    # the probe's integral identity has one quadrature, dither.field_integral
+    assert api.isdisjoint({"IdentityReport", "verify_integral_identity"})
 
 
 BLAS_VARIABLES = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")

@@ -152,52 +152,51 @@ class TestDesignDither:
         assert (proc.returncode, err) == (EXIT_OK, b"")
 
 
-FREEZE_PROBE = """
-import contextlib, gc, io, json
+CHILD_PROBE = """
+import contextlib, gc, io, json, sys
 state = lambda: [gc.get_freeze_count(), gc.isenabled(), gc.get_threshold()]
 before = state()
 import diffesc, diffesc.cli
 imported = state()
-args = ["design-dither", "--a", "0.2", "--omega", "10", "--L", "1"]
 with contextlib.redirect_stdout(io.StringIO()):
-    codes = [diffesc.cli.main(args)]
+    codes = [diffesc.cli.main(["run", "--config", sys.argv[1], "--out", sys.argv[2]])]
     first = state()
+    numpy_ma = "numpy.ma" in sys.modules
+    loaded = [m for m in ("_hashlib", "cmath") if m in sys.modules]
     kept = [[] for _ in range(1000)]     # a second freeze would add these
-    codes.append(diffesc.cli.main(args))
-print(json.dumps([before, imported, first, state(), codes]))
+    codes.append(diffesc.cli.main(["design-dither", "--a", "0.2", "--omega", "10", "--L", "1"]))
+print(json.dumps({"gc": [before, imported, first, state()], "codes": codes,
+                  "numpy_ma": numpy_ma, "loaded": loaded}))
 """
 
 
+@pytest.fixture(scope="module")
+def fresh_child(tmp_path_factory):
+    """One fresh interpreter, for what only a fresh one shows: the GC state
+    [freeze count, enabled, thresholds] before and after `import diffesc.cli`,
+    after a first `diffesc run` with field snapshots (which freezes the heap),
+    and after a second command, design-dither; the exit codes of the two; and
+    whether the run loaded numpy.ma, and which of _hashlib and cmath.  Returns
+    the run's output directory and that record."""
+    tmp = tmp_path_factory.mktemp("fresh_child")
+    cfg, out = write_cfg(tmp, duration=1.0, snapshot=100), tmp / "out"
+    env = {**os.environ, "PYTHONPATH": str(Path(diffesc.__file__).parents[1])}
+    res = subprocess.run([sys.executable, "-c", CHILD_PROBE, str(cfg), str(out)],
+                         capture_output=True, text=True, check=True, env=env)
+    return out, json.loads(res.stdout.splitlines()[-1])
+
+
 class TestGcFreeze:
-    def test_main_freezes_the_imported_heap_once_and_import_does_not(self):
+    def test_main_freezes_the_imported_heap_once_and_import_does_not(self, fresh_child):
         # in a subprocess: the first main() call would freeze the pytest process's heap
-        env = {**os.environ, "PYTHONPATH": str(Path(diffesc.__file__).parents[1])}
-        res = subprocess.run([sys.executable, "-c", FREEZE_PROBE], capture_output=True,
-                             text=True, check=True, env=env)
-        before, imported, first, second, codes = json.loads(res.stdout.splitlines()[-1])
-        assert codes == [EXIT_OK, EXIT_OK]
+        _, child = fresh_child
+        before, imported, first, second = child["gc"]
+        assert child["codes"] == [EXIT_OK, EXIT_OK]
         assert before[0] == 0 and imported == before        # importing leaves the GC alone
         assert first[0] > 0 and first[1:] == before[1:]     # frozen, still enabled
         # only the first call freezes; frozen objects can still be freed, which lowers
         # the count, but a second freeze would add the 1000 lists kept between the calls
         assert second[0] <= first[0] and second[1:] == first[1:]
-
-
-@pytest.fixture(scope="module")
-def snapshot_run(tmp_path_factory):
-    """One `diffesc run` with field snapshots, in a fresh interpreter: its output
-    directory, and the child's [exit code, whether numpy.ma was loaded, which of
-    _hashlib and cmath were loaded]."""
-    tmp = tmp_path_factory.mktemp("snapshot_run")
-    cfg, out = write_cfg(tmp, duration=1.0, snapshot=100), tmp / "out"
-    probe = ("import json, sys; from diffesc.cli import main; "
-             f"code = main(['run', '--config', {str(cfg)!r}, '--out', {str(out)!r}]); "
-             "print(json.dumps([code, 'numpy.ma' in sys.modules, "
-             "[m for m in ('_hashlib', 'cmath') if m in sys.modules]]))")
-    env = {**os.environ, "PYTHONPATH": str(Path(diffesc.__file__).parents[1])}
-    res = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
-                         check=True, env=env)
-    return out, json.loads(res.stdout.splitlines()[-1])
 
 
 class TestRun:
@@ -232,19 +231,19 @@ class TestRun:
         assert listed == actual
         assert not (out / ".failed").exists()
 
-    def test_run_with_snapshots_loads_no_numpy_ma(self, snapshot_run):
+    def test_run_with_snapshots_loads_no_numpy_ma(self, fresh_child):
         # np.unique imports numpy.ma lazily (~15 ms cold); no artifact writer needs it
-        out, (code, numpy_ma, _) = snapshot_run
-        assert (code, numpy_ma) == (EXIT_OK, False)
+        out, child = fresh_child
+        assert (child["codes"][0], child["numpy_ma"]) == (EXIT_OK, False)
         assert (out / "field.svg").is_file() and (out / "field.csv").is_file()
 
     @pytest.mark.skipif(not any(importlib.util.find_spec(m) for m in ("_sha2", "_sha256")),
                         reason="no built-in SHA-256 module: hashlib is the only digest")
-    def test_run_loads_neither_openssl_nor_cmath(self, snapshot_run):
+    def test_run_loads_neither_openssl_nor_cmath(self, fresh_child):
         # _hashlib maps OpenSSL's libcrypto (~3.6 MiB resident) and cmath adds ~0.3 MiB
         # to every command's peak memory; neither is needed
-        out, (code, _, loaded) = snapshot_run
-        assert (code, loaded) == (EXIT_OK, [])
+        out, child = fresh_child
+        assert (child["codes"][0], child["loaded"]) == (EXIT_OK, [])
         assert (out / "manifest.json").is_file() and (out / "field.svg").is_file()
 
     def test_no_command_calls_lapack(self, tmp_path, monkeypatch):
@@ -499,6 +498,25 @@ class TestGainContract:
         assert "K*H" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("config, old, new, message", [
+        ("average_system", "K = 0.2", "K = 0",
+         "design gain K*H = 0 * -2: compensator gain must be negative, got -0.0"),
+        ("gain_probe", "allow_unstable = true", "allow_unstable = false",
+         "override K_bar = 0.4: compensator gain must be negative, got 0.4"),
+    ])
+    def test_non_negative_average_gain_names_its_source(self, tmp_path, capsys, config, old,
+                                                        new, message):
+        text = _resolve_config(config).read_text()
+        assert old in text
+        cfg = tmp_path / "avg.cfg"
+        cfg.write_text(text.replace(old, new))
+        out = tmp_path / "o"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and message in err
+        assert "only an instability probe (allow_unstable = true) may run it" in err
+        assert not out.exists()
+
     def test_standard_run_on_singular_gain_is_usage_error(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path)
         cfg.write_text(cfg.read_text().replace("kind = esc", "kind = standard")
@@ -619,7 +637,8 @@ class TestGainContract:
         out = tmp_path / "o"
         assert main(["run", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
         assert len((out / "average.csv").read_text().splitlines()) == 2
-        assert "fit_degenerate: True" in (out / "report.txt").read_text()
+        assert ("fit_degenerate: True\nfit_note: too few usable samples\n"
+                in (out / "report.txt").read_text())
         assert manifest_names(out) == {"average.csv", "error.svg", "norm.svg", "report.txt"}
 
 
@@ -785,6 +804,17 @@ class TestSweep:
         assert "%g" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_values_equal_as_numbers_rejected_before_any_run(self, tmp_path, capsys):
+        # -0 and 0 print differently but are one value: one member used to be dropped
+        cfg = write_cfg(tmp_path)
+        out = tmp_path / "zero"
+        rc = main(["sweep", "--config", str(cfg), "--param", "K", "--values=-0,0",
+                   "--out", str(out)])
+        assert rc == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error: ") and "got -0,0" in err
+        assert not out.exists()
+
     def test_amplitude_sweep_aggregates(self, tmp_path):
         cfg = write_cfg(tmp_path, duration=4.0)
         out = tmp_path / "amp"
@@ -923,16 +953,20 @@ def load_digest_script():
     return digest_runs
 
 
-def test_digest_script_is_deterministic_and_skips_manifests(tmp_path):
+def test_digest_script_is_deterministic_and_skips_manifests(tmp_path, capsys):
     # scripts/digest_runs.py is how two checkouts prove byte-identical artifacts
     digest_runs = load_digest_script()
     first = digest_runs.digest(0.2, save=tmp_path / "kept")
     assert first == digest_runs.digest(0.2)
     assert {f"{name}/report.txt" for name in BUNDLED} <= set(first)
-    assert {"sweep/a_0.1/trajectory.csv", "sweep/sweep_report.txt"} <= set(first)
+    assert {"sweep/a_0.1/trajectory.csv", "sweep/sweep_report.txt",
+            "design_dither.txt"} <= set(first)
     assert not any(path.endswith("manifest.json") for path in first)
-    # --save keeps the tree it digested
+    # --save keeps the tree it digested, design-dither's standard output included
     assert (tmp_path / "kept" / "baseline" / "manifest.json").is_file()
+    capsys.readouterr()
+    assert main(["design-dither", "--a", "0.2", "--omega", "10", "--L", "1"]) == EXIT_OK
+    assert (tmp_path / "kept" / "design_dither.txt").read_text() == capsys.readouterr().out
     assert set(digest_runs.compare(tmp_path / "kept", tmp_path / "kept")) == set(first)
 
 

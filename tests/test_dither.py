@@ -26,11 +26,11 @@ from diffesc.dither import (
     dither_envelope,
     dither_field,
     dither_signal,
-    gauss_legendre,
+    field_integral,
     gradient_demod,
     hessian_demod,
-    verify_integral_identity,
 )
+from verification import IDENTITY_TOL, gauss_legendre, identity_residual
 
 
 def phasor_oracle(a, omega, L, dps=60):
@@ -135,9 +135,24 @@ def test_integral_identity(a, omega, L):
     p = DitherParams(a, omega, L)
     d = design_dither(p)
     ts = np.linspace(0.0, p.period, 200, endpoint=False)
-    report = verify_integral_identity(d, ts)
-    assert report.passed
-    assert report.max_residual < 1e-12 * max(1.0, a)
+    assert identity_residual(d, ts) < min(IDENTITY_TOL, 1e-12 * max(1.0, a))
+
+
+@pytest.mark.parametrize("a,omega,L", CASES)
+def test_field_integral_is_the_64_node_gauss_legendre_sum(a, omega, L):
+    # the scaled nodes and weights, then one dot product per time: the sum that the
+    # table rows (a scalar t) and the residual line (200 times) of design-dither print
+    d = design_dither(DitherParams(a, omega, L))
+    nodes, weights = np.polynomial.legendre.leggauss(64)
+    x, w = 0.5 * L * (nodes + 1.0), 0.5 * L * weights
+    t = 0.3 * d.params.period
+    assert np.shape(field_integral(d, t)) == ()
+    assert field_integral(d, t) == w @ dither_field(d, x, t)
+    ts = np.linspace(0.0, d.params.period, 200, endpoint=False)
+    got = field_integral(d, ts)
+    assert got.shape == (200,)
+    assert np.array_equal(got, w @ dither_field(d, x[:, None], ts[None, :]))
+    assert np.array_equal(field_integral(d, ts.reshape(8, 25)), got.reshape(8, 25))
 
 
 @settings(max_examples=60, deadline=None)
@@ -145,8 +160,7 @@ def test_integral_identity(a, omega, L):
 def test_integral_identity_property(a, omega, L):
     p = DitherParams(a, omega, L)
     ts = np.linspace(0.0, p.period, 64, endpoint=False)
-    report = verify_integral_identity(design_dither(p), ts)
-    assert report.max_residual < 1e-12 * a
+    assert identity_residual(design_dither(p), ts) < 1e-12 * a
 
 
 def test_integral_identity_mpmath_quadrature():
@@ -170,17 +184,15 @@ def test_perturbed_amplitude_breaks_identity():
     d = design_dither(p)
     bad = d._replace(amplitude=1.1 * d.amplitude)
     ts = np.linspace(0.0, p.period, 400, endpoint=False)
-    report = verify_integral_identity(bad, ts)
-    assert not report.passed
-    assert 0.099 * p.a < report.max_residual < 0.101 * p.a
+    residual = identity_residual(bad, ts)
+    assert IDENTITY_TOL <= 0.099 * p.a < residual < 0.101 * p.a
 
 
 def test_zero_amplitude_design_is_degenerate():
     p = DitherParams(0.0, 10.0, 1.0)
     d = design_dither(p)
     assert d.amplitude == 0.0
-    report = verify_integral_identity(d, np.linspace(0, p.period, 50))
-    assert report.passed and report.max_residual == 0.0
+    assert identity_residual(d, np.linspace(0, p.period, 50)) == 0.0
 
 
 def test_amplitude_linear_in_a_and_phase_independent():
@@ -314,9 +326,3 @@ def test_phase_continuous_where_the_phasor_real_part_changes_sign():
     phases = [design_dither(DitherParams(0.2, 10.0, L)).phase
               for L in np.linspace(0.9, 1.3, 401).tolist()]
     assert np.max(np.abs(np.diff(phases))) < 0.01
-
-
-def test_identity_report_validation():
-    d = design_dither(DitherParams(0.2, 10.0, 1.0))
-    with pytest.raises(ValueError):
-        verify_integral_identity(d, [])

@@ -1,13 +1,27 @@
-"""Verification studies behind acceptance criteria 5, 7 and 9 and their unit
-tests.  No command runs them, so they live with the tests, written against
-the package's public API."""
+"""Verification studies behind acceptance criteria 2, 5, 7 and 9 and their
+unit tests.  No command runs them, so they live with the tests, written
+against the package's public API."""
 import numpy as np
 
 from diffesc.analysis import _line_fit
-from diffesc.dither import gauss_legendre, gradient_demod, hessian_demod
+from diffesc.dither import QUADRATURE_NODES, field_integral, gradient_demod, hessian_demod
 from diffesc.heat import Grid, SolverConfig, integrate_profile, make_field, step
 
 ERROR_FLOOR = 1e-12     # refinement errors all below it sit at the rounding floor
+IDENTITY_TOL = 1e-6     # the largest residual of the probe's integral identity that passes
+
+
+def gauss_legendre(lo, hi):
+    """``QUADRATURE_NODES`` Gauss-Legendre nodes and weights scaled to [lo, hi]."""
+    nodes, weights = np.polynomial.legendre.leggauss(QUADRATURE_NODES)
+    half = 0.5 * (hi - lo)
+    return lo + half * (nodes + 1.0), half * weights
+
+
+def identity_residual(design, ts):
+    """max |integral of the planned field - a*sin(omega*t)| over the times ``ts``."""
+    p = design.params
+    return float(np.max(np.abs(field_integral(design, ts) - p.a * np.sin(p.omega * ts))))
 
 
 def convergence_order(exact, refinements, scheme="crank_nicolson", L=1.0, T=0.5):
