@@ -16,7 +16,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .controller import BacksteppingKernel
-from .heat import Grid, integrate_profile
+from .heat import Grid, integration_weights
 from .loop import AverageRecord, StaticMap, TrajectoryRecord, _write_csv
 
 __all__ = [
@@ -47,12 +47,12 @@ class TargetState(NamedTuple):
 
 
 def to_target(kernel: BacksteppingKernel, vartheta: float | np.ndarray, u_profile: np.ndarray,
-              grid: Grid, rule: str = "auto") -> TargetState:
+              grid: Grid) -> TargetState:
     """Forward transformation (vartheta, u) -> (Z = vartheta + integral of g*u,
     w = u - gamma*Z), the one nodal form; ``u_profile`` may be a stack of
     profiles along the last axis, with a ``vartheta`` for each."""
     x = grid.nodes()
-    Z = vartheta + integrate_profile(kernel.g(x) * u_profile, grid.dx, rule)
+    Z = vartheta + (kernel.g(x) * u_profile) @ integration_weights(grid.n, grid.dx)
     return TargetState(Z=Z, w=u_profile - np.multiply.outer(Z, kernel.gamma(x)))
 
 

@@ -76,10 +76,13 @@ def _resolve_config(name_or_path: str) -> Path:
 def _parse_ini(path: Path) -> configparser.ConfigParser:
     parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
     try:
-        read = parser.read(path)
+        with open(path, encoding="utf-8") as fh:     # UTF-8 whatever the locale
+            parser.read_file(fh, source=str(path))
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read {path}: {exc}") from exc
     except configparser.Error as exc:
         raise ConfigError(f"cannot parse {path}: {exc}") from exc
-    if not read or not parser.sections():
+    if not parser.sections():
         raise ConfigError(f"config {path} is empty or has no sections")
     return parser
 
@@ -331,11 +334,12 @@ def cmd_design_dither(args) -> int:
     print(f"phi = {design.phase:.6f} rad")
     print()
     print(f"{'t':>10} {'dither':>12} {'a*sin(wt)':>12} {'integral':>12}")
-    for j in range(args.samples):
-        t = j * params.period / (args.samples - 1) if args.samples > 1 else 0.0
-        s_val = float(dither_signal(design, t))
+    times = [j * params.period / (args.samples - 1) if args.samples > 1 else 0.0
+             for j in range(args.samples)]
+    for t, s_val, integral in zip(times, dither_signal(design, times).tolist(),
+                                  field_integral(design, times).tolist()):
         target = params.a * math.sin(params.omega * t)
-        print(f"{t:10.5f} {s_val:12.7f} {target:12.7f} {float(field_integral(design, t)):12.7f}")
+        print(f"{t:10.5f} {s_val:12.7f} {target:12.7f} {integral:12.7f}")
     ts = np.linspace(0, params.period, 200, endpoint=False)
     residual = np.max(np.abs(field_integral(design, ts) - params.a * np.sin(params.omega * ts)))
     print(f"\nmax |integral - a*sin| over one period: {residual:.3e}")

@@ -151,14 +151,13 @@ def _nodes(L: float) -> tuple[np.ndarray, np.ndarray]:
 def field_integral(design: DitherDesign, t):
     """Gauss-Legendre integral of ``dither_field`` over [0, L] at each time of ``t``.
 
-    ``t`` is a scalar or an array, and the result has its shape.  The design
+    ``t`` is a scalar or an array, and the result has its shape: one (64, t.size)
+    product, of which a scalar ``t`` is the one-column case.  The design
     is right when this equals a*sin(omega*t) to rounding; the residual of
     that identity is what ``diffesc design-dither`` prints.
     """
     x, w = _nodes(design.params.L)
     t = np.asarray(t, dtype=float)
-    if t.ndim == 0:
-        return w @ dither_field(design, x, t)
     return (w @ dither_field(design, x[:, None], t.ravel())).reshape(t.shape)
 
 

@@ -54,7 +54,6 @@ __all__ = [
     "make_field",
     "step",
     "spatial_integral",
-    "integrate_profile",
     "integration_weights",
 ]
 
@@ -144,7 +143,7 @@ class ActuatorField:
     last), is built from the current modal state on each read, read-only,
     and reading it changes nothing.  ``make_field`` fixes the rest for the
     field's life: the ``model`` of its grid and solver config, and the
-    ``integral``, the ``Readout`` of the auto-rule spatial integral.
+    ``integral``, the ``Readout`` of the spatial integral (``integration_weights``).
     """
 
     __slots__ = ("anchor", "inputs", "boundary", "model", "integral")
@@ -173,12 +172,10 @@ def _modal_state(field: ActuatorField) -> np.ndarray:
 
 
 def make_field(grid: Grid, solver: SolverConfig, initial=None) -> ActuatorField:
-    """Build a field stepped by ``solver``; ``initial`` is a profile array, a
-    callable of x, or None (zeros).  Its first block starts here."""
+    """Build a field stepped by ``solver``; ``initial`` is a profile array over the
+    grid's nodes or None (zeros).  Its first block starts here."""
     if initial is None:
         alpha = np.zeros(grid.n)
-    elif callable(initial):
-        alpha = np.asarray(initial(grid.nodes()), dtype=float) * np.ones(grid.n)
     else:
         alpha = np.array(initial, dtype=float)
         if alpha.shape != (grid.n,):
@@ -276,39 +273,23 @@ class Readout:
 
 
 @lru_cache(maxsize=64)
-def integration_weights(n: int, dx: float, rule: str = "auto") -> np.ndarray:
-    """Quadrature weights over the grid: composite trapezoid or Simpson.
-
-    ``auto`` picks Simpson when the node count is odd (even panel count),
-    trapezoid otherwise.  Built once per (n, dx, rule); the array is read-only.
-    """
-    if rule == "auto":
-        rule = "simpson" if n % 2 == 1 else "trapezoid"
-    if rule == "trapezoid":
-        w = np.full(n, dx)
-        w[0] = w[-1] = 0.5 * dx
-    elif rule == "simpson":
-        if n % 2 == 0:
-            raise ValueError("Simpson weights need an odd number of nodes")
+def integration_weights(n: int, dx: float) -> np.ndarray:
+    """Quadrature weights over the grid, the one rule of every profile integral:
+    composite Simpson when the node count is odd (even panel count), trapezoid
+    when it is even.  Built once per (n, dx); the array is read-only."""
+    if n % 2 == 1:
         w = np.full(n, 2.0 * dx / 3.0)
         w[1::2] = 4.0 * dx / 3.0
         w[0] = w[-1] = dx / 3.0
     else:
-        raise ValueError(f"unknown quadrature rule {rule!r}")
+        w = np.full(n, dx)
+        w[0] = w[-1] = 0.5 * dx
     w.flags.writeable = False
     return w
 
 
-def integrate_profile(values: np.ndarray, dx: float, rule: str = "auto"):
-    """Integral of grid values along the last axis by the selected rule: a float,
-    or an array for a stack of profiles."""
-    values = np.asarray(values, dtype=float)
-    total = values @ integration_weights(values.shape[-1], dx, rule)
-    return float(total) if values.ndim == 1 else total
-
-
 def spatial_integral(field: ActuatorField) -> float:
-    """Integral of the field over [0, L] (auto rule); this is the input seen by the map."""
+    """Integral of the field over [0, L] by ``integration_weights``: the map's input."""
     readout = field.integral      # Readout.__call__ inlined: one call frame less per loop step
     if field.anchor is not readout.anchor:
         readout._refresh(field)

@@ -28,8 +28,8 @@ from .controller import (
 )
 from .dither import DitherParams, design_dither, dither_signal, gradient_demod, hessian_demod
 from .filters import MIN_DEMOD_AMPLITUDE, FirstOrderFilter, estimate_gradient, estimate_hessian
-from .heat import (MAX_NODES, Grid, Readout, SolverConfig, integrate_profile,
-                   integration_weights, make_field, spatial_integral, step)
+from .heat import (MAX_NODES, Grid, Readout, SolverConfig, integration_weights, make_field,
+                   spatial_integral, step)
 
 __all__ = [
     "StaticMap",
@@ -121,7 +121,7 @@ class ScenarioConfig(NamedTuple):
     T_final: float
     c: float = 10.0                       # corner of the control smoothing low-pass
     initial_theta_hat: float = 0.0
-    initial_alpha: object = None          # array, callable of x, or None (zeros)
+    initial_alpha: object = None          # profile array over the grid's nodes, or None (zeros)
     record_every: int = 10
     snapshot_every: int = 0               # 0 disables field snapshots
     washout_corner: float = 1.0
@@ -365,7 +365,7 @@ def run_average_system(
             consistent = fld.alpha.copy()
             consistent[-1] = U
             with np.errstate(over="ignore"):           # an overflow is reported below
-                u_sq = integrate_profile(consistent * consistent, grid.dx)
+                u_sq = (consistent * consistent) @ weights
             Omega = vartheta * vartheta + u_sq
             if not math.isfinite(Omega):
                 raise SimulationDiverged(

@@ -1,10 +1,8 @@
 """Transformation, decay-fit, and scaling-analysis tests."""
 import json
 import math
-import os
 import subprocess
 import sys
-from pathlib import Path
 
 import mpmath as mp
 import numpy as np
@@ -13,7 +11,6 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from diffesc import analysis
 from diffesc.analysis import (
     TargetState,
     _line_fit,
@@ -27,6 +24,7 @@ from diffesc.analysis import (
 from diffesc.controller import make_kernel
 from diffesc.heat import Grid, SolverConfig
 from diffesc.loop import ScenarioConfig, StaticMap, TrajectoryRecord, run_average_system
+from conftest import FIT_PROBE, blas_env
 from verification import from_target
 
 KERNEL = make_kernel(-0.4, 1.0)
@@ -124,7 +122,7 @@ class TestTransform:
         assert vartheta == pytest.approx(expected, abs=1e-9)
 
     def test_discrete_transform_converges_at_second_order(self):
-        # trapezoid-rule transform against the continuum value of Z
+        # transform against the continuum value of Z; even node counts take trapezoid weights
         with mp.workdps(40):
             z_exact = 0.8 + float(mp.quad(
                 lambda y: mp.mpf(0.5) * (1 - y**2) * (mp.sin(3 * y) + mp.mpf("0.2") * y**2
@@ -132,30 +130,18 @@ class TestTransform:
                 [0, 1],
             ))
         errs, dxs = [], []
-        for n in (26, 51, 101):
+        for n in (26, 50, 100):
             g = Grid(1.0, n)
-            ts = to_target(KERNEL, 0.8, smooth_profile(g.nodes()), g, rule="trapezoid")
+            ts = to_target(KERNEL, 0.8, smooth_profile(g.nodes()), g)
             errs.append(abs(ts.Z - z_exact))
             dxs.append(g.dx)
         slope = np.polyfit(np.log(dxs), np.log(errs), 1)[0]
         assert 1.8 <= slope <= 2.2
 
 
-# fit_decay and residual_scaling on inputs built from the math module, printed as
-# float.hex; run in fresh interpreters that pick other BLAS kernels and SIMD paths
-FIT_PROBE = """
-import json, math
-import numpy as np
-from diffesc.analysis import fit_decay, residual_scaling
-t = [0.01 * i for i in range(2001)]
-decay = fit_decay(np.array(t), np.array([3.0 * math.exp(-0.8 * s + 0.05 * math.sin(7.0 * s))
-                                         for s in t]))
-scaling = residual_scaling({a: (1.3 * a * a * (1.0 + 0.1 * math.sin(9.0 * a)),
-                                0.7 * a * (1.0 + 0.1 * math.cos(5.0 * a)))
-                            for a in (0.3, 0.2, 0.1, 0.05)})
-print(json.dumps([float(v).hex() for v in (*decay[:3], *scaling[:4])]))
-"""
-KERNEL_ENVIRONMENTS = ({}, {"OPENBLAS_CORETYPE": "Prescott"},
+# the BLAS kernel and the SIMD path of the two fresh interpreters other than
+# conftest's default child
+KERNEL_ENVIRONMENTS = ({"OPENBLAS_CORETYPE": "Prescott"},
                        {"NPY_DISABLE_CPU_FEATURES": "AVX512_SPR,AVX512_ICL,X86_V4"})
 
 
@@ -184,14 +170,14 @@ class TestLineFit:
         x = np.array([centre] + [centre + s * d for d in offsets for s in (-1, 1)], dtype=float)
         assert _line_fit(x, slope * x + intercept) == (slope, intercept, 1.0)
 
-    def test_bits_do_not_depend_on_the_blas_kernel_or_simd_path(self):
+    def test_bits_do_not_depend_on_the_blas_kernel_or_simd_path(self, default_child):
         # a LAPACK solve's last bits follow the BLAS kernel (np.polyfit's moved under
         # OPENBLAS_CORETYPE=Prescott); fixed-order sums give the same bits everywhere
-        base = {**os.environ, "PYTHONPATH": str(Path(analysis.__file__).parents[1])}
-        outputs = [subprocess.run([sys.executable, "-c", FIT_PROBE], capture_output=True,
-                                  text=True, check=True, env={**base, **extra}).stdout
-                   for extra in KERNEL_ENVIRONMENTS]
-        assert len(json.loads(outputs[0])) == 7
+        outputs = [default_child["fit"]] + [
+            json.loads(subprocess.run([sys.executable, "-c", FIT_PROBE], capture_output=True,
+                                      text=True, check=True, env=blas_env(**extra)).stdout)
+            for extra in KERNEL_ENVIRONMENTS]
+        assert len(outputs[0]) == 7
         assert outputs[1:] == outputs[:1] * 2
 
 

@@ -21,19 +21,10 @@ from pathlib import Path
 import pytest
 
 import diffesc
+from conftest import PERFBENCH, blas_env, perfbench_hooks
 
 MODULES = [info.name for info in pkgutil.iter_modules(diffesc.__path__)
            if not info.ispkg]
-PERFBENCH = Path(__file__).parents[1] / "perfbench"
-
-
-def perfbench_hooks():
-    """The (layer, path) table HOOKS of perfbench/child.py, read without
-    importing the benchmark harness."""
-    tree = ast.parse((PERFBENCH / "child.py").read_text())
-    return next(ast.literal_eval(node.value) for node in tree.body
-                if isinstance(node, ast.Assign)
-                and any(getattr(t, "id", None) == "HOOKS" for t in node.targets))
 
 
 def perfbench_workloads():
@@ -79,9 +70,10 @@ def test_star_import_exports_the_modules_api_only():
                            "EstimatorOutputs", "from_target"})
     # the probe's integral identity has one quadrature, dither.field_integral
     assert api.isdisjoint({"IdentityReport", "verify_integral_identity"})
+    # a profile's integral is a product with heat.integration_weights, no wrapper
+    assert "integrate_profile" not in api
 
 
-BLAS_VARIABLES = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
 THREADS_PROBE = """
 import json, os
 before = dict(os.environ)
@@ -93,14 +85,6 @@ counts_threads = pytest.mark.skipif(not sys.platform.startswith("linux"),
                                     reason="counts threads in /proc/self/task")
 
 
-def blas_env(**variables) -> dict:
-    """The environment without the BLAS variables but ``variables``, importing
-    diffesc from this tree."""
-    env = {k: v for k, v in os.environ.items() if k not in BLAS_VARIABLES}
-    env.update(variables, PYTHONPATH=str(Path(diffesc.__file__).parents[1]))
-    return env
-
-
 def threads_after(code: str, **variables) -> list:
     """[threads, os.environ unchanged] printed by ``code`` in a fresh interpreter
     under ``blas_env(**variables)``."""
@@ -109,44 +93,11 @@ def threads_after(code: str, **variables) -> list:
     return json.loads(out.stdout)
 
 
-@pytest.fixture(scope="module")
-def cli_import():
-    """What `import diffesc.cli` alone leaves in a fresh interpreter under
-    ``blas_env()``: {"threads": its thread count (None off Linux), "environ":
-    whether os.environ is unchanged, "scipy": the scipy modules loaded, "unbound":
-    each perfbench hook, and cli.run_esc, that is not bound where the benchmark
-    child wraps it}.  One interpreter serves every test that reads it."""
-    probe = """
-import json, os, sys
-before = dict(os.environ)
-import diffesc.cli
-threads = len(os.listdir("/proc/self/task")) if os.path.isdir("/proc/self/task") else None
-environ = os.environ == before
-scipy = sorted(m for m in sys.modules if m.startswith("scipy"))
-import functools
-unbound = []
-for layer, path in json.loads(sys.argv[1]):
-    module = sys.modules.get("diffesc." + layer)
-    try:
-        target = functools.reduce(getattr, path.split("."), module)
-    except AttributeError:
-        target = None
-    if module is None or not callable(target):
-        unbound.append(f"{layer}.{path}")
-if diffesc.cli.run_esc is not sys.modules["diffesc.loop"].run_esc:
-    unbound.append("cli.run_esc")
-print(json.dumps({"threads": threads, "environ": environ, "scipy": scipy, "unbound": unbound}))
-"""
-    out = subprocess.run([sys.executable, "-c", probe, json.dumps(perfbench_hooks())],
-                         capture_output=True, text=True, check=True, env=blas_env())
-    return json.loads(out.stdout)
-
-
 @counts_threads
-def test_import_starts_numpy_with_one_blas_thread(cli_import):
+def test_import_starts_numpy_with_one_blas_thread(default_child):
     # the loop needs no second BLAS thread, and OpenBLAS's pool cost ~120 ms of CPU
     # per command; the variable set for the import is gone after it
-    assert [cli_import["threads"], cli_import["environ"]] == [1, True]
+    assert [default_child["threads"], default_child["environ"]] == [1, True]
 
 
 @counts_threads
@@ -183,9 +134,9 @@ def test_artifacts_do_not_depend_on_the_blas_thread_count(tmp_path):
     assert listed[0] == listed[1] and len(listed[0]) == 8
 
 
-def test_cli_import_loads_no_scipy(cli_import):
+def test_cli_import_loads_no_scipy(default_child):
     # the runtime needs only numpy; scipy is a test-only dependency
-    assert cli_import["scipy"] == []
+    assert default_child["scipy"] == []
 
 
 @pytest.mark.parametrize("name", MODULES)
@@ -209,11 +160,11 @@ def test_perfbench_hooks_resolve():
         assert callable(target), f"{layer}.{path}"
 
 
-def test_perfbench_bindings_exist_right_after_cli_import(cli_import):
+def test_perfbench_bindings_exist_right_after_cli_import(default_child):
     # the benchmark child wraps its hooks, and diffesc.cli.run_esc, in the
     # modules that `import diffesc.cli` alone has loaded: a lazy import or a
     # rename would leave a metric unbound
-    assert cli_import["unbound"] == []
+    assert default_child["unbound"] == []
 
 
 def _counting(calls: dict, key: str, fn):

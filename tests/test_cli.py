@@ -209,6 +209,32 @@ class TestRun:
     def test_missing_config_is_usage_error(self, tmp_path):
         assert main(["run", "--config", "no_such_thing", "--out", str(tmp_path)]) == EXIT_USAGE
 
+    @pytest.mark.parametrize("command", [["run"], ["sweep", "--param", "a", "--values", "0.2,0.1"]],
+                             ids=["run", "sweep"])
+    def test_undecodable_config_names_the_file(self, tmp_path, capsys, command):
+        # a config is UTF-8 whatever the locale: a Latin-1 byte is one error line naming it
+        cfg = tmp_path / "latin1.cfg"
+        cfg.write_bytes(write_cfg(tmp_path).read_bytes().replace(b"[map]", b"# caf\xe9\n[map]"))
+        out = tmp_path / "o"
+        assert main([*command, "--config", str(cfg), "--out", str(out)]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot read {cfg}: 'utf-8' codec can't decode byte 0xe9")
+        assert err.count("\n") == 1 and not out.exists()
+
+    @pytest.mark.skipif(not hasattr(os, "geteuid") or os.geteuid() == 0,
+                        reason="root can open a mode-000 file")
+    def test_unopenable_config_names_the_file(self, tmp_path, capsys):
+        # not "empty or has no sections": the file was never read
+        cfg = write_cfg(tmp_path)
+        cfg.chmod(0)
+        try:
+            rc = main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")])
+        finally:
+            cfg.chmod(0o600)
+        assert rc == EXIT_USAGE
+        assert capsys.readouterr().err.startswith(f"error: cannot read {cfg}: [Errno 13]")
+        assert not (tmp_path / "o").exists()
+
     def test_forbidden_gain_rejected_with_message(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, extra=f"\n[average]\nK_bar = {-math.pi**2/4!r}\n")
         # force the average path to read K_bar by making it an average scenario

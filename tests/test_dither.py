@@ -140,14 +140,14 @@ def test_integral_identity(a, omega, L):
 
 @pytest.mark.parametrize("a,omega,L", CASES)
 def test_field_integral_is_the_64_node_gauss_legendre_sum(a, omega, L):
-    # the scaled nodes and weights, then one dot product per time: the sum that the
-    # table rows (a scalar t) and the residual line (200 times) of design-dither print
+    # the scaled nodes and weights, then one (64, n) product over n times: the sum that
+    # design-dither's table and residual line print; a scalar t is the n = 1 case
     d = design_dither(DitherParams(a, omega, L))
     nodes, weights = np.polynomial.legendre.leggauss(64)
     x, w = 0.5 * L * (nodes + 1.0), 0.5 * L * weights
     t = 0.3 * d.params.period
     assert np.shape(field_integral(d, t)) == ()
-    assert field_integral(d, t) == w @ dither_field(d, x, t)
+    assert field_integral(d, t) == (w @ dither_field(d, x[:, None], np.array([t])))[0]
     ts = np.linspace(0.0, d.params.period, 200, endpoint=False)
     got = field_integral(d, ts)
     assert got.shape == (200,)

@@ -21,7 +21,6 @@ from diffesc.heat import (
     Grid,
     Readout,
     SolverConfig,
-    integrate_profile,
     integration_weights,
     make_field,
     spatial_integral,
@@ -44,7 +43,10 @@ def march(field, boundary_fn, dt, n_steps):
 
 
 def l2_norm(field, grid):
-    return math.sqrt(integrate_profile(field.alpha**2, grid.dx, "trapezoid"))
+    """The scheme's energy norm: trapezoid weights at every node count."""
+    w = np.full(grid.n, grid.dx)
+    w[0] = w[-1] = 0.5 * grid.dx
+    return math.sqrt(field.alpha**2 @ w)
 
 
 CN = SolverConfig(dt=1e-3)
@@ -54,7 +56,7 @@ CN = SolverConfig(dt=1e-3)
 def test_constant_boundary_reaches_steady_state(scheme):
     grid = Grid(1.0, 51)
     fld = make_field(grid, SolverConfig(dt=2e-3, scheme=scheme),
-                     initial=lambda x: np.sin(5 * x) + 1.0)
+                     initial=np.sin(5 * grid.nodes()) + 1.0)
     march(fld, lambda t: 3.0, 2e-3, 10_000)
     assert np.max(np.abs(fld.alpha - 3.0)) < 1e-6
 
@@ -68,7 +70,7 @@ def test_zero_stays_zero():
 
 def test_tracks_exact_solution(reference_field):
     grid = Grid(1.0, 101)
-    fld = make_field(grid, CN, initial=lambda x: reference_field(x, 0.0))
+    fld = make_field(grid, CN, initial=reference_field(grid.nodes(), 0.0))
     march(fld, lambda t: reference_field(1.0, t), CN.dt, 1000)
     assert np.max(np.abs(fld.alpha - reference_field(grid.nodes(), 1.0))) < 1e-4
 
@@ -77,7 +79,7 @@ def test_explicit_scheme_and_stability_gate(reference_field):
     grid = Grid(1.0, 26)
     dx = grid.dx
     cfg = SolverConfig(dt=0.4 * dx * dx, scheme="explicit_euler")
-    fld = make_field(grid, cfg, initial=lambda x: reference_field(x, 0.0))
+    fld = make_field(grid, cfg, initial=reference_field(grid.nodes(), 0.0))
     n = round(0.2 / cfg.dt)
     march(fld, lambda t: reference_field(1.0, t), cfg.dt, n)
     assert np.max(np.abs(fld.alpha - reference_field(grid.nodes(), n * cfg.dt))) < 5e-3
@@ -133,7 +135,7 @@ def test_crank_nicolson_norm_nonincreasing_with_zero_boundary():
 def test_step_is_deterministic(reference_field):
     def run():
         grid = Grid(1.0, 51)
-        fld = make_field(grid, CN, initial=lambda x: reference_field(x, 0.0))
+        fld = make_field(grid, CN, initial=reference_field(grid.nodes(), 0.0))
         march(fld, lambda t: reference_field(1.0, t), CN.dt, 300)
         return fld.alpha
 
@@ -141,14 +143,13 @@ def test_step_is_deterministic(reference_field):
 
 
 def test_spatial_integral_exact_cases():
-    grid = Grid(1.0, 101)
-    trapezoid = Readout(grid, integration_weights(grid.n, grid.dx, "trapezoid"))
-    const = make_field(grid, CN, initial=lambda x: 2.5 * np.ones_like(x))
-    assert spatial_integral(const) == pytest.approx(2.5, abs=1e-14)
-    assert trapezoid(const) == pytest.approx(2.5, abs=1e-14)
-    linear = make_field(grid, CN, initial=lambda x: x)
-    assert trapezoid(linear) == pytest.approx(0.5, abs=1e-12)
-    assert spatial_integral(linear) == pytest.approx(0.5, abs=1e-12)
+    # Simpson at an odd node count, trapezoid at an even one: both exact on a line
+    for n in (101, 100):
+        grid = Grid(1.0, n)
+        const = make_field(grid, CN, initial=np.full(n, 2.5))
+        assert spatial_integral(const) == pytest.approx(2.5, abs=1e-14)
+        linear = make_field(grid, CN, initial=grid.nodes())
+        assert spatial_integral(linear) == pytest.approx(0.5, abs=1e-12)
 
 
 def test_spatial_integral_quadrature_orders(reference_field):
@@ -156,15 +157,16 @@ def test_spatial_integral_quadrature_orders(reference_field):
     t0 = 0.31
     target = 0.2 * math.sin(10.0 * t0)
 
-    def err(n, rule):
+    def err(n):
         grid = Grid(1.0, n)
         profile = reference_field(grid.nodes(), t0)
-        return abs(integrate_profile(profile, grid.dx, rule) - target)
+        return abs(profile @ integration_weights(n, grid.dx) - target)
 
-    trap = [err(n, "trapezoid") for n in (26, 51, 101)]
-    slope_t = np.polyfit(np.log([1 / 25, 1 / 50, 1 / 100]), np.log(trap), 1)[0]
+    # the node count's parity picks the rule: trapezoid when even, Simpson when odd
+    trap = [err(n) for n in (26, 50, 100)]
+    slope_t = np.polyfit(np.log([1 / 25, 1 / 49, 1 / 99]), np.log(trap), 1)[0]
     assert 1.7 < slope_t < 2.3
-    simp = [err(n, "simpson") for n in (51, 101, 201)]
+    simp = [err(n) for n in (51, 101, 201)]
     slope_s = np.polyfit(np.log([1 / 50, 1 / 100, 1 / 200]), np.log(simp), 1)[0]
     assert 3.5 < slope_s < 4.5
 
@@ -175,15 +177,6 @@ def test_integration_weights_built_once_and_read_only():
     with pytest.raises(ValueError, match="read-only"):
         w[0] = 1.0
     assert w.sum() == pytest.approx(1.0, abs=1e-14)
-    with pytest.raises(ValueError, match="unknown quadrature rule"):
-        integration_weights(101, 0.01, "banana")
-
-
-def test_simpson_requires_odd_nodes():
-    with pytest.raises(ValueError):
-        integrate_profile(np.ones(10), 0.1, rule="simpson")
-    with pytest.raises(ValueError):
-        integrate_profile(np.ones(11), 0.1, rule="banana")
 
 
 def test_convergence_order_crank_nicolson(reference_field):
@@ -287,7 +280,7 @@ def test_step_matches_banded_reference(case):
 
 def test_crank_nicolson_long_run_matches_banded_reference(reference_field):
     grid = Grid(1.0, 101)
-    fld = make_field(grid, CN, initial=lambda x: reference_field(x, 0.0))
+    fld = make_field(grid, CN, initial=reference_field(grid.nodes(), 0.0))
     ref = fld.alpha.copy()
     for k in range(10_000):
         b = float(reference_field(1.0, (k + 1) * CN.dt))
@@ -368,7 +361,8 @@ def test_one_propagator_holds_the_per_step_factors_bit_for_bit(m, scheme):
 
 
 def test_field_profile_is_read_only():
-    fld = make_field(Grid(1.0, 11), CN, initial=lambda x: x)
+    grid = Grid(1.0, 11)
+    fld = make_field(grid, CN, initial=grid.nodes())
     with pytest.raises(ValueError, match="read-only"):
         fld.alpha[3] = 1.0
     assert fld.alpha[3] == pytest.approx(0.3, abs=1e-15)
@@ -413,7 +407,7 @@ def test_crank_nicolson_fine_grid_matches_banded_reference(reference_field):
     # Theta, sampled every 1000 steps, within 1e-12; the nodal profile, which sums
     # m = 800 modal terms per node, within 5e-12 (both measured ~6e-13)
     grid = Grid(1.0, 801)
-    fld = make_field(grid, CN, initial=lambda x: reference_field(x, 0.0))
+    fld = make_field(grid, CN, initial=reference_field(grid.nodes(), 0.0))
     ref = fld.alpha.copy()
     w = integration_weights(grid.n, grid.dx)
     for k in range(10_000):
@@ -500,7 +494,8 @@ def test_block_reads_match_per_step_modal_reference(case):
 
 
 def test_block_boundaries_count_from_make_field():
-    fld = make_field(Grid(1.0, 21), CN, initial=lambda x: x)
+    grid = Grid(1.0, 21)
+    fld = make_field(grid, CN, initial=grid.nodes())
     anchor, moves = fld.anchor, []
     for k in range(1, 3 * BLOCK + 1):
         step(fld, 0.5)

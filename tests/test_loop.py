@@ -25,7 +25,7 @@ from diffesc.controller import (ControllerState, ForbiddenGainError, integrate_t
 from diffesc.dither import DitherParams, design_dither, dither_signal
 from diffesc.filters import FirstOrderFilter
 from diffesc.heat import (MAX_NODES, SCHEMES, Grid, SolverConfig, _propagator,
-                          integrate_profile, make_field, spatial_integral, step)
+                          integration_weights, make_field, spatial_integral, step)
 from diffesc.loop import (
     TRAJECTORY_COLUMNS,
     FieldHistory,
@@ -43,6 +43,7 @@ from diffesc.loop import (
 from diffesc.loop import _write_csv
 
 MAP = StaticMap(y_star=5.0, theta_star=2.0, H=-2.0)
+NODES = Grid(1.0, 101).nodes()          # the nodes of scenario()'s default grid
 
 
 def scenario(T=5.0, dt=1e-3, n=101, **kw):
@@ -376,16 +377,17 @@ class TestAverageSystem:
 
     def test_modal_transform_matches_nodal_to_target(self):
         # the runner reads Z through the modal readout; to_target is the nodal form
-        rec = run_average_system(scenario(T=2.0, initial_alpha=lambda x: np.sin(math.pi * x)),
+        rec = run_average_system(scenario(T=2.0, initial_alpha=np.sin(math.pi * NODES)),
                                  initial_vartheta=1.0)
         assert np.array_equal(rec.U, rec.K_bar * rec.Z)
         nodal = to_target(make_kernel(rec.K_bar, rec.grid.L), rec.vartheta, rec.u, rec.grid)
         assert np.max(np.abs(nodal.Z - rec.Z)) <= 1e-12 * np.max(np.abs(rec.Z))
 
     def test_norms_are_the_quadrature_of_each_recorded_profile(self):
-        rec = run_average_system(scenario(T=2.0, initial_alpha=lambda x: np.cos(3.0 * x)),
+        rec = run_average_system(scenario(T=2.0, initial_alpha=np.cos(3.0 * NODES)),
                                  initial_vartheta=0.5)
-        u_sq = [integrate_profile(profile**2, rec.grid.dx) for profile in rec.u]
+        w = integration_weights(rec.grid.n, rec.grid.dx)
+        u_sq = [float(profile**2 @ w) for profile in rec.u]
         assert rec.u_norm.tolist() == [math.sqrt(v) for v in u_sq]
         assert rec.Omega.tolist() == [vth**2 + v for vth, v in zip(rec.vartheta.tolist(), u_sq)]
 
@@ -408,7 +410,7 @@ class TestAverageSystem:
             run_average_system(scenario(**{"T": 1.0, **kw}), initial_vartheta=1.0)
 
     def test_initial_profile_accepted(self):
-        rec = run_average_system(scenario(T=1.0, initial_alpha=lambda x: np.sin(math.pi * x)),
+        rec = run_average_system(scenario(T=1.0, initial_alpha=np.sin(math.pi * NODES)),
                                  initial_vartheta=0.0)
         assert rec.Omega[0] > 0.0
         assert rec.Omega[-1] < rec.Omega[0]

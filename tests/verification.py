@@ -5,7 +5,7 @@ import numpy as np
 
 from diffesc.analysis import _line_fit
 from diffesc.dither import QUADRATURE_NODES, field_integral, gradient_demod, hessian_demod
-from diffesc.heat import Grid, SolverConfig, integrate_profile, make_field, step
+from diffesc.heat import Grid, SolverConfig, integration_weights, make_field, step
 
 ERROR_FLOOR = 1e-12     # refinement errors all below it sit at the rounding floor
 IDENTITY_TOL = 1e-6     # the largest residual of the probe's integral identity that passes
@@ -35,7 +35,7 @@ def convergence_order(exact, refinements, scheme="crank_nicolson", L=1.0, T=0.5)
         grid = Grid(L, n)
         nsteps = max(1, round(T / dt))
         dt = T / nsteps                     # land exactly on T
-        fld = make_field(grid, SolverConfig(dt, scheme), initial=lambda x: exact(x, 0.0))
+        fld = make_field(grid, SolverConfig(dt, scheme), initial=exact(grid.nodes(), 0.0))
         for k in range(nsteps):
             step(fld, float(exact(L, (k + 1) * dt)))
         dxs.append(grid.dx)
@@ -53,12 +53,11 @@ def period_average_estimates(params, y_star, H, vartheta):
             float(w @ (hessian_demod(params, t) * y)) / params.period)
 
 
-def from_target(kernel, target, grid, rule="auto"):
+def from_target(kernel, target, grid):
     """Inverse of ``analysis.to_target``, (Z, w) -> (vartheta, u): u = w + gamma*Z
     and vartheta = (1 - integral of g*gamma)*Z - integral of g*w.  Exact up to
-    rounding under the quadrature rule the forward map used."""
+    rounding, as both integrals take the forward map's weights."""
     x = grid.nodes()
-    g, gamma = kernel.g(x), kernel.gamma(x)
-    coupling = integrate_profile(g * gamma, grid.dx, rule)
-    vartheta = (1.0 - coupling) * target.Z - integrate_profile(g * target.w, grid.dx, rule)
+    g, gamma, w = kernel.g(x), kernel.gamma(x), integration_weights(grid.n, grid.dx)
+    vartheta = (1.0 - (g * gamma) @ w) * target.Z - (g * target.w) @ w
     return float(vartheta), target.w + gamma * target.Z
