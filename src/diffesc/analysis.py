@@ -62,7 +62,6 @@ class TargetResiduals(NamedTuple):
     scalar_residual: float      # max |dZ/dt - A_cl * Z|
     boundary_residual: float    # max |w at the driven end|
     heat_residual: float        # max |dw/dt - d2w/dx2| on interior nodes
-    n_samples: int
     inconclusive: bool
     note: str = ""
 
@@ -78,10 +77,9 @@ def target_residuals(record: AverageRecord, kernel: BacksteppingKernel,
     sample-and-hold lag divided by dx^2 near the driven end.
     """
     t = record.t
-    m = t.size
     sel = t >= t_min
-    if m < 7 or sel.sum() < 5:
-        return TargetResiduals(math.nan, math.nan, math.nan, m, True,
+    if t.size < 7 or sel.sum() < 5:
+        return TargetResiduals(math.nan, math.nan, math.nan, True,
                                "too few samples for finite differencing")
     dt_s = float(t[1] - t[0])
     grid = record.grid
@@ -102,7 +100,6 @@ def target_residuals(record: AverageRecord, kernel: BacksteppingKernel,
         scalar_residual=scalar_residual,
         boundary_residual=boundary_residual,
         heat_residual=heat_residual,
-        n_samples=m,
         inconclusive=False,
     )
 

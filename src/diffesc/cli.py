@@ -103,7 +103,7 @@ def _get(parser, section, key, cast, default=None, required=False):
 
 
 class RunPlan:
-    """Parsed scenario: its kind, one ScenarioConfig, and the averaged-run options.
+    """Parsed scenario: its kind and one ScenarioConfig.
 
     The keys read here are the config's only keys: a section or key that
     nothing reads (a misspelling) is a ``ConfigError`` that names it.  An
@@ -129,6 +129,9 @@ class RunPlan:
             theta_star=get("map", "theta_star", float, required=True),
             H=get("map", "curvature", float, required=True),
         )
+        average = given(initial_vartheta=("average", "initial_vartheta", float),
+                        allow_unstable=("average", "allow_unstable", bool),
+                        K_bar=("average", "K_bar", float))
         self.config = ScenarioConfig(
             map=map_,
             a=get("dither", "amplitude", float, required=True),
@@ -145,20 +148,15 @@ class RunPlan:
                     snapshot_every=("scenario", "snapshot_every", int),
                     washout_corner=("gains", "washout_corner", float),
                     hessian_corner=("gains", "hessian_corner", float)),
+            **average,
         )
         diffusion = get("actuator", "diffusion", float, default=1.0)
         if not abs(diffusion - 1.0) <= 1e-12:
             raise ConfigError(f"[actuator] diffusion must be 1 (got {diffusion}): the probe "
                               "design and the backstepping kernel assume unit diffusion")
-        average = given(initial_vartheta=("average", "initial_vartheta", float),
-                        allow_unstable=("average", "allow_unstable", bool),
-                        K_bar=("average", "K_bar", float))
         if average and self.kind != "average":
             raise ConfigError(f"[average] {', '.join(average)}: for kind = average only, "
                               f"not {self.kind!r}")
-        self.initial_vartheta = average.get("initial_vartheta", 1.0)
-        self.allow_unstable = average.get("allow_unstable", False)
-        self.K_bar = average.get("K_bar")    # None: K*H
         sections = {section for section, _ in read}
         unknown = [f"section [{s}]" for s in parser.sections() if s not in sections]
         unknown += [f"key [{s}] {k}" for s in parser.sections() if s in sections
@@ -169,8 +167,7 @@ class RunPlan:
     def validate(self) -> None:
         self.config.validate()
         if self.kind == "average":     # the gates run_average_system applies
-            _average_kernel(self.config, self.initial_vartheta, self.K_bar,
-                            not self.allow_unstable)
+            _average_kernel(self.config)
 
 
 def _file_sha256(path: Path) -> str:
@@ -250,8 +247,7 @@ def _run_esc_outputs(plan: RunPlan, out):
 
 
 def _run_average_outputs(plan: RunPlan, out):
-    rec = run_average_system(plan.config, initial_vartheta=plan.initial_vartheta,
-                             K_bar=plan.K_bar, check_admissible=not plan.allow_unstable)
+    rec = run_average_system(plan.config)
     save_average_csv(rec, out("average.csv"))
     svgplot.line_chart(out("norm.svg"), "Composite squared norm", "t [s]", "Omega",
                        [("Omega(t)", rec.t, rec.Omega)], y_log=True)

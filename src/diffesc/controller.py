@@ -54,7 +54,8 @@ def check_gain(K_bar: float, L: float) -> int | None:
     Every k = 0, 1, 2, ... is covered: the k nearest K_bar is found in closed
     form.  Returns that k when K_bar lies within ten such bands (admissible
     but badly conditioned), else None.  An L whose cube overflows or
-    underflows is rejected as out of range.
+    underflows, and a K_bar whose float spacing is as wide as the band's
+    half-width (so rounding alone would place it), are rejected as out of range.
     """
     if L <= 0.0:
         raise ValueError(f"domain length must be > 0, got {L}")
@@ -73,6 +74,11 @@ def check_gain(K_bar: float, L: float) -> int | None:
     kappa = max(0, round((math.sqrt(scaled) / math.pi - 1.0) / 2.0))
     singular = -((2 * kappa + 1) ** 2) * math.pi**2 / (4.0 * L**3)
     tol = GAIN_TOL * math.pi**2 / (4.0 * L**3)
+    spacing = math.ulp(K_bar)
+    if spacing >= tol:
+        raise ForbiddenGainError(f"compensator gain {K_bar:.6g} is out of range: its float "
+                                 f"spacing {spacing:.3g} exceeds the singular band "
+                                 f"half-width {tol:.3g}")
     if abs(K_bar - singular) < tol:
         raise ForbiddenGainError(
             f"compensator gain {K_bar:.6g} lies within {tol:.3g} of the singular value "
@@ -110,15 +116,15 @@ class BacksteppingKernel(NamedTuple):
         return self.K_bar * np.cos(root * x) / math.cos(root * self.L)
 
 
-def make_kernel(K_bar: float, L: float, check: bool = True) -> BacksteppingKernel:
+def make_kernel(K_bar: float, L: float, allow_unstable: bool = False) -> BacksteppingKernel:
     """Build the kernel, gating on gain admissibility.
 
     Every negative gain goes through ``check_gain``: the kernel normalization
     vanishes at the singular gains, and one within ten bands of them warns
-    that the kernel is badly conditioned.  ``check=False`` skips only the
+    that the kernel is badly conditioned.  ``allow_unstable`` skips only the
     sign gate, for instability probes with K_bar >= 0.
     """
-    kappa = check_gain(K_bar, L) if check or K_bar < 0.0 else None
+    kappa = check_gain(K_bar, L) if not allow_unstable or K_bar < 0.0 else None
     if kappa is not None:
         warnings.warn(
             f"compensator gain {K_bar:.6g} is within 10x tolerance of the singular "

@@ -47,7 +47,6 @@ __all__ = [
     "save_average_csv",
 ]
 
-TRAJECTORY_COLUMNS = "t,theta,Theta,y,U,G_hat,H_hat,S,vartheta"
 # Largest k*dx = sqrt(omega/2)*dx at which the grid resolves the planned probe field:
 # with K = 0 the map-input probe is off by 1.6e-3 in amplitude and 0.043 rad in phase
 # at k*dx = 0.71, and by 3.8e-2 and 0.19 rad at 0.89.
@@ -104,12 +103,13 @@ class ScenarioConfig(NamedTuple):
     """Everything one closed-loop run needs; the one input of every runner.
 
     Each setting has one field and one default; the length is ``grid.L`` only,
-    and the probe ``dither`` and compensator gain ``K_bar`` = K*H are derived.
-    ``validate``, the gate every runner calls first, rejects a forbidden
-    ``K_bar``, naming K and H, unless K = 0 (no adaptation, so no compensated
-    loop), a grid too coarse for the probe (k*dx above ``MAX_K_DX``) or finer
-    than ``heat.MAX_NODES``, and any magnitude the run would overflow (a^2, the
-    step count ``n_steps``).  It builds no array.
+    and the probe ``dither`` is derived.  The last three fields are read by
+    ``run_average_system`` only.  ``validate``, the gate every runner calls
+    first, rejects a forbidden design gain K*H, naming K and H, unless K = 0
+    (no adaptation, so no compensated loop), a grid too coarse for the probe
+    (k*dx above ``MAX_K_DX``) or finer than ``heat.MAX_NODES``, and any
+    magnitude the run would overflow (a^2, the step count ``n_steps``).  It
+    builds no array.
     """
 
     map: StaticMap
@@ -126,16 +126,14 @@ class ScenarioConfig(NamedTuple):
     snapshot_every: int = 0               # 0 disables field snapshots
     washout_corner: float = 1.0
     hessian_corner: float = 1.0
+    initial_vartheta: float = 1.0         # averaged run: initial tracking error
+    K_bar: float | None = None            # averaged run: compensator gain override (None: K*H)
+    allow_unstable: bool = False          # averaged run: skip the gain's sign gate (a probe)
 
     @property
     def dither(self) -> DitherParams:
         """The probe on the grid's length."""
         return DitherParams(self.a, self.omega, self.grid.L)
-
-    @property
-    def K_bar(self) -> float:
-        """Compensator gain K*H."""
-        return self.K * self.map.H
 
     @property
     def n_steps(self) -> int:
@@ -158,6 +156,8 @@ class ScenarioConfig(NamedTuple):
         if not math.isfinite(self.initial_theta_hat):
             raise ValueError(f"initial input estimate must be finite, "
                              f"got {self.initial_theta_hat}")
+        if not math.isfinite(self.initial_vartheta):
+            raise ValueError(f"initial_vartheta must be finite, got {self.initial_vartheta}")
         if not (self.K >= 0.0 and math.isfinite(self.K)):
             raise ValueError(f"adaptation gain K must be finite and >= 0, got {self.K}")
         if not (self.T_final > 0.0 and math.isfinite(self.T_final)):
@@ -174,7 +174,7 @@ class ScenarioConfig(NamedTuple):
                 raise ValueError(f"filter corner frequencies must be > 0, got {corner}")
         if self.K > 0.0:
             try:
-                check_gain(self.K_bar, self.grid.L)
+                check_gain(self.K * self.map.H, self.grid.L)
             except ForbiddenGainError as exc:      # name where the gain comes from
                 raise ForbiddenGainError(f"design gain K*H = {self.K:.6g} * "
                                          f"{self.map.H:.6g}: {exc}", kappa=exc.kappa) from None
@@ -187,7 +187,7 @@ class ScenarioConfig(NamedTuple):
 
 
 class TrajectoryRecord(NamedTuple):
-    """Sampled closed-loop signals, fields in ``TRAJECTORY_COLUMNS`` order."""
+    """Sampled closed-loop signals; the first nine fields are the CSV's columns."""
 
     t: np.ndarray
     theta: np.ndarray      # actuator boundary command
@@ -199,6 +199,9 @@ class TrajectoryRecord(NamedTuple):
     S: np.ndarray          # boundary dither
     vartheta: np.ndarray   # propagated tracking error Theta - a sin(omega t) - theta_star
     field_history: "FieldHistory | None" = None
+
+
+TRAJECTORY_COLUMNS = ",".join(TrajectoryRecord._fields[:9])
 
 
 class FieldHistory(NamedTuple):
@@ -308,15 +311,13 @@ def run_esc(config: ScenarioConfig) -> TrajectoryRecord:
     return TrajectoryRecord(*np.frombuffer(rows).reshape(-1, 9).T, field_history=history)
 
 
-def _average_kernel(config: ScenarioConfig, initial_vartheta: float, K_bar: float | None,
-                    check_admissible: bool):
-    """The averaged run's gates beyond ``config.validate()``: a finite initial error, and
-    ``make_kernel`` of the compensator gain (K*H when ``K_bar`` is None); returns the kernel."""
-    if not math.isfinite(initial_vartheta):
-        raise ValueError(f"initial_vartheta must be finite, got {initial_vartheta}")
-    gain = config.K_bar if K_bar is None else K_bar
+def _average_kernel(config: ScenarioConfig):
+    """The averaged run's gate beyond ``config.validate()``: ``make_kernel`` of the
+    compensator gain (K*H when ``config.K_bar`` is None); returns the kernel."""
+    K_bar = config.K_bar
+    gain = config.K * config.map.H if K_bar is None else K_bar
     try:
-        return make_kernel(gain, config.grid.L, check=check_admissible)
+        return make_kernel(gain, config.grid.L, allow_unstable=config.allow_unstable)
     except ForbiddenGainError as exc:      # name where the gain comes from
         source = (f"design gain K*H = {config.K:.6g} * {config.map.H:.6g}" if K_bar is None
                   else f"override K_bar = {K_bar:.6g}")
@@ -325,29 +326,24 @@ def _average_kernel(config: ScenarioConfig, initial_vartheta: float, K_bar: floa
         raise ForbiddenGainError(f"{source}: {exc}{probe}", kappa=exc.kappa) from None
 
 
-def run_average_system(
-    config: ScenarioConfig,
-    initial_vartheta: float,
-    K_bar: float | None = None,
-    check_admissible: bool = True,
-) -> AverageRecord:
+def run_average_system(config: ScenarioConfig) -> AverageRecord:
     """Simulate the averaged error cascade under the averaged control law.
 
-    The compensator gain is K*H unless ``K_bar`` overrides it, and the field
-    starts from ``config.initial_alpha``.  The recorded field profiles carry
-    the same-time control value at the boundary entry (the weight g vanishes
-    there, so the transformed scalar is insensitive to it); the PDE step
-    applies the control held over the step.  ``check_admissible=False``
-    allows sign-flipped gain probes; a non-finite ``initial_vartheta`` is a
-    ``ValueError``.
+    The compensator gain is K*H unless ``config.K_bar`` overrides it; the
+    error starts from ``config.initial_vartheta`` and the field from
+    ``config.initial_alpha``.  The recorded field profiles carry the same-time
+    control value at the boundary entry (the weight g vanishes there, so the
+    transformed scalar is insensitive to it); the PDE step applies the control
+    held over the step.  ``config.allow_unstable`` allows sign-flipped gain
+    probes.
     """
     config.validate()
-    kernel = _average_kernel(config, initial_vartheta, K_bar, check_admissible)
+    kernel = _average_kernel(config)
     K_bar, grid = kernel.K_bar, config.grid
     dt, record_every, n_steps = config.solver.dt, config.record_every, config.n_steps
 
     fld = make_field(grid, config.solver, initial=config.initial_alpha)
-    vartheta = float(initial_vartheta)
+    vartheta = float(config.initial_vartheta)
     weights = integration_weights(grid.n, grid.dx)
     transformed = Readout(grid, weights * kernel.g(grid.nodes()))
     w_end = float(weights[-1])
@@ -423,7 +419,7 @@ def _write_csv(path, header: str, data: np.ndarray) -> None:
 
 def save_trajectory_csv(record: TrajectoryRecord, path) -> None:
     """Write the trajectory with the fixed column set."""
-    data = np.column_stack([getattr(record, name) for name in TRAJECTORY_COLUMNS.split(",")])
+    data = np.column_stack(record[:9])
     _write_csv(path, TRAJECTORY_COLUMNS, data)
 
 

@@ -69,7 +69,7 @@ def headline_runs():
 @pytest.fixture(scope="module")
 def average_run():
     cfg = headline_scenario(0.2, T=20.0)
-    return run_average_system(cfg, initial_vartheta=1.0)
+    return run_average_system(cfg)
 
 
 @pytest.mark.xfail(
@@ -129,8 +129,8 @@ def test_criterion_03_headline_convergence(headline_runs):
 
 def test_criterion_04_average_decay_and_instability(average_run):
     fit = fit_decay(average_run.t, average_run.Omega)
-    flipped = run_average_system(headline_scenario(0.2, T=20.0), initial_vartheta=1.0,
-                                 K_bar=+0.4, check_admissible=False)
+    flipped = run_average_system(headline_scenario(0.2, T=20.0, K_bar=+0.4,
+                                                   allow_unstable=True))
     fit_flip = fit_decay(flipped.t, flipped.Omega)
     ok = (not fit.degenerate and fit.nu_hat > 0.0 and fit.r_squared > 0.95
           and fit_flip.nu_hat < 0.0)
@@ -151,7 +151,7 @@ def test_criterion_05_target_system_verification(average_run):
     maxima = []
     for dt in (4e-3, 2e-3, 1e-3):
         cfg = headline_scenario(0.2, T=10.0, solver=SolverConfig(dt=dt), record_every=1)
-        rec = run_average_system(cfg, initial_vartheta=1.0)
+        rec = run_average_system(cfg)
         r = target_residuals(rec, KERNEL, t_min=1.0)
         maxima.append(r.scalar_residual)
     ratios = [maxima[i] / maxima[i + 1] for i in range(2)]

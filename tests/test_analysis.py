@@ -258,7 +258,7 @@ def short_average_run():
         T_final=10.0,
         record_every=10,
     )
-    return run_average_system(cfg, initial_vartheta=1.0)
+    return run_average_system(cfg)
 
 
 class TestTargetResiduals:

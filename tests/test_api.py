@@ -9,6 +9,7 @@ import configparser
 import dataclasses
 import functools
 import importlib
+import inspect
 import json
 import os
 import pkgutil
@@ -139,6 +140,12 @@ def test_cli_import_loads_no_scipy(default_child):
     assert default_child["scipy"] == []
 
 
+def test_every_runner_takes_one_scenario_config():
+    from diffesc import loop
+    for runner in (loop.run_esc, loop.run_average_system, loop.run_standard_esc):
+        assert list(inspect.signature(runner).parameters) == ["config"], runner.__name__
+
+
 @pytest.mark.parametrize("name", MODULES)
 def test_no_dataclasses(name):
     # building a dataclass execs its generated methods at import: about 1 ms
@@ -222,9 +229,12 @@ def test_readme_quickstart_runs_as_written(capsys):
     readme = (Path(__file__).parents[1] / "README.md").read_text()
     section = readme.split("\n## Library quickstart\n", 1)[1].split("\n## ", 1)[0]
     blocks = re.findall(r"```python\n(.*?)```", section, flags=re.S)
-    assert len(blocks) == 2
+    assert len(blocks) == 3
     namespace = {}
     for block in blocks:
         exec(compile(block, "README.md", "exec"), namespace)
     assert 0.01 < float(capsys.readouterr().out) < 0.03      # "~0.02"
     assert namespace["baseline"].t[-1] == namespace["record"].t[-1] == 100.0
+    avg, probe = namespace["avg"], namespace["probe"]
+    assert avg.Omega[-1] < 1e-6 * avg.Omega[0]               # "1.0 -> 1.7e-7"
+    assert probe.Omega[-1] > 1e6 * probe.Omega[0]

@@ -627,12 +627,27 @@ class TestGainContract:
         assert main(["run", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
         assert "compensator_gain: -0.7" in (out / "report.txt").read_text()
 
+    @pytest.mark.parametrize("curvature", ["-1e300", "-3.885e21"])
+    def test_gain_coarser_than_the_band_is_usage_error(self, tmp_path, capsys, curvature):
+        # K*H = -2e299 was rejected against a singular value with a 150-digit index, and
+        # K*H = -7.77e20 passed validation and failed at step 4: past 2^34 the float
+        # spacing of K*H is wider than the singular band, so rounding alone placed it
+        cfg = tmp_path / "coarse.cfg"
+        cfg.write_text(_resolve_config("baseline").read_text()
+                       .replace("curvature = -2.0", f"curvature = {curvature}"))
+        out = tmp_path / "o"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and len(err) < 200
+        assert "out of range: its float spacing" in err and "K*H" in err
+        assert not out.exists()
+
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_overflowing_average_run_diverges_with_marker(self, tmp_path, capsys):
         # the energy leaves the float range at the record step 30: a divergence named
         # there, not an OverflowError, and no NumPy overflow warning on stderr
         cfg = tmp_path / "avg.cfg"
-        cfg.write_text(_resolve_config("average_system").read_text().replace("K = 0.2", "K = 1e10")
+        cfg.write_text(_resolve_config("average_system").read_text().replace("K = 0.2", "K = 5e9")
                        .replace("duration = 20.0", "duration = 0.05")
                        .replace("nodes = 101", "nodes = 21"))
         out = tmp_path / "o"
@@ -956,6 +971,24 @@ def test_unset_keys_take_the_defaults_of_the_types_that_own_them(tmp_path):
         assert owner._field_defaults
         for field, default in owner._field_defaults.items():
             assert getattr(values, field) == default, field
+
+
+AVERAGE_FIELDS = ("initial_vartheta", "K_bar", "allow_unstable")
+
+
+@pytest.mark.parametrize("section, expected", [
+    ("", {field: ScenarioConfig._field_defaults[field] for field in AVERAGE_FIELDS}),
+    ("[average]\ninitial_vartheta = -0.5\nK_bar = 0.4\nallow_unstable = true\n",
+     {"initial_vartheta": -0.5, "K_bar": 0.4, "allow_unstable": True}),
+])
+def test_average_keys_are_scenario_config_fields(tmp_path, section, expected):
+    # the averaged run's settings are read like every other optional key: a key left
+    # out takes the field's default, and a key set reaches plan.config unchanged
+    cfg = tmp_path / "minimal.cfg"
+    cfg.write_text(MINIMAL_ESC.replace("kind = esc", "kind = average") + section)
+    plan = RunPlan(_parse_ini(cfg))
+    assert {field: getattr(plan.config, field) for field in AVERAGE_FIELDS} == expected
+    assert vars(plan).keys() == {"kind", "config"}
 
 
 @pytest.mark.parametrize("param", SWEEP_PARAMS)

@@ -117,6 +117,16 @@ class TestCheckGain:
                 kappa = err.kappa
             assert kappa == (int(hits[0]) if hits.size else None), K_bar
 
+    @pytest.mark.parametrize("K_bar", [-2e299, -7.77e20])
+    def test_gain_coarser_than_the_band_is_out_of_range(self, K_bar):
+        # the float spacing of K_bar is wider than the band's half-width 2.47e-6 at L = 1,
+        # so the band test decided by rounding alone: -2e299 was rejected against a
+        # singular value with a 150-digit index, and -7.77e20 passed
+        with pytest.raises(ForbiddenGainError, match="out of range: its float spacing") as err:
+            check_gain(K_bar, 1.0)
+        assert err.value.kappa is None
+        assert check_gain(-1e10, 1.0) is None      # spacing 1.9e-6: still placed
+
     def test_singular_gain_beyond_kappa_100_rejected(self):
         with pytest.raises(ForbiddenGainError) as err:
             check_gain(-(301**2) * math.pi**2 / 4.0, 1.0)
@@ -146,7 +156,7 @@ class TestKernel:
         assert np.max(np.abs(kern.gamma(xs) - ref.real)) < 1e-12
 
     def test_positive_gain_probe_matches_complex(self):
-        kern = make_kernel(0.4, 1.0, check=False)
+        kern = make_kernel(0.4, 1.0, allow_unstable=True)
         xs = np.linspace(0.0, 1.0, 101)
         ref = gamma_complex(0.4, 1.0, xs)
         assert np.max(np.abs(kern.gamma(xs) - ref.real)) < 1e-12
@@ -158,7 +168,7 @@ class TestKernel:
 
     def test_singular_normalization_rejected_even_unchecked(self):
         with pytest.raises(ForbiddenGainError):
-            make_kernel(-math.pi**2 / 4.0, 1.0, check=False)
+            make_kernel(-math.pi**2 / 4.0, 1.0, allow_unstable=True)
 
 
 class TestControlLaws:

@@ -356,43 +356,42 @@ def test_chunk_size_leaves_the_run_bit_identical(monkeypatch, runner, a):
 
 class TestAverageSystem:
     def test_origin_is_equilibrium(self):
-        rec = run_average_system(scenario(T=2.0), initial_vartheta=0.0)
+        rec = run_average_system(scenario(T=2.0, initial_vartheta=0.0))
         assert np.max(rec.Omega) == 0.0
 
     def test_norm_decays_for_admissible_gain(self):
-        rec = run_average_system(scenario(T=10.0), initial_vartheta=1.0)
+        rec = run_average_system(scenario(T=10.0))
         assert rec.Omega[-1] < 1e-3 * rec.Omega[0]
         assert np.all(np.diff(rec.Omega[rec.t > 1.0]) <= 1e-12)
 
     def test_sign_flipped_gain_grows_with_probe_flag(self):
         cfg = scenario(T=10.0)
         with pytest.raises(ForbiddenGainError):
-            run_average_system(cfg, initial_vartheta=1.0, K_bar=0.4)
-        rec = run_average_system(cfg, initial_vartheta=1.0, K_bar=0.4, check_admissible=False)
+            run_average_system(cfg._replace(K_bar=0.4))
+        rec = run_average_system(cfg._replace(K_bar=0.4, allow_unstable=True))
         assert rec.Omega[-1] > 50.0 * rec.Omega[0]
 
     def test_boundary_entry_carries_same_time_control(self):
-        rec = run_average_system(scenario(T=2.0), initial_vartheta=1.0)
+        rec = run_average_system(scenario(T=2.0))
         np.testing.assert_allclose(rec.u[:, -1], rec.U, atol=0.0)
 
     def test_modal_transform_matches_nodal_to_target(self):
         # the runner reads Z through the modal readout; to_target is the nodal form
-        rec = run_average_system(scenario(T=2.0, initial_alpha=np.sin(math.pi * NODES)),
-                                 initial_vartheta=1.0)
+        rec = run_average_system(scenario(T=2.0, initial_alpha=np.sin(math.pi * NODES)))
         assert np.array_equal(rec.U, rec.K_bar * rec.Z)
         nodal = to_target(make_kernel(rec.K_bar, rec.grid.L), rec.vartheta, rec.u, rec.grid)
         assert np.max(np.abs(nodal.Z - rec.Z)) <= 1e-12 * np.max(np.abs(rec.Z))
 
     def test_norms_are_the_quadrature_of_each_recorded_profile(self):
-        rec = run_average_system(scenario(T=2.0, initial_alpha=np.cos(3.0 * NODES)),
-                                 initial_vartheta=0.5)
+        rec = run_average_system(scenario(T=2.0, initial_alpha=np.cos(3.0 * NODES),
+                                          initial_vartheta=0.5))
         w = integration_weights(rec.grid.n, rec.grid.dx)
         u_sq = [float(profile**2 @ w) for profile in rec.u]
         assert rec.u_norm.tolist() == [math.sqrt(v) for v in u_sq]
         assert rec.Omega.tolist() == [vth**2 + v for vth, v in zip(rec.vartheta.tolist(), u_sq)]
 
     def test_csv_export(self, tmp_path):
-        rec = run_average_system(scenario(T=1.0), initial_vartheta=1.0)
+        rec = run_average_system(scenario(T=1.0))
         path = tmp_path / "avg.csv"
         save_average_csv(rec, path)
         assert path.read_text().splitlines()[0] == "t,vartheta,U,Z,u_norm,Omega"
@@ -402,16 +401,16 @@ class TestAverageSystem:
     @pytest.mark.parametrize("vartheta", [math.inf, math.nan])
     def test_non_finite_initial_error_is_a_value_error(self, vartheta):
         with pytest.raises(ValueError, match="initial_vartheta"):
-            run_average_system(scenario(T=1.0), initial_vartheta=vartheta)
+            run_average_system(scenario(T=1.0, initial_vartheta=vartheta))
 
     @pytest.mark.parametrize("kw", [dict(record_every=0), dict(T=-1.0)])
     def test_invalid_scenario_rejected(self, kw):
         with pytest.raises(ValueError):
-            run_average_system(scenario(**{"T": 1.0, **kw}), initial_vartheta=1.0)
+            run_average_system(scenario(**{"T": 1.0, **kw}))
 
     def test_initial_profile_accepted(self):
-        rec = run_average_system(scenario(T=1.0, initial_alpha=np.sin(math.pi * NODES)),
-                                 initial_vartheta=0.0)
+        rec = run_average_system(scenario(T=1.0, initial_alpha=np.sin(math.pi * NODES),
+                                          initial_vartheta=0.0))
         assert rec.Omega[0] > 0.0
         assert rec.Omega[-1] < rec.Omega[0]
 
@@ -557,18 +556,20 @@ class TestScenarioValidation:
         assert _propagator.cache_info() == cache
 
 
-# The validate-implies-run contract over extreme inputs.  One to four numeric keys are
-# drawn from 0 or +-1e-320..1e300, log-uniform; the rest keep a cheap base value (11
-# nodes, 50 steps), and drawn step counts above 100 are discarded, so every run is short.
+# The validate-implies-run contract over extreme inputs.  One to four keys are drawn,
+# numeric ones from 0 or +-1e-320..1e300, log-uniform; the rest keep a cheap base value
+# (11 nodes, 50 steps), and drawn step counts above 100 are discarded, so every run is short.
 CONTRACT_BASE = dict(y_star=5.0, theta_star=2.0, H=-2.0, a=0.2, omega=10.0, K=0.2, c=10.0,
                      washout_corner=1.0, hessian_corner=1.0, L=1.0, n=11, dt=1e-3,
-                     T_final=0.05, initial_theta_hat=0.0, record_every=10, snapshot_every=10)
+                     T_final=0.05, initial_theta_hat=0.0, record_every=10, snapshot_every=10,
+                     initial_vartheta=1.0, K_bar=None, allow_unstable=False)
 EXTREME = st.one_of(st.just(0.0), st.builds(lambda sign, e: sign * 10.0 ** e,
                                             st.sampled_from((1.0, -1.0)),
                                             st.floats(-320.0, 300.0)))
 DRAWS = {key: EXTREME for key in CONTRACT_BASE}
 DRAWS.update(n=st.one_of(st.integers(-1, 101), st.integers(MAX_NODES + 1, 10**300)),
-             record_every=EXTREME.map(int), snapshot_every=EXTREME.map(int))
+             record_every=EXTREME.map(int), snapshot_every=EXTREME.map(int),
+             K_bar=st.none() | EXTREME, allow_unstable=st.booleans())
 
 
 @st.composite
@@ -583,13 +584,14 @@ def extreme_scenarios(draw):
 @settings(max_examples=300, deadline=None)
 @given(extreme_scenarios())
 @example(({**CONTRACT_BASE, "y_star": -1.0, "theta_star": 0.0,
-           "initial_theta_hat": sys.float_info.max}, "crank_nicolson"))
+           "initial_theta_hat": sys.float_info.max, "initial_vartheta": sys.float_info.max},
+          "crank_nicolson"))
 @example(({**CONTRACT_BASE, "K": 0.0, "initial_theta_hat": 1e150}, "crank_nicolson"))
 @example(({**CONTRACT_BASE, "K": 0.0, "initial_theta_hat": 1.2e154}, "crank_nicolson"))
 def test_a_validated_scenario_runs_or_diverges(case):
     # validate() raises ValueError, or run_esc returns a record with no non-finite value,
     # or it raises SimulationDiverged: no config that passes validation may crash mid-run
-    # with another exception.  The averaged run holds to the same, behind the gates the
+    # with another exception.  The averaged run holds to the same, behind the gate the
     # CLI adds for it.  The first example's input estimate overflows on its first step
     # while Theta, y and U are still finite; at K = 0 the other two overflow H_hat * feedback
     # with U held at 0, the second also H_hat itself
@@ -601,7 +603,9 @@ def test_a_validated_scenario_runs_or_diverges(case):
             solver=SolverConfig(v["dt"], scheme), grid=Grid(v["L"], v["n"]),
             T_final=v["T_final"], initial_theta_hat=v["initial_theta_hat"],
             record_every=v["record_every"], snapshot_every=v["snapshot_every"],
-            washout_corner=v["washout_corner"], hessian_corner=v["hessian_corner"])
+            washout_corner=v["washout_corner"], hessian_corner=v["hessian_corner"],
+            initial_vartheta=v["initial_vartheta"], K_bar=v["K_bar"],
+            allow_unstable=v["allow_unstable"])
         config.validate()
     except ValueError:
         return
@@ -612,13 +616,12 @@ def test_a_validated_scenario_runs_or_diverges(case):
         pass
     else:
         assert all(np.isfinite(column).all() for column in rec[:9])
-    vartheta = v["initial_theta_hat"] - v["theta_star"]
     try:
-        loop._average_kernel(config, vartheta, None, True)
+        loop._average_kernel(config)
     except ValueError:
         return
     try:
-        run_average_system(config, initial_vartheta=vartheta)
+        run_average_system(config)
     except SimulationDiverged:
         pass
 
